@@ -6,9 +6,17 @@ layer classes wrap them with parameter storage and per-batch caches so
 a sequential model can run them in order; gradients accumulate into
 per-parameter buffers and are zeroed by the trainer.
 
-Convolution is cross-correlation (no kernel flip). MaxPool breaks ties
-in favor of the first element in row-major scan order so backward
-routing is deterministic. ReLU uses subgradient 0 at exactly 0.
+Convolution is cross-correlation (no kernel flip), computed as one GEMM
+per kernel tap over a zero-padded channels-last (NHWC) copy of the
+input: the forward pass sums tap @ W[:, :, dy, dx].T over the k*k taps,
+and the backward pass takes dW per tap and scatter-adds each tap's
+input gradient into the same shifted window of an NHWC buffer. Inputs
+and outputs stay NCHW. A conv layer caches only the padded input; conv
+and batch-norm layers keep no backward cache in eval mode.
+
+MaxPool breaks ties in favor of the first element in row-major scan
+order so backward routing is deterministic. ReLU uses subgradient 0 at
+exactly 0.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ EVAL = "eval"
 
 
 # ---------------------------------------------------------------------------
-# im2col plumbing
+# convolution
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
@@ -34,82 +42,70 @@ def conv_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
 
-def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold (n,c,h,w) into (n*oh*ow, c*k*k) patch rows.
-
-    Written directly in (n, oh, ow, c, k, k) layout so the final
-    reshape is free (no second full-tensor copy).
-    """
+def _pad_nhwc(x, pad):
+    """Zero-padded channels-last copy (n, h+2p, w+2p, c) of an NCHW input."""
     n, c, h, w = x.shape
-    oh, ow = conv_out_hw(h, w, k, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, oh, ow, c, k, k), dtype=x.dtype)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _taps(k, stride, oh, ow):
+    """Yields (dy, dx, index of the padded NHWC window that tap reads).
+
+    Each window row is a contiguous run of ow*c elements when stride is
+    1, so copying a tap out of the padded input is a cheap strided copy.
+    """
     for dy in range(k):
         for dx in range(k):
-            src = x[:, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride]
-            cols[:, :, :, :, dy, dx] = src.transpose(0, 2, 3, 1)
-    return cols.reshape(n * oh * ow, c * k * k)
+            yield dy, dx, (slice(None), slice(dy, dy + stride * oh, stride), slice(dx, dx + stride * ow, stride))
 
 
-def col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:
-    """Scatter-add (n*oh*ow, c*k*k) patch rows back to (n,c,h,w)."""
-    n, c, h, w = x_shape
-    oh, ow = conv_out_hw(h, w, k, stride, pad)
-    cols = cols.reshape(n, oh, ow, c, k, k)
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            dst = out[:, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride]
-            dst += cols[:, :, :, :, dy, dx].transpose(0, 3, 1, 2)
-    if pad > 0:
-        out = out[:, :, pad : pad + h, pad : pad + w]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# convolution
-
-
-def conv2d_forward(x, weight, bias, stride=1, pad=0, _cols=None):
-    """Cross-correlation + bias. weight is (c_out, c_in, k, k), bias (c_out,)."""
+def _conv2d_forward(x, weight, bias, stride, pad):
+    """Forward pass; returns (y, padded NHWC input) so a layer can cache the latter."""
     n, c, h, w = x.shape
     c_out, c_in, k, _ = weight.shape
     if c != c_in:
         raise ShapeError(f"conv expects {c_in} input channels, got {c}")
     oh, ow = conv_out_hw(h, w, k, stride, pad)
-    cols = im2col(x, k, stride, pad) if _cols is None else _cols
-    y = cols @ weight.reshape(c_out, -1).T + bias
-    return y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+    xp = _pad_nhwc(x, pad)
+    w_taps = weight.transpose(2, 3, 0, 1).copy()  # (k, k, c_out, c_in): one contiguous matrix per tap
+    y = np.empty((n * oh * ow, c_out), dtype=np.result_type(x, weight))
+    y[...] = bias
+    # one tap and one product buffer for all taps: fresh large arrays per tap cost page faults
+    tap = np.empty((n, oh, ow, c), dtype=x.dtype)
+    part = np.empty_like(y)
+    for dy, dx, win in _taps(k, stride, oh, ow):
+        np.copyto(tap, xp[win])
+        y += np.matmul(tap.reshape(-1, c), w_taps[dy, dx].T, out=part)
+    return y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2), xp
+
+
+def _conv2d_backward(xp, weight, stride, pad, grad_out):
+    n, hp, wp, c = xp.shape
+    c_out, _, k, _ = weight.shape
+    oh, ow = conv_out_hw(hp, wp, k, stride, 0)
+    if grad_out.shape != (n, c_out, oh, ow):
+        raise ShapeError(f"grad_out shape {grad_out.shape} != forward output {(n, c_out, oh, ow)}")
+    g = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
+    w_taps = weight.transpose(2, 3, 0, 1).copy()
+    grad_w = np.empty(weight.shape, dtype=np.result_type(g, xp))
+    grad_xp = np.zeros(xp.shape, dtype=grad_w.dtype)
+    for dy, dx, win in _taps(k, stride, oh, ow):
+        grad_w[:, :, dy, dx] = g.T @ xp[win].reshape(-1, c)
+        grad_xp[win] += (g @ w_taps[dy, dx]).reshape(n, oh, ow, c)
+    grad_x = grad_xp[:, pad : hp - pad, pad : wp - pad].transpose(0, 3, 1, 2)
+    return grad_x, grad_w, g.sum(axis=0)
+
+
+def conv2d_forward(x, weight, bias, stride=1, pad=0):
+    """Cross-correlation + bias. weight is (c_out, c_in, k, k), bias (c_out,)."""
+    return _conv2d_forward(x, weight, bias, stride, pad)[0]
 
 
 def conv2d_backward(x, weight, stride, pad, grad_out):
     """Gradients of sum(grad_out * forward) wrt (x, weight, bias)."""
-    cols = im2col(x, weight.shape[2], stride, pad)
-    return _conv2d_backward_cols(x.shape, weight, stride, pad, grad_out, cols)
-
-
-def _conv2d_backward_cols(x_shape, weight, stride, pad, grad_out, cols):
-    n, c, h, w = x_shape
-    c_out, c_in, k, _ = weight.shape
-    oh, ow = conv_out_hw(h, w, k, stride, pad)
-    if grad_out.shape != (n, c_out, oh, ow):
-        raise ShapeError(f"grad_out shape {grad_out.shape} != forward output {(n, c_out, oh, ow)}")
-    g = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
-    grad_w = (g.T @ cols).reshape(weight.shape)
-    grad_b = g.sum(axis=0)
-    grad_cols = g @ weight.reshape(c_out, -1)
-    grad_x = col2im(grad_cols, x_shape, k, stride, pad)
-    return grad_x, grad_w, grad_b
-
-
-def strided_conv_down_forward(x, weight, bias, stride=2, pad=0):
-    """Downsampling by stride-2 convolution (the pooling alternative)."""
-    return conv2d_forward(x, weight, bias, stride=stride, pad=pad)
-
-
-def strided_conv_down_backward(x, weight, grad_out, stride=2, pad=0):
-    return conv2d_backward(x, weight, stride, pad, grad_out)
+    return _conv2d_backward(_pad_nhwc(x, pad), weight, stride, pad, grad_out)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +396,7 @@ class Conv2d(Layer):
         self.stride = stride
         self.pad = pad
         self.weight = self.bias = self.gweight = self.gbias = None
-        self._cache = None
+        self._xp = None
 
     def init_params(self, in_shape, rng, dtype):
         fan_in = self.c_in * self.k * self.k
@@ -411,14 +407,12 @@ class Conv2d(Layer):
         self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, mode, rng):
-        cols = im2col(x, self.k, self.stride, self.pad)
-        y = conv2d_forward(x, self.weight, self.bias, self.stride, self.pad, _cols=cols)
-        self._cache = (x.shape, cols)
+        y, xp = _conv2d_forward(x, self.weight, self.bias, self.stride, self.pad)
+        self._xp = xp if mode == TRAIN else None
         return y
 
     def backward(self, grad_out):
-        x_shape, cols = self._cache
-        gx, gw, gb = _conv2d_backward_cols(x_shape, self.weight, self.stride, self.pad, grad_out, cols)
+        gx, gw, gb = _conv2d_backward(self._xp, self.weight, self.stride, self.pad, grad_out)
         self.gweight += gw
         self.gbias += gb
         return gx
@@ -540,7 +534,8 @@ class BatchNorm(Layer):
     def forward(self, x, mode, rng):
         if x.shape[1] != self.channels:
             raise ShapeError(f"{self.name}: expects {self.channels} channels, got {x.shape[1]}")
-        y, self._cache = batchnorm_forward(x, self.p, mode)
+        y, cache = batchnorm_forward(x, self.p, mode)
+        self._cache = cache if mode == TRAIN else None
         return y
 
     def backward(self, grad_out):

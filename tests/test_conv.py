@@ -1,8 +1,8 @@
 """Convolution against a naive nested-loop oracle and finite differences.
 
-The oracle below is written first and kept deliberately dumb: seven
-plain loops, no im2col, no matmul. The implementation must agree with
-it to 1e-12 in float64.
+The oracles below are written first and kept deliberately dumb: seven
+plain loops, no slicing tricks, no matmul. The implementation must agree
+with them to 1e-12 in float64, forward and backward.
 """
 
 import numpy as np
@@ -34,6 +34,30 @@ def naive_conv2d(x, w, b, stride=1, pad=0):
                                 acc += xp[i, j, oy * stride + dy, ox * stride + dx] * w[o, j, dy, dx]
                     y[i, o, oy, ox] = acc + b[o]
     return y
+
+
+def naive_conv2d_backward(x, w, stride, pad, g):
+    n, c, h, wd = x.shape
+    co, ci, k, _ = w.shape
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    gb = np.zeros(co, dtype=g.dtype)
+    _, _, oh, ow = g.shape
+    for i in range(n):
+        for o in range(co):
+            for oy in range(oh):
+                for ox in range(ow):
+                    go = g[i, o, oy, ox]
+                    gb[o] += go
+                    for j in range(ci):
+                        for dy in range(k):
+                            for dx in range(k):
+                                iy, ix = oy * stride + dy, ox * stride + dx
+                                gw[o, j, dy, dx] += go * xp[i, j, iy, ix]
+                                gxp[i, j, iy, ix] += go * w[o, j, dy, dx]
+    return gxp[:, :, pad : pad + h, pad : pad + wd], gw, gb
 
 
 class TestForwardHandCases:
@@ -70,10 +94,10 @@ class TestForwardOracle:
             r = rng.split(i)
             n = int(r.integers(1, 2)[0]) + 1
             c = int(r.integers(1, 4)[0]) + 1
-            h = int(r.integers(1, 6)[0]) + 4
-            wd = int(r.integers(1, 6)[0]) + 4
+            k = [1, 2, 3, 5, 7][int(r.integers(1, 5)[0])]
+            h = int(r.integers(1, 6)[0]) + max(4, k)
+            wd = int(r.integers(1, 6)[0]) + max(4, k)
             co = int(r.integers(1, 4)[0]) + 1
-            k = [1, 2, 3][int(r.integers(1, 3)[0])]
             stride = int(r.integers(1, 2)[0]) + 1
             pad = int(r.integers(1, 2)[0])
             x = r.uniform((n, c, h, wd), -1, 1)
@@ -85,14 +109,14 @@ class TestForwardOracle:
 
     def test_output_shape_formula(self):
         x = np.zeros((1, 1, 4, 4))
-        y = L.strided_conv_down_forward(x, np.zeros((1, 1, 2, 2)), np.zeros(1))
+        y = L.conv2d_forward(x, np.zeros((1, 1, 2, 2)), np.zeros(1), stride=2, pad=0)
         assert y.shape[2] == (4 - 2) // 2 + 1 == 2
 
 
 class TestStridedDown:
     def test_ramp_hand_case(self):
         x = np.arange(1, 17, dtype=np.float64).reshape(1, 1, 4, 4)
-        y = L.strided_conv_down_forward(x, np.ones((1, 1, 2, 2)), np.zeros(1))
+        y = L.conv2d_forward(x, np.ones((1, 1, 2, 2)), np.zeros(1), stride=2, pad=0)
         assert np.array_equal(y[0, 0], [[14, 22], [46, 54]])
 
     def test_gradcheck(self):
@@ -103,9 +127,9 @@ class TestStridedDown:
         r = rng.uniform((1, 3, 3, 3), -1, 1)
 
         def loss():
-            return float((L.strided_conv_down_forward(x, w, b) * r).sum())
+            return float((L.conv2d_forward(x, w, b, stride=2, pad=0) * r).sum())
 
-        gx, gw, gb = L.strided_conv_down_backward(x, w, r)
+        gx, gw, gb = L.conv2d_backward(x, w, 2, 0, r)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-6
         assert rel_err(gw, fd_grad(loss, w)) < 1e-6
         assert rel_err(gb, fd_grad(loss, b)) < 1e-6
@@ -152,13 +176,41 @@ class TestBackward:
             assert rel_err(gb, fd_grad(loss, b)) < 1e-6
 
 
-class TestIm2col:
-    def test_round_trip_on_ones_counts_coverage(self):
-        # col2im(im2col(ones)) counts how many patches cover each cell
-        x = np.ones((1, 1, 4, 4))
-        cols = L.im2col(x, 2, 1, 0)
-        back = L.col2im(cols, x.shape, 2, 1, 0)
-        # corners covered once, edges twice, center four times
-        assert back[0, 0, 0, 0] == 1
-        assert back[0, 0, 0, 1] == 2
-        assert back[0, 0, 1, 1] == 4
+class TestBackwardOracle:
+    CASES = [(k, s, p) for k in (1, 2, 3, 5, 7) for s in (1, 2) for p in (0, 1)]
+
+    @staticmethod
+    def instance(k, stride, pad):
+        r = SplitRng(4321).split(k, stride, pad)
+        h = int(r.integers(1, 4)[0]) + k
+        wd = int(r.integers(1, 4)[0]) + k
+        x = r.uniform((2, 3, h, wd), -1, 1)
+        w = r.uniform((4, 3, k, k), -1, 1)
+        b = r.uniform(4, -1, 1)
+        g = r.uniform(naive_conv2d(x, w, b, stride, pad).shape, -1, 1)
+        return x, w, b, g
+
+    @pytest.mark.parametrize("k,stride,pad", CASES)
+    def test_function_matches_naive(self, k, stride, pad):
+        x, w, _, g = self.instance(k, stride, pad)
+        got = L.conv2d_backward(x, w, stride, pad, g)
+        want = naive_conv2d_backward(x, w, stride, pad, g)
+        for a, e in zip(got, want):
+            assert a.shape == e.shape
+            assert np.abs(a - e).max() <= 1e-12
+
+    @pytest.mark.parametrize("k,stride,pad", CASES)
+    def test_layer_matches_naive(self, k, stride, pad):
+        # the layer's backward reads the padded input cached by its forward
+        x, w, b, g = self.instance(k, stride, pad)
+        conv = L.Conv2d("conv", 3, 4, k, stride, pad)
+        conv.init_params(x.shape, SplitRng(0), np.float64)
+        conv.weight[...] = w
+        conv.bias[...] = b
+        y = conv.forward(x, L.TRAIN, None)
+        assert np.abs(y - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
+        gx = conv.backward(g)
+        want_gx, want_gw, want_gb = naive_conv2d_backward(x, w, stride, pad, g)
+        assert np.abs(gx - want_gx).max() <= 1e-12
+        assert np.abs(conv.gweight - want_gw).max() <= 1e-12
+        assert np.abs(conv.gbias - want_gb).max() <= 1e-12

@@ -54,6 +54,15 @@ class TestForward:
         b = m.eval().forward(x)
         assert a.tobytes() == b.tobytes()
 
+    def test_eval_forward_keeps_no_backward_cache(self):
+        m = toy_model()
+        x = SplitRng(2).uniform((2, 3, 6, 6))
+        conv, bn = m.layers[0], m.layers[1]
+        m.train().forward(x)
+        assert conv._xp is not None and bn._cache is not None
+        m.eval().forward(x)
+        assert conv._xp is None and bn._cache is None
+
 
 class TestBackward:
     def test_single_dense_delegates(self):
