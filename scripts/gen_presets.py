@@ -8,7 +8,7 @@ structure or the targets change.
 import os
 
 from simpnet import archdsl
-from simpnet.network import count_params
+from simpnet.network import count_macs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "..", "src", "simpnet", "presets")
@@ -34,7 +34,7 @@ def main():
 
         widths = archdsl.solve_widths(mk, PROFILE, target)
         spec = mk(widths)
-        ledger = count_params(archdsl.build(spec))
+        ledger = count_macs(archdsl.build(spec))
         path = os.path.join(OUT, f"{name}.arch")
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# {name}: 13 conv layers, pooling after layers 5 and 10\n")

@@ -9,7 +9,7 @@ reproducibility.
 from .analyzer import AuditConfig, AuditReport, audit, compare
 from .archdsl import ArchSpec, LayerSpec, ablation_presets, build, builder_presets, parse, render, simpnet
 from .data import AugmentPolicy, Dataset, augment, batches, load_cifar10, load_mnist, normalize
-from .network import Model, ParamLedger, count_macs, count_params, load_checkpoint, save_checkpoint
+from .network import Model, ParamLedger, count_macs, load_checkpoint, save_checkpoint
 from .rng import SplitRng
 from .train import MetricsRow, TrainConfig, ablate, evaluate, init_model, sgd_step, train_loop
 
@@ -36,7 +36,6 @@ __all__ = [
     "builder_presets",
     "compare",
     "count_macs",
-    "count_params",
     "evaluate",
     "init_model",
     "load_checkpoint",

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 from . import layers as L
 from .errors import ArchParseError, ArchValidationError, ShapeError
-from .network import Model, count_params
+from .network import Model, count_macs
 
 CONV_KERNELS = (1, 2, 3, 5, 7)
 
@@ -253,12 +253,10 @@ def build(spec: ArchSpec) -> Model:
 
     for ls in spec.flat_layers():
         ch = shape[1]
-        if ls.kind == "conv":
-            layer = L.Conv2d(fresh("conv"), ch, ls.channels, ls.kernel, ls.stride, ls.pad)
-        elif ls.kind == "sconv":
-            layer = L.StridedConvDown(fresh("sconv"), ch, ls.channels, ls.kernel, ls.stride, ls.pad)
+        if ls.kind in ("conv", "sconv"):
+            layer = L.Conv2d(fresh(ls.kind), ch, ls.channels, ls.kernel, ls.stride, ls.pad)
         elif ls.kind == "maxpool":
-            layer = L.MaxPool(fresh("pool"), ls.kernel, ls.stride)
+            layer = L.SafPool(fresh("pool"), ls.kernel, 0.0, ls.stride)
         elif ls.kind == "safpool":
             layer = L.SafPool(fresh("safpool"), ls.kernel, ls.p, ls.stride)
         elif ls.kind == "bn":
@@ -394,7 +392,7 @@ def solve_widths(make_spec, profile, target: int, tol: float = 0.02, min_width: 
         return [max(min_width, round(scale * p)) for p in profile]
 
     def total(ws) -> int:
-        return count_params(build(make_spec(ws))).total_params
+        return count_macs(build(make_spec(ws))).total_params
 
     lo, hi = 0.25, 8.0
     while total(widths_at(hi)) < target:
@@ -553,7 +551,7 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
 
     # max-pooling vs strided-convolution downsampling at matched budget
     mp, _ = _stack_solver((5, 10), 360_000, profile=_PROFILE13, downsample="maxpool", **common)
-    mp_total = count_params(build(mp)).total_params
+    mp_total = count_macs(build(mp)).total_params
 
     def mk_sconv(ws):
         return conv_stack(ws, (5, 10), downsample="sconv", **common)

@@ -19,14 +19,7 @@ import numpy as np
 
 from . import archdsl, data, gradcheck as gc, train as T
 from .analyzer import audit
-from .errors import (
-    ArchParseError,
-    ArchValidationError,
-    CompatibilityError,
-    FormatError,
-    IsolationError,
-    NumericsError,
-)
+from .errors import ArchParseError, ArchValidationError, CompatibilityError, FormatError, NumericsError
 from .network import load_checkpoint
 
 EXIT_OK = 0
@@ -267,13 +260,10 @@ def main(argv=None) -> int:
     except ArchValidationError as e:
         _err(f"architecture invalid: {e}")
         return EXIT_COLLAPSE if args.command == "analyze" else EXIT_ARGS
+    except (FormatError, CompatibilityError) as e:
+        _err(str(e))
+        return EXIT_DATA
     except (KeyError, ValueError) as e:
-        if isinstance(e, (FormatError, CompatibilityError)):
-            _err(str(e))
-            return EXIT_DATA
-        if isinstance(e, IsolationError):
-            _err(str(e))
-            return EXIT_ARGS
         msg = e.args[0] if e.args else str(e)
         _err(str(msg))
         return EXIT_ARGS

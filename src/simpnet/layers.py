@@ -11,10 +11,10 @@ per kernel tap over a zero-padded channels-last (NHWC) copy of the
 input: the forward pass sums tap @ W[:, :, dy, dx].T over the k*k taps,
 and the backward pass takes dW per tap and scatter-adds each tap's
 input gradient into the same shifted window of an NHWC buffer. Inputs
-and outputs stay NCHW. A conv layer caches only the padded input; conv
-and batch-norm layers keep no backward cache in eval mode.
+and outputs stay NCHW. A conv layer caches only the padded input, and
+no layer keeps a backward cache in eval mode.
 
-MaxPool breaks ties in favor of the first element in row-major scan
+Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. ReLU uses subgradient 0 at
 exactly 0.
 """
@@ -435,40 +435,6 @@ class Conv2d(Layer):
         return self.c_out * oh * ow * self.c_in * self.k * self.k
 
 
-class StridedConvDown(Conv2d):
-    """Stride-2 convolution as a named downsampling layer (pool alternative)."""
-
-    kind = "sconv"
-
-    def __init__(self, name, in_channels, out_channels, kernel=2, stride=2, pad=0):
-        super().__init__(name, in_channels, out_channels, kernel, stride, pad)
-
-
-class MaxPool(Layer):
-    kind = "maxpool"
-
-    def __init__(self, name, window=2, stride=None):
-        super().__init__(name)
-        self.window = window
-        self.stride = window if stride is None else stride
-        self._cache = None
-
-    def forward(self, x, mode, rng):
-        y, argmax = maxpool_forward(x, self.window, self.stride)
-        self._cache = (x.shape, argmax)
-        return y
-
-    def backward(self, grad_out):
-        x_shape, argmax = self._cache
-        return maxpool_backward(argmax, grad_out, x_shape)
-
-    def out_shape(self, in_shape):
-        n, c, h, w = in_shape
-        if self.window > h or self.window > w:
-            raise ShapeError(f"{self.name}: window {self.window} exceeds input {h}x{w}")
-        return (n, c, (h - self.window) // self.stride + 1, (w - self.window) // self.stride + 1)
-
-
 class SafPool(Layer):
     kind = "safpool"
 
@@ -479,7 +445,7 @@ class SafPool(Layer):
 
     def forward(self, x, mode, rng):
         y, mask, argmax = saf_pool_forward(x, self.cfg, mode, rng)
-        self._cache = (x.shape, mask, argmax)
+        self._cache = (x.shape, mask, argmax) if mode == TRAIN else None
         return y
 
     def backward(self, grad_out):
@@ -498,7 +464,7 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, mode, rng):
-        self._x = x
+        self._x = x if mode == TRAIN else None
         return relu_forward(x)
 
     def backward(self, grad_out):
@@ -570,6 +536,9 @@ class Dropout(Layer):
         self._mask = None
 
     def forward(self, x, mode, rng):
+        if mode != TRAIN:
+            self._mask = None
+            return x
         y, self._mask = dropout_forward(x, self.p, mode, rng)
         return y
 
@@ -626,7 +595,7 @@ class Dense(Layer):
         self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, mode, rng):
-        self._x = x
+        self._x = x if mode == TRAIN else None
         return dense_forward(x, self.weight, self.bias)
 
     def backward(self, grad_out):

@@ -121,20 +121,9 @@ class Model:
         return self.symbolic_shapes(batch)[-1]
 
 
-def count_params(model: Model) -> ParamLedger:
-    """Closed-form per-layer parameter counts (independent of input size)."""
-    ledger = ParamLedger()
-    shape = (1,) + model.input_shape
-    for layer in model.layers:
-        out = layer.out_shape(shape)
-        ledger.rows.append(LedgerRow(layer.name, layer.param_count(shape), 0, out))
-        shape = out
-    return ledger
-
-
 def count_macs(model: Model, input_shape=None) -> ParamLedger:
-    """Multiply-accumulate counts for one sample; pooling and pointwise
-    layers count 0 by convention."""
+    """Per-layer parameter counts and multiply-accumulate counts for one
+    sample; pooling and pointwise layers count 0 MACs by convention."""
     shape = (1,) + tuple(input_shape if input_shape is not None else model.input_shape)
     ledger = ParamLedger()
     for layer in model.layers:

@@ -23,7 +23,7 @@ from .archdsl import Preset, ablation_presets, build
 from .data import AugmentPolicy, Dataset, augment, batches
 from .errors import IsolationError, NumericsError
 from .layers import EVAL, ReLU, activation_stats, softmax_xent
-from .network import Model, count_params, save_checkpoint
+from .network import Model, count_macs, save_checkpoint
 from .rng import SplitRng
 
 # split labels off the root seed
@@ -256,7 +256,7 @@ class AblateResult:
 
 def check_budgets(preset: Preset) -> dict[str, int]:
     """Parameter totals per arm; refuse mismatches on equal-budget presets."""
-    totals = {arm: count_params(build(spec)).total_params for arm, spec in preset.arms}
+    totals = {arm: count_macs(build(spec)).total_params for arm, spec in preset.arms}
     if preset.equal_budget:
         lo, hi = min(totals.values()), max(totals.values())
         if lo == 0 or (hi - lo) / lo > 0.02:

@@ -41,6 +41,11 @@ def rel_err(a, b):
     return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
+def unflatten_offset(shape, offset):
+    """(i, j, y, x) of a row-major flat offset into an NCHW array of `shape`."""
+    return tuple(int(v) for v in np.unravel_index(offset, shape))
+
+
 # ---------------------------------------------------------------------------
 # synthetic data in the real binary formats
 

@@ -25,7 +25,7 @@ from simpnet import layers as L
 from simpnet import train as T
 from simpnet.analyzer import audit
 from simpnet.errors import FormatError, IsolationError
-from simpnet.network import Model, count_macs, count_params
+from simpnet.network import Model, count_macs
 from simpnet.rng import SplitRng
 from test_conv import naive_conv2d
 
@@ -100,19 +100,19 @@ def test_c3_saf_pool_identity_and_statistics():
 
 def test_c4_parameter_ledger_and_budgets():
     conv = Model([L.Conv2d("conv1", 3, 64, 3, 1, 1)], (3, 32, 32))
-    assert count_params(conv).total_params == 1792
+    assert count_macs(conv).total_params == 1792
     dense = Model([L.Flatten("f1"), L.Dense("dense1", 256, 10)], (1, 16, 16))
-    assert count_params(dense).total_params == 2570
+    assert count_macs(dense).total_params == 2570
 
     builders = A.builder_presets()
-    t300 = count_params(A.build(builders["simpnet-300k"])).total_params
-    t5m = count_params(A.build(builders["simpnet-5m"])).total_params
+    t300 = count_macs(A.build(builders["simpnet-300k"])).total_params
+    t5m = count_macs(A.build(builders["simpnet-5m"])).total_params
     assert abs(t300 - 300_000) / 300_000 < 0.02
     assert abs(t5m - 5_480_000) / 5_480_000 < 0.02
     presets = A.ablation_presets()
     arms = dict(presets["maxpool-vs-sconv"].arms)
-    t360 = count_params(A.build(arms["maxpool"])).total_params
-    t360b = count_params(A.build(arms["sconv"])).total_params
+    t360 = count_macs(A.build(arms["maxpool"])).total_params
+    t360b = count_macs(A.build(arms["sconv"])).total_params
     assert abs(t360 - 360_000) / 360_000 < 0.02
     assert abs(t360b - 360_000) / 360_000 < 0.02
 
@@ -143,7 +143,7 @@ def test_c5_desk_scale_mnist():
     train, test = _real_mnist_or_skip("C5 desk-scale MNIST")
     assert len(train) == 60_000 and len(test) == 10_000
     spec = A.builder_presets()["simpnet-tiny"]
-    total = count_params(A.build(spec)).total_params
+    total = count_macs(A.build(spec)).total_params
     assert abs(total - 100_000) / 100_000 < 0.02
     train_n = D.normalize(train)
     test_n = D.normalize(test, mean=train_n.mean, std=train_n.std)

@@ -2,7 +2,7 @@
 from simpnet import archdsl as A
 from simpnet.analyzer import AuditConfig, audit, compare
 from simpnet.archdsl import parse, simpnet
-from simpnet.network import count_params
+from simpnet.network import count_macs
 
 
 def arch(lines):
@@ -212,9 +212,9 @@ class TestReportContract:
         assert a.render_table() == b.render_table()
         assert a.render_records() == b.render_records()
 
-    def test_ledger_matches_count_params_exactly(self):
+    def test_ledger_matches_count_macs_exactly(self):
         report = audit(GOOD)
-        assert report.ledger.total_params == count_params(A.build(GOOD)).total_params
+        assert report.ledger.total_params == count_macs(A.build(GOOD)).total_params
 
     def test_records_have_five_tab_fields(self):
         spec = arch(
@@ -260,7 +260,7 @@ class TestCompare:
         presets = A.ablation_presets()
         by_name = dict(presets["kernel-size"].arms)
         text = compare(audit(by_name["3x3-300k"]), audit(by_name["3x3-1.6m"]))
-        ratio = count_params(A.build(by_name["3x3-1.6m"])).total_params / count_params(
+        ratio = count_macs(A.build(by_name["3x3-1.6m"])).total_params / count_macs(
             A.build(by_name["3x3-300k"])
         ).total_params
         assert abs(ratio - 5.33) < 0.15
@@ -269,6 +269,6 @@ class TestCompare:
     def test_maxpool_vs_sconv_delta(self):
         presets = A.ablation_presets()
         (_, a), (_, b) = presets["maxpool-vs-sconv"].arms
-        ta = count_params(A.build(a)).total_params
-        tb = count_params(A.build(b)).total_params
+        ta = count_macs(A.build(a)).total_params
+        tb = count_macs(A.build(b)).total_params
         assert abs(ta - tb) / ta < 0.02

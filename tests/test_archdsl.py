@@ -3,7 +3,7 @@ import pytest
 
 from simpnet import archdsl as A
 from simpnet.errors import ArchParseError, ArchValidationError
-from simpnet.network import count_params
+from simpnet.network import count_macs
 from simpnet.rng import SplitRng
 
 EXAMPLE = "input 1 28 28\ngroup g1\nconv 3 32 s1 p1\nrelu\nsafpool 2 p0.2\nflatten\ndense 10\n"
@@ -15,7 +15,7 @@ def presets():
 
 
 def total(spec):
-    return count_params(A.build(spec)).total_params
+    return count_macs(A.build(spec)).total_params
 
 
 class TestParse:
@@ -239,6 +239,11 @@ class TestPresets:
         assert sum(1 for ls in by_name["maxpool"].flat_layers() if ls.kind == "maxpool") == 2
         assert sum(1 for ls in by_name["sconv"].flat_layers() if ls.kind == "sconv") == 2
         assert all(ls.kind != "maxpool" for ls in by_name["sconv"].flat_layers())
+        # layer and checkpoint tensor names the two downsampling keywords build
+        sconv_state = {name for name, _ in A.build(by_name["sconv"]).state_tensors()}
+        assert {"sconv1.weight", "sconv1.bias"} <= sconv_state
+        mp_names = [layer.name for layer in A.build(by_name["maxpool"]).layers]
+        assert [n for n in mp_names if n.startswith("pool")] == ["pool1", "pool2"]
 
     def test_presets_adapt_to_input_shape(self):
         mnist = A.ablation_presets(input_shape=(1, 28, 28))

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import simpnet
 from simpnet.cli import main
 
 TOY_ARCH = (
@@ -252,3 +257,17 @@ class TestAblateCommand:
         assert "maxpool" in out and "sconv" in out
         records = (tmp_path / "records.tsv").read_text().strip().splitlines()
         assert len(records) == 6
+
+
+def test_every_package_module_is_reachable_from_the_cli():
+    """A library module that only its own tests import is dead code."""
+    probe = (
+        "import pkgutil, sys\n"
+        "import simpnet.cli\n"
+        "loaded = {name.split('.')[1] for name in sys.modules if name.startswith('simpnet.')}\n"
+        "print(' '.join(sorted(m.name for m in pkgutil.iter_modules(simpnet.__path__) if m.name not in loaded)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simpnet.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == [], f"modules the CLI never imports: {proc.stdout.strip()}"

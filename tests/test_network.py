@@ -5,7 +5,7 @@ from conftest import fd_grad, rel_err
 from simpnet import layers as L
 from simpnet.archdsl import build, simpnet
 from simpnet.errors import CompatibilityError, FormatError, ShapeError
-from simpnet.network import Model, count_macs, count_params, load_checkpoint, read_checkpoint, save_checkpoint
+from simpnet.network import Model, count_macs, load_checkpoint, read_checkpoint, save_checkpoint
 from simpnet.rng import SplitRng
 
 
@@ -55,13 +55,28 @@ class TestForward:
         assert a.tobytes() == b.tobytes()
 
     def test_eval_forward_keeps_no_backward_cache(self):
-        m = toy_model()
+        m = Model(
+            [
+                L.Conv2d("conv1", 3, 4, 3, 1, 1),
+                L.BatchNorm("bn1", 4),
+                L.ReLU("relu1"),
+                L.Dropout("drop1", 0.5),
+                L.SafPool("safpool1", 2, 0.5),
+                L.Flatten("flatten1"),
+                L.Dense("dense1", 4 * 3 * 3, 10),
+            ],
+            (3, 6, 6),
+        ).init_params(SplitRng(0), np.float64)
         x = SplitRng(2).uniform((2, 3, 6, 6))
-        conv, bn = m.layers[0], m.layers[1]
-        m.train().forward(x)
-        assert conv._xp is not None and bn._cache is not None
+        conv, bn, relu, drop, saf, _, dense = m.layers
+
+        def caches():
+            return conv._xp, bn._cache, relu._x, drop._mask, saf._cache, dense._x
+
+        m.train().forward(x, SplitRng(3))
+        assert all(c is not None for c in caches())
         m.eval().forward(x)
-        assert conv._xp is None and bn._cache is None
+        assert all(c is None for c in caches())
 
 
 class TestBackward:
@@ -125,21 +140,21 @@ class TestBackward:
 class TestParamCounting:
     def test_conv_3x3_3_to_64(self):
         m = Model([L.Conv2d("conv1", 3, 64, 3, 1, 1)], (3, 32, 32))
-        assert count_params(m).total_params == 1792
+        assert count_macs(m).total_params == 1792
 
     def test_dense_256_to_10(self):
         m = Model([L.Flatten("flatten1"), L.Dense("dense1", 256, 10)], (1, 16, 16))
-        assert count_params(m).total_params == 2570
+        assert count_macs(m).total_params == 2570
 
     def test_invariant_to_input_size(self):
         a = Model([L.Conv2d("conv1", 3, 8, 3, 1, 1)], (3, 32, 32))
         b = Model([L.Conv2d("conv1", 3, 8, 3, 1, 1)], (3, 64, 64))
-        assert count_params(a).total_params == count_params(b).total_params
+        assert count_macs(a).total_params == count_macs(b).total_params
 
     def test_simpnet_builder_matches_hand_summation(self):
         widths = [16, 16, 16, 16, 16, 32, 32, 32, 32, 32, 64, 64, 64]
         spec = simpnet(widths, input_shape=(3, 32, 32), num_classes=10)
-        total = count_params(build(spec)).total_params
+        total = count_macs(build(spec)).total_params
         # independent closed-form ledger: conv kxk + bias + bn(gamma, beta)
         expected = 0
         c_in = 3
@@ -152,7 +167,7 @@ class TestParamCounting:
 
     def test_ledger_row_totals_sum(self):
         spec = simpnet([8] * 5 + [16] * 5 + [24] * 3, input_shape=(3, 32, 32))
-        ledger = count_params(build(spec))
+        ledger = count_macs(build(spec))
         assert ledger.total_params == sum(r.param_count for r in ledger.rows)
 
 
@@ -170,7 +185,7 @@ class TestMacCounting:
         assert ratio == Fraction(25, 9)
 
     def test_pooling_counts_zero(self):
-        m = Model([L.MaxPool("pool1", 2), L.SafPool("safpool1", 2), L.GlobalAvgPool("gap1")], (3, 8, 8))
+        m = Model([L.SafPool("pool1", 2), L.SafPool("safpool1", 2), L.GlobalAvgPool("gap1")], (3, 8, 8))
         assert count_macs(m).total_macs == 0
 
     def test_scales_linearly_in_spatial_output(self):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, rel_err, unflatten_offset
 from simpnet import layers as L
 from simpnet.errors import ShapeError
 from simpnet.rng import SplitRng
-from simpnet.tensor import unflatten_offset
 
 
 class TestMaxPoolForward:
