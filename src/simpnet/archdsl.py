@@ -443,12 +443,8 @@ def solve_widths(make_spec, profile, target: int, tol: float = 0.02, min_width: 
 class Preset:
     name: str
     arms: tuple[tuple[str, ArchSpec], ...]
-    dataset: str
     equal_budget: bool
     note: str
-
-    def arm_names(self):
-        return [n for n, _ in self.arms]
 
 
 _PROFILE13 = [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 4, 4, 4]
@@ -470,9 +466,9 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
     common = dict(input_shape=tuple(input_shape), num_classes=num_classes)
     presets: dict[str, Preset] = {}
 
-    def add(name, arms, dataset, equal_budget, note):
+    def add(name, arms, equal_budget, note):
         named = tuple((an, replace(spec, name=f"{name}/{an}")) for an, spec in arms)
-        presets[name] = Preset(name, named, dataset, equal_budget, note)
+        presets[name] = Preset(name, named, equal_budget, note)
 
     # depth sweep at a fixed 300K budget
     depth_layouts = {
@@ -485,7 +481,7 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
     for arm, (pools, profile) in depth_layouts.items():
         spec, _ = _stack_solver(pools, 300_000, profile=profile, **common)
         arms.append((arm, spec))
-    add("depth-gradual", arms, "cifar10", True, "vary depth, hold the parameter budget at 300K")
+    add("depth-gradual", arms, True, "vary depth, hold the parameter budget at 300K")
 
     # wide-shallow vs deeper-but-thinner (budgets intentionally differ)
     wide, _ = _stack_solver((2, 4), 1_100_000, profile=[1, 1, 2, 2, 4, 4], **common)
@@ -493,7 +489,6 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
     add(
         "shallow-vs-deep",
         [("wide6-1.1m", wide), ("deep10-570k", deep)],
-        "cifar10",
         False,
         "6 layers at 1.1M vs 10 layers at 570K; budgets differ by design",
     )
@@ -506,7 +501,6 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
         add(
             f"balanced-vs-wide-end-{tag}",
             [("balanced", bal), ("wide-end", heavy)],
-            "cifar10",
             True,
             f"width allocation balanced vs end-heavy at {tag} params",
         )
@@ -523,7 +517,6 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
             ("pool-l5", mk_pool(widths53, 4)),
             ("pool-l7", mk_pool(widths53, 6)),
         ],
-        "cifar10",
         True,
         "one pooling layer placed as the 3rd/5th/7th layer, identical widths (53K)",
     )
@@ -544,7 +537,6 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
     add(
         "kernel-size",
         arms,
-        "cifar10",
         False,
         "kernel size vs budget grid; compare arms sharing a budget",
     )
@@ -560,7 +552,6 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
     add(
         "maxpool-vs-sconv",
         [("maxpool", mp), ("sconv", mk_sconv(sconv_ws))],
-        "cifar10",
         True,
         "downsample by max-pool vs stride-2 conv at a matched 360K budget",
     )
@@ -571,7 +562,6 @@ def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str
     add(
         "saf-vs-plain-pool",
         [("saf", saf), ("plain", plain)],
-        "cifar10",
         True,
         "SAF pooling (max-pool + drop) vs plain max-pool, identical widths (300K)",
     )

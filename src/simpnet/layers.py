@@ -38,7 +38,7 @@ EVAL = "eval"
 
 def conv_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
     if h + 2 * pad < k or w + 2 * pad < k:
-        raise ShapeError(f"kernel {k} larger than padded input {h}x{w} (pad {pad})")
+        raise ShapeError(f"window {k} larger than padded input {h}x{w} (pad {pad})")
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
 
@@ -118,10 +118,7 @@ def maxpool_forward(x, window=2, stride=2):
     Ties go to the first element in row-major scan order.
     """
     n, c, h, w = x.shape
-    if window > h or window > w:
-        raise ShapeError(f"pool window {window} exceeds input {h}x{w}")
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
+    oh, ow = conv_out_hw(h, w, window, stride, 0)
     slabs = np.empty((window * window, n, c, oh, ow), dtype=x.dtype)
     for dy in range(window):
         for dx in range(window):
@@ -161,26 +158,18 @@ class SafPoolConfig:
 
 
 def saf_pool_forward(x, cfg: SafPoolConfig, mode: str, rng: SplitRng | None = None):
-    """Max-pool, then drop pooled activations (inverted dropout) in train mode.
+    """SAF-pooling: max-pool, then dropout on the pooled units.
 
     Returns (y, keep mask, argmax offsets). In eval mode, or with
-    drop_p == 0, y is exactly the max-pool output and the mask is ones.
+    drop_p == 0, y is exactly the max-pool output and the mask is all True.
     """
     pooled, argmax = maxpool_forward(x, cfg.window, cfg.stride)
-    if mode == TRAIN and cfg.drop_p > 0.0:
-        if rng is None:
-            raise ValueError("SAF-pool with drop_p > 0 requires an rng in train mode")
-        mask = rng.keep_mask(pooled.shape, cfg.drop_p).astype(x.dtype)
-        y = pooled * mask / x.dtype.type(1.0 - cfg.drop_p)
-    else:
-        mask = np.ones_like(pooled)
-        y = pooled
+    y, mask = dropout_forward(pooled, cfg.drop_p, mode, rng)
     return y, mask, argmax
 
 
 def saf_pool_backward(mask, argmax, grad_out, input_shape, drop_p: float):
-    scaled = grad_out * mask / grad_out.dtype.type(1.0 - drop_p)
-    return maxpool_backward(argmax, scaled, input_shape)
+    return maxpool_backward(argmax, dropout_backward(grad_out, mask, drop_p), input_shape)
 
 
 def global_avgpool_forward(x):
@@ -220,7 +209,8 @@ def batchnorm_forward(x, p: BatchNormParams, mode: str):
 
     Train mode normalizes by the biased batch variance and folds the
     unbiased variance into the running average; running stats are
-    updated in place. Returns (y, cache) where cache feeds backward.
+    updated in place. Returns (y, cache): the cache (xhat, gamma / std)
+    feeds backward in train mode and is None in eval mode.
     """
     n, c, h, w = x.shape
     m = n * h * w
@@ -242,44 +232,34 @@ def batchnorm_forward(x, p: BatchNormParams, mode: str):
     std = np.sqrt(var + x.dtype.type(p.eps))
     xhat = xc * (1.0 / std)[None, :, None, None].astype(x.dtype)
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
-    cache = (xhat, std, xc, p.gamma.copy(), mode)
-    return y, cache
+    return y, ((xhat, p.gamma / std) if mode == TRAIN else None)
 
 
 def batchnorm_backward(grad_out, cache):
-    """Full coupled gradient through batch mean and variance.
+    """Train-mode gradient through the batch mean and variance.
 
-    Returns (grad_x, grad_gamma, grad_beta). In eval mode mean/var are
-    constants so grad_x is just the affine chain.
+    Closed form per channel (Ioffe & Szegedy, 2015): grad_x =
+    (gamma / std) * (g - mean(g) - xhat * mean(g * xhat)), where the two
+    sums are grad_beta and grad_gamma. Returns (grad_x, grad_gamma, grad_beta).
     """
-    xhat, std, xc, gamma, mode = cache
-    n, c, h, w = grad_out.shape
-    m = n * h * w
+    xhat, scale = cache
+    m = grad_out.size // grad_out.shape[1]
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
-    dxhat = grad_out * gamma[None, :, None, None]
-    if mode != TRAIN:
-        return dxhat / std[None, :, None, None], grad_gamma, grad_beta
-    inv = 1.0 / std
-    dvar = (dxhat * xc).sum(axis=(0, 2, 3)) * (-0.5) * inv**3
-    dmean = -(dxhat * inv[None, :, None, None]).sum(axis=(0, 2, 3)) + dvar * (-2.0 / m) * xc.sum(axis=(0, 2, 3))
-    grad_x = (
-        dxhat * inv[None, :, None, None]
-        + dvar[None, :, None, None] * 2.0 * xc / m
-        + dmean[None, :, None, None] / m
-    )
+    mean_g, mean_gx = (grad_beta / m)[None, :, None, None], (grad_gamma / m)[None, :, None, None]
+    grad_x = scale[None, :, None, None] * (grad_out - mean_g - xhat * mean_gx)
     return grad_x, grad_gamma, grad_beta
 
 
 def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
-    """Inverted dropout; identity in eval mode. Returns (y, mask)."""
+    """Inverted dropout; identity in eval mode. Returns (y, boolean keep mask)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
     if mode != TRAIN or p == 0.0:
-        return x, np.ones_like(x)
+        return x, np.ones(x.shape, bool)
     if rng is None:
         raise ValueError("dropout with p > 0 requires an rng in train mode")
-    mask = rng.keep_mask(x.shape, p).astype(x.dtype)
+    mask = rng.keep_mask(x.shape, p)
     return x * mask / x.dtype.type(1.0 - p), mask
 
 
@@ -454,10 +434,7 @@ class SafPool(Layer):
 
     def out_shape(self, in_shape):
         n, c, h, w = in_shape
-        k, s = self.cfg.window, self.cfg.stride
-        if k > h or k > w:
-            raise ShapeError(f"{self.name}: window {k} exceeds input {h}x{w}")
-        return (n, c, (h - k) // s + 1, (w - k) // s + 1)
+        return (n, c, *conv_out_hw(h, w, self.cfg.window, self.cfg.stride, 0))
 
 
 class ReLU(Layer):
@@ -500,8 +477,7 @@ class BatchNorm(Layer):
     def forward(self, x, mode, rng):
         if x.shape[1] != self.channels:
             raise ShapeError(f"{self.name}: expects {self.channels} channels, got {x.shape[1]}")
-        y, cache = batchnorm_forward(x, self.p, mode)
-        self._cache = cache if mode == TRAIN else None
+        y, self._cache = batchnorm_forward(x, self.p, mode)
         return y
 
     def backward(self, grad_out):

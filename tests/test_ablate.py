@@ -24,21 +24,21 @@ class TestBudgetGuard:
     def test_equal_budget_preset_passes(self):
         a = tiny_arm([4, 4, 6], "maxpool", "a")
         b = tiny_arm([4, 4, 6], "safpool", "b")
-        preset = Preset("p", (("a", a), ("b", b)), "mnist", True, "")
+        preset = Preset("p", (("a", a), ("b", b)), True, "")
         totals = T.check_budgets(preset)
         assert totals["a"] == totals["b"]
 
     def test_mismatched_budget_refused(self):
         a = tiny_arm([4, 4, 6], "maxpool", "a")
         b = tiny_arm([8, 8, 12], "maxpool", "b")
-        preset = Preset("p", (("a", a), ("b", b)), "mnist", True, "")
+        preset = Preset("p", (("a", a), ("b", b)), True, "")
         with pytest.raises(IsolationError, match="isolation"):
             T.check_budgets(preset)
 
     def test_unequal_budget_presets_not_enforced(self):
         a = tiny_arm([4, 4, 6], "maxpool", "a")
         b = tiny_arm([8, 8, 12], "maxpool", "b")
-        preset = Preset("p", (("a", a), ("b", b)), "mnist", False, "budgets differ by design")
+        preset = Preset("p", (("a", a), ("b", b)), False, "budgets differ by design")
         totals = T.check_budgets(preset)
         assert totals["a"] != totals["b"]
 

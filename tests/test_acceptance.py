@@ -164,7 +164,7 @@ def test_c6_ablation_direction_maxpool_vs_sconv():
     bad_a = A.conv_stack([4, 4, 6], (2,), input_shape=(1, 28, 28), num_classes=10, name="a")
     bad_b = A.conv_stack([8, 8, 12], (2,), input_shape=(1, 28, 28), num_classes=10, name="b")
     with pytest.raises(IsolationError):
-        T.check_budgets(A.Preset("bad", (("a", bad_a), ("b", bad_b)), "mnist", True, ""))
+        T.check_budgets(A.Preset("bad", (("a", bad_a), ("b", bad_b)), True, ""))
 
     train, test = _real_mnist_or_skip("C6 ablation direction")
     train_n = D.normalize(train)

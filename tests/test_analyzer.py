@@ -212,9 +212,20 @@ class TestReportContract:
         assert a.render_table() == b.render_table()
         assert a.render_records() == b.render_records()
 
-    def test_ledger_matches_count_macs_exactly(self):
-        report = audit(GOOD)
-        assert report.ledger.total_params == count_macs(A.build(GOOD)).total_params
+    def test_ledger_matches_hand_summation(self):
+        # GOOD: 3x3 convs of widths 8 (x5), 16 (x5), 24 (x3), each with bias and BN, then a 24 -> 10 head
+        convs = (
+            (3 * 3 * 3 * 8 + 8)
+            + 4 * (3 * 3 * 8 * 8 + 8)
+            + (3 * 3 * 8 * 16 + 16)
+            + 4 * (3 * 3 * 16 * 16 + 16)
+            + (3 * 3 * 16 * 24 + 24)
+            + 2 * (3 * 3 * 24 * 24 + 24)
+        )
+        bn = 2 * (5 * 8 + 5 * 16 + 3 * 24)  # gamma and beta per channel
+        head = 24 * 10 + 10
+        assert convs + bn + head == 27_538
+        assert audit(GOOD).ledger.total_params == 27_538
 
     def test_records_have_five_tab_fields(self):
         spec = arch(

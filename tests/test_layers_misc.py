@@ -104,6 +104,37 @@ class TestBatchNorm:
         assert rel_err(gg, fd_grad(loss, gamma)) < 1e-5
         assert rel_err(gb, fd_grad(loss, beta)) < 1e-5
 
+    @staticmethod
+    def _expanded_grad_x(x, gamma, g, eps=1e-5):
+        """Reference: grad_x through explicit dvar and dmean terms."""
+        axes, m = (0, 2, 3), x.size // x.shape[1]
+        xc = x - x.mean(axis=axes)[None, :, None, None]
+        inv = 1.0 / np.sqrt(np.mean(xc**2, axis=axes) + eps)
+        dxhat = g * gamma[None, :, None, None]
+        dvar = (dxhat * xc).sum(axis=axes) * -0.5 * inv**3
+        dmean = -(dxhat * inv[None, :, None, None]).sum(axis=axes) + dvar * (-2.0 / m) * xc.sum(axis=axes)
+        return (
+            dxhat * inv[None, :, None, None]
+            + dvar[None, :, None, None] * 2.0 * xc / m
+            + dmean[None, :, None, None] / m
+        )
+
+    @pytest.mark.parametrize("shape", [(2, 3, 1, 1), (1, 2, 1, 2), (4, 3, 5, 5), (3, 5, 2, 7)])
+    def test_backward_matches_expanded_formula(self, shape):
+        rng = SplitRng(43)
+        c = shape[1]
+        x = rng.uniform(shape, -2, 2)
+        gamma = rng.uniform(c, 0.5, 1.5)
+        g = rng.uniform(shape, -1, 1)
+        _, cache = L.batchnorm_forward(x, L.BatchNormParams(gamma, np.zeros(c), np.zeros(c), np.ones(c)), L.TRAIN)
+        gx, _, _ = L.batchnorm_backward(g, cache)
+        assert rel_err(gx, self._expanded_grad_x(x, gamma, g)) <= 1e-12
+
+    def test_eval_returns_no_cache(self):
+        x = SplitRng(44).uniform((2, 3, 4, 4), -1, 1)
+        _, cache = L.batchnorm_forward(x, self._params(3), L.EVAL)
+        assert cache is None
+
 
 class TestDropout:
     def test_p_zero_identity_both_modes(self):

@@ -75,6 +75,9 @@ class TestForward:
 
         m.train().forward(x, SplitRng(3))
         assert all(c is not None for c in caches())
+        # backward reads boolean keep masks, and BN keeps only xhat and a per-channel scale
+        assert drop._mask.dtype == bool and saf._cache[1].dtype == bool
+        assert sorted(np.shape(a) for a in bn._cache) == [(2, 4, 6, 6), (4,)]
         m.eval().forward(x)
         assert all(c is None for c in caches())
 

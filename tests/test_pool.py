@@ -30,6 +30,11 @@ class TestMaxPoolForward:
     def test_window_larger_than_input(self):
         with pytest.raises(ShapeError):
             L.maxpool_forward(np.zeros((1, 1, 1, 1)), window=2)
+        x = np.zeros((1, 2, 2, 5))  # the window fits the width but not the height
+        with pytest.raises(ShapeError):
+            L.maxpool_forward(x, 3, 1)
+        with pytest.raises(ShapeError):
+            L.SafPool("pool1", 3, 0.0, 1).out_shape(x.shape)
 
     def test_never_exceeds_input_max(self):
         rng = SplitRng(3)
@@ -107,6 +112,12 @@ class TestSafPool:
         # inverted dropout: every survivor is scaled by exactly 1/(1-p) = 2
         assert np.array_equal(y[survivors], pooled[survivors] * 2.0)
         assert np.all(y[~survivors] == 0.0)
+
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (3, 1), (2, 1)])
+    @pytest.mark.parametrize("h", [7, 8])
+    def test_out_shape_matches_maxpool(self, k, s, h):
+        x = np.zeros((2, 3, h, h + 1))  # one odd and one even side
+        assert L.SafPool("pool1", k, 0.0, s).out_shape(x.shape) == L.maxpool_forward(x, k, s)[0].shape
 
     def test_drop_p_validated(self):
         with pytest.raises(ValueError):
