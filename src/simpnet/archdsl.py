@@ -60,9 +60,6 @@ class ArchSpec:
     def flat_layers(self) -> list[LayerSpec]:
         return [ls for _, group in self.groups for ls in group]
 
-    def conv_widths(self) -> list[int]:
-        return [ls.channels for ls in self.flat_layers() if ls.kind in ("conv", "sconv")]
-
 
 # ---------------------------------------------------------------------------
 # parsing

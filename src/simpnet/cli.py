@@ -272,9 +272,5 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
-def run():  # console_scripts entry
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -158,16 +158,14 @@ def load_cifar10(batch_paths) -> Dataset:
 def normalize(dataset: Dataset, mean: np.ndarray | None = None, std: np.ndarray | None = None) -> Dataset:
     """Per-channel (x - mean) / std. Statistics are computed in float64
     from this dataset when not given (fit on train, reuse on test)."""
-    if mean is None:
-        mean = dataset.images.astype(np.float64).mean(axis=(0, 2, 3))
-    if std is None:
-        std = dataset.images.astype(np.float64).std(axis=(0, 2, 3))
+    if mean is None or std is None:
+        x64 = dataset.images.astype(np.float64)
+        mean = x64.mean(axis=(0, 2, 3)) if mean is None else mean
+        std = x64.std(axis=(0, 2, 3)) if std is None else std
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
-    x = (dataset.images - mean[None, :, None, None].astype(np.float32)) / std[
-        None, :, None, None
-    ].astype(np.float32)
-    return replace(dataset, images=x.astype(np.float32), mean=mean, std=std)
+    x = (dataset.images - mean[None, :, None, None].astype(np.float32)) / std[None, :, None, None].astype(np.float32)
+    return replace(dataset, images=x.astype(np.float32, copy=False), mean=mean, std=std)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ class ShapeError(ValueError):
     """Tensor dims incompatible with the requested operation."""
 
 
+class NoForwardCacheError(RuntimeError):
+    """Model.backward called with no train-mode forward to differentiate."""
+
+
 class FormatError(ValueError):
     """A binary file (IDX, CIFAR batch, checkpoint) is malformed."""
 

@@ -55,6 +55,18 @@ def _cot(rng: SplitRng, shape) -> np.ndarray:
     return rng.uniform(shape, -1.0, 1.0)
 
 
+def _scalarized(forward, cot):
+    """The loss sum(forward() * cot), whose gradient is the backward pass
+    applied to cot."""
+    return lambda: float((forward() * cot).sum())
+
+
+def _worst(loss, grads, inputs) -> float:
+    """Worst relative error of each analytic gradient against the central
+    difference of loss wrt its input; every gradient must have one."""
+    return max(rel_error(g, numeric_grad(loss, x)) for g, x in zip(grads, inputs, strict=True))
+
+
 # ---------------------------------------------------------------------------
 # per-layer cases: fn(rng) -> worst relative error for one random instance
 
@@ -66,16 +78,8 @@ def _check_conv(rng: SplitRng, kernel=3, stride=None, pad=None) -> float:
     w = rng.uniform((4, 3, kernel, kernel), -1, 1)
     b = rng.uniform(4, -1, 1)
     r = _cot(rng, L.conv2d_forward(x, w, b, stride, pad).shape)
-
-    def loss():
-        return float((L.conv2d_forward(x, w, b, stride, pad) * r).sum())
-
-    gx, gw, gb = L.conv2d_backward(x, w, stride, pad, r)
-    return max(
-        rel_error(gx, numeric_grad(loss, x)),
-        rel_error(gw, numeric_grad(loss, w)),
-        rel_error(gb, numeric_grad(loss, b)),
-    )
+    loss = _scalarized(lambda: L.conv2d_forward(x, w, b, stride, pad), r)
+    return _worst(loss, L.conv2d_backward(x, w, stride, pad, r), (x, w, b))
 
 
 def _check_sconv(rng: SplitRng) -> float:
@@ -87,16 +91,8 @@ def _check_dense(rng: SplitRng) -> float:
     w = rng.uniform((7, 5), -1, 1)
     b = rng.uniform(5, -1, 1)
     r = _cot(rng, (4, 5))
-
-    def loss():
-        return float((L.dense_forward(x, w, b) * r).sum())
-
-    gx, gw, gb = L.dense_backward(x, w, r)
-    return max(
-        rel_error(gx, numeric_grad(loss, x)),
-        rel_error(gw, numeric_grad(loss, w)),
-        rel_error(gb, numeric_grad(loss, b)),
-    )
+    loss = _scalarized(lambda: L.dense_forward(x, w, b), r)
+    return _worst(loss, L.dense_backward(x, w, r), (x, w, b))
 
 
 def _check_relu(rng: SplitRng) -> float:
@@ -105,11 +101,7 @@ def _check_relu(rng: SplitRng) -> float:
     sign = np.where(rng.coin(mag.shape, 0.5), 1.0, -1.0)
     x = mag * sign
     r = _cot(rng, x.shape)
-
-    def loss():
-        return float((L.relu_forward(x) * r).sum())
-
-    return rel_error(L.relu_backward(x, r), numeric_grad(loss, x))
+    return _worst(_scalarized(lambda: L.relu_forward(x), r), [L.relu_backward(x, r)], [x])
 
 
 def _distinct_image(rng: SplitRng, shape) -> np.ndarray:
@@ -122,11 +114,8 @@ def _check_maxpool(rng: SplitRng) -> float:
     x = _distinct_image(rng, (2, 3, 6, 6))
     pooled, argmax = L.maxpool_forward(x)
     r = _cot(rng, pooled.shape)
-
-    def loss():
-        return float((L.maxpool_forward(x)[0] * r).sum())
-
-    return rel_error(L.maxpool_backward(argmax, r, x.shape), numeric_grad(loss, x))
+    loss = _scalarized(lambda: L.maxpool_forward(x)[0], r)
+    return _worst(loss, [L.maxpool_backward(argmax, r, x.shape)], [x])
 
 
 def _check_safpool(rng: SplitRng) -> float:
@@ -135,13 +124,8 @@ def _check_safpool(rng: SplitRng) -> float:
     cfg = L.SafPoolConfig(drop_p=0.5)
     y, mask, argmax = L.saf_pool_forward(x, cfg, L.TRAIN, SplitRng(mask_key))
     r = _cot(rng, y.shape)
-
-    def loss():
-        out, _, _ = L.saf_pool_forward(x, cfg, L.TRAIN, SplitRng(mask_key))
-        return float((out * r).sum())
-
-    gx = L.saf_pool_backward(mask, argmax, r, x.shape, cfg.drop_p)
-    err = rel_error(gx, numeric_grad(loss, x))
+    loss = _scalarized(lambda: L.saf_pool_forward(x, cfg, L.TRAIN, SplitRng(mask_key))[0], r)
+    err = _worst(loss, [L.saf_pool_backward(mask, argmax, r, x.shape, cfg.drop_p)], [x])
 
     # drop_p = 0 must reduce to plain max-pool in both directions
     y0, mask0, argmax0 = L.saf_pool_forward(x, L.SafPoolConfig(drop_p=0.0), L.TRAIN, SplitRng(mask_key))
@@ -159,58 +143,32 @@ def _check_dropout(rng: SplitRng) -> float:
     p = 0.3
     _, mask = L.dropout_forward(x, p, L.TRAIN, SplitRng(mask_key))
     r = _cot(rng, x.shape)
-
-    def loss():
-        out, _ = L.dropout_forward(x, p, L.TRAIN, SplitRng(mask_key))
-        return float((out * r).sum())
-
-    return rel_error(L.dropout_backward(r, mask, p), numeric_grad(loss, x))
+    loss = _scalarized(lambda: L.dropout_forward(x, p, L.TRAIN, SplitRng(mask_key))[0], r)
+    return _worst(loss, [L.dropout_backward(r, mask, p)], [x])
 
 
 def _check_batchnorm(rng: SplitRng) -> float:
     x = rng.uniform((4, 3, 5, 5), -1, 1)
-    p = L.BatchNormParams(
-        gamma=rng.uniform(3, 0.5, 1.5),
-        beta=rng.uniform(3, -0.5, 0.5),
-        running_mean=np.zeros(3),
-        running_var=np.ones(3),
-    )
+    gamma, beta = rng.uniform(3, 0.5, 1.5), rng.uniform(3, -0.5, 0.5)
     r = _cot(rng, x.shape)
 
-    def loss():
-        fresh = L.BatchNormParams(p.gamma, p.beta, np.zeros(3), np.ones(3))
-        y, _ = L.batchnorm_forward(x, fresh, L.TRAIN)
-        return float((y * r).sum())
+    def forward():  # fresh running stats, so probing leaves no trace
+        return L.batchnorm_forward(x, L.BatchNormParams(gamma, beta, np.zeros(3), np.ones(3)), L.TRAIN)
 
-    fresh = L.BatchNormParams(p.gamma, p.beta, np.zeros(3), np.ones(3))
-    _, cache = L.batchnorm_forward(x, fresh, L.TRAIN)
-    gx, gg, gb = L.batchnorm_backward(r, cache)
-    return max(
-        rel_error(gx, numeric_grad(loss, x)),
-        rel_error(gg, numeric_grad(loss, p.gamma)),
-        rel_error(gb, numeric_grad(loss, p.beta)),
-    )
+    return _worst(_scalarized(lambda: forward()[0], r), L.batchnorm_backward(r, forward()[1]), (x, gamma, beta))
 
 
 def _check_gap(rng: SplitRng) -> float:
     x = rng.uniform((2, 3, 4, 4), -1, 1)
     r = _cot(rng, (2, 3, 1, 1))
-
-    def loss():
-        return float((L.global_avgpool_forward(x) * r).sum())
-
-    return rel_error(L.global_avgpool_backward(r, x.shape), numeric_grad(loss, x))
+    loss = _scalarized(lambda: L.global_avgpool_forward(x), r)
+    return _worst(loss, [L.global_avgpool_backward(r, x.shape)], [x])
 
 
 def _check_softmax(rng: SplitRng) -> float:
     logits = rng.uniform((5, 7), -2, 2)
     labels = rng.integers(5, 7)
-
-    def loss():
-        return L.softmax_xent(logits, labels)[0]
-
-    _, grad = L.softmax_xent(logits, labels)
-    return rel_error(grad, numeric_grad(loss, logits))
+    return _worst(lambda: L.softmax_xent(logits, labels)[0], [L.softmax_xent(logits, labels)[1]], [logits])
 
 
 def _toy_model(rng: SplitRng) -> Model:
@@ -229,23 +187,18 @@ def _toy_model(rng: SplitRng) -> Model:
 
 
 def _check_model(rng: SplitRng) -> float:
-    model = _toy_model(rng.split(0))
+    model = _toy_model(rng.split(0)).train()
     x = rng.uniform((2, 3, 6, 6), -1, 1)
     labels = rng.integers(2, 10)
 
     def loss():
-        model.train()
         return L.softmax_xent(model.forward(x), labels)[0]
 
-    model.train()
-    logits = model.forward(x)
-    _, grad_logits = L.softmax_xent(logits, labels)
+    _, grad_logits = L.softmax_xent(model.forward(x), labels)
     model.zero_grads()
     grad_x = model.backward(grad_logits)
-    worst = rel_error(grad_x, numeric_grad(loss, x))
-    for name, value, grad in model.params():
-        worst = max(worst, rel_error(grad, numeric_grad(loss, value)))
-    return worst
+    params = model.params()
+    return _worst(loss, [grad_x] + [g for _, _, g in params], [x] + [v for _, v, _ in params])
 
 
 CASES = {

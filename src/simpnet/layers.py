@@ -2,17 +2,18 @@
 
 Two surfaces live here. The module-level functions are pure and carry
 the numerical contracts (they are what the oracle tests check). The
-layer classes wrap them with parameter storage and per-batch caches so
-a sequential model can run them in order; gradients accumulate into
-per-parameter buffers and are zeroed by the trainer.
+layer classes wrap them with parameter storage so a sequential model can
+run them in order; gradients accumulate into per-parameter buffers and
+are zeroed by the trainer. A layer keeps no per-batch state: forward
+returns (output, cache) and backward takes that cache back, and
+network.Model holds the caches of its last train-mode forward.
 
 Convolution is cross-correlation (no kernel flip), computed as one GEMM
 per kernel tap over a zero-padded channels-last (NHWC) copy of the
 input: the forward pass sums tap @ W[:, :, dy, dx].T over the k*k taps,
 and the backward pass takes dW per tap and scatter-adds each tap's
 input gradient into the same shifted window of an NHWC buffer. Inputs
-and outputs stay NCHW. A conv layer caches only the padded input, and
-no layer keeps a backward cache in eval mode.
+and outputs stay NCHW. A conv layer's cache is only the padded input.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. ReLU uses subgradient 0 at
@@ -173,7 +174,6 @@ def saf_pool_backward(mask, argmax, grad_out, input_shape, drop_p: float):
 
 
 def global_avgpool_forward(x):
-    n, c, h, w = x.shape
     return x.mean(axis=(2, 3), keepdims=True)
 
 
@@ -329,7 +329,13 @@ def activation_stats(x_post_relu: np.ndarray, tau: float = 1e-3) -> ActivationSt
 
 
 class Layer:
-    """Base: stateless pass-through. Subclasses cache what backward needs."""
+    """Base of the layer objects a Model runs in order.
+
+    forward(x, mode, rng) returns (y, cache) with what backward needs;
+    backward(cache, grad_out) adds the parameter gradients into their
+    buffers and returns the input gradient. Layers keep no per-batch
+    state: Model keeps the caches, and only in train mode.
+    """
 
     kind = "layer"
 
@@ -342,7 +348,7 @@ class Layer:
     def forward(self, x, mode: str, rng: SplitRng | None):
         raise NotImplementedError
 
-    def backward(self, grad_out):
+    def backward(self, cache, grad_out):
         raise NotImplementedError
 
     def param_entries(self):
@@ -376,7 +382,6 @@ class Conv2d(Layer):
         self.stride = stride
         self.pad = pad
         self.weight = self.bias = self.gweight = self.gbias = None
-        self._xp = None
 
     def init_params(self, in_shape, rng, dtype):
         fan_in = self.c_in * self.k * self.k
@@ -387,12 +392,10 @@ class Conv2d(Layer):
         self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, mode, rng):
-        y, xp = _conv2d_forward(x, self.weight, self.bias, self.stride, self.pad)
-        self._xp = xp if mode == TRAIN else None
-        return y
+        return _conv2d_forward(x, self.weight, self.bias, self.stride, self.pad)
 
-    def backward(self, grad_out):
-        gx, gw, gb = _conv2d_backward(self._xp, self.weight, self.stride, self.pad, grad_out)
+    def backward(self, xp, grad_out):
+        gx, gw, gb = _conv2d_backward(xp, self.weight, self.stride, self.pad, grad_out)
         self.gweight += gw
         self.gbias += gb
         return gx
@@ -421,15 +424,13 @@ class SafPool(Layer):
     def __init__(self, name, window=2, drop_p=0.0, stride=None):
         super().__init__(name)
         self.cfg = SafPoolConfig(window=window, stride=window if stride is None else stride, drop_p=drop_p)
-        self._cache = None
 
     def forward(self, x, mode, rng):
         y, mask, argmax = saf_pool_forward(x, self.cfg, mode, rng)
-        self._cache = (x.shape, mask, argmax) if mode == TRAIN else None
-        return y
+        return y, (x.shape, mask, argmax)
 
-    def backward(self, grad_out):
-        x_shape, mask, argmax = self._cache
+    def backward(self, cache, grad_out):
+        x_shape, mask, argmax = cache
         return saf_pool_backward(mask, argmax, grad_out, x_shape, self.cfg.drop_p)
 
     def out_shape(self, in_shape):
@@ -441,11 +442,10 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, mode, rng):
-        self._x = x if mode == TRAIN else None
-        return relu_forward(x)
+        return relu_forward(x), x
 
-    def backward(self, grad_out):
-        return relu_backward(self._x, grad_out)
+    def backward(self, x, grad_out):
+        return relu_backward(x, grad_out)
 
 
 class BatchNorm(Layer):
@@ -456,7 +456,6 @@ class BatchNorm(Layer):
         self.channels = channels
         self.momentum = momentum
         self.eps = eps
-        self._cache = None
         self._alloc(np.float32)
 
     def _alloc(self, dtype):
@@ -477,11 +476,10 @@ class BatchNorm(Layer):
     def forward(self, x, mode, rng):
         if x.shape[1] != self.channels:
             raise ShapeError(f"{self.name}: expects {self.channels} channels, got {x.shape[1]}")
-        y, self._cache = batchnorm_forward(x, self.p, mode)
-        return y
+        return batchnorm_forward(x, self.p, mode)
 
-    def backward(self, grad_out):
-        gx, gg, gb = batchnorm_backward(grad_out, self._cache)
+    def backward(self, cache, grad_out):
+        gx, gg, gb = batchnorm_backward(grad_out, cache)
         self.ggamma += gg
         self.gbeta += gb
         return gx
@@ -509,28 +507,24 @@ class Dropout(Layer):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
-        self._mask = None
 
     def forward(self, x, mode, rng):
         if mode != TRAIN:
-            self._mask = None
-            return x
-        y, self._mask = dropout_forward(x, self.p, mode, rng)
-        return y
+            return x, None
+        return dropout_forward(x, self.p, mode, rng)
 
-    def backward(self, grad_out):
-        return dropout_backward(grad_out, self._mask, self.p)
+    def backward(self, mask, grad_out):
+        return dropout_backward(grad_out, mask, self.p)
 
 
 class GlobalAvgPool(Layer):
     kind = "gap"
 
     def forward(self, x, mode, rng):
-        self._shape = x.shape
-        return global_avgpool_forward(x)
+        return global_avgpool_forward(x), x.shape
 
-    def backward(self, grad_out):
-        return global_avgpool_backward(grad_out, self._shape)
+    def backward(self, x_shape, grad_out):
+        return global_avgpool_backward(grad_out, x_shape)
 
     def out_shape(self, in_shape):
         n, c, h, w = in_shape
@@ -541,11 +535,10 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x, mode, rng):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, grad_out):
-        return grad_out.reshape(self._shape)
+    def backward(self, x_shape, grad_out):
+        return grad_out.reshape(x_shape)
 
     def out_shape(self, in_shape):
         n = in_shape[0]
@@ -561,7 +554,6 @@ class Dense(Layer):
         self.d = in_features
         self.m = units
         self.weight = self.bias = self.gweight = self.gbias = None
-        self._x = None
 
     def init_params(self, in_shape, rng, dtype):
         scale = np.sqrt(2.0 / self.d)
@@ -571,11 +563,10 @@ class Dense(Layer):
         self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, mode, rng):
-        self._x = x if mode == TRAIN else None
-        return dense_forward(x, self.weight, self.bias)
+        return dense_forward(x, self.weight, self.bias), x
 
-    def backward(self, grad_out):
-        gx, gw, gb = dense_backward(self._x, self.weight, grad_out)
+    def backward(self, x, grad_out):
+        gx, gw, gb = dense_backward(x, self.weight, grad_out)
         self.gweight += gw
         self.gbias += gb
         return gx

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompatibilityError, FormatError, ShapeError
+from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from .layers import EVAL, TRAIN, Layer
 from .rng import SplitRng
 
@@ -48,9 +48,13 @@ class ParamLedger:
 class Model:
     """Ordered layer stack with a named parameter/gradient registry.
 
-    Gradients accumulate across backward calls; the trainer zeroes them.
-    A model is single-owner while training; eval-mode forward is a pure
-    function of (input, parameters).
+    The model is the one owner of per-batch state: `caches` holds each
+    layer's backward cache from the last train-mode forward (None after
+    an eval-mode forward), and backward walks them in reverse. Layers
+    keep none, so an eval-mode forward is a pure function of (input,
+    parameters). Gradients accumulate across backward calls after one
+    forward; the trainer zeroes them. A model is single-owner while
+    training.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int], name: str = "model"):
@@ -58,6 +62,7 @@ class Model:
         self.input_shape = tuple(input_shape)  # (c, h, w)
         self.name = name
         self.mode = TRAIN
+        self.caches = None
         names = [n for l in layers for n, _, _ in l.param_entries()]
         if len(names) != len(set(names)):
             raise ValueError("duplicate parameter names in model")
@@ -78,22 +83,32 @@ class Model:
         return self
 
     def forward(self, x: np.ndarray, rng: SplitRng | None = None) -> np.ndarray:
-        """Apply layers in order; caches live inside each layer.
+        """Apply layers in order, keeping their caches in train mode only.
 
-        In train mode each stochastic layer draws from rng.split(i) with
-        i the layer index, so streams are stable under reordering.
+        The previous forward's caches are dropped first, so their memory
+        is free before this forward allocates. In train mode each
+        stochastic layer draws from rng.split(i) with i the layer index,
+        so streams are stable under reordering.
         """
+        self.caches = None
+        caches = [] if self.mode == TRAIN else None
         for i, layer in enumerate(self.layers):
             try:
-                x = layer.forward(x, self.mode, rng.split(i) if rng is not None else None)
+                x, cache = layer.forward(x, self.mode, rng.split(i) if rng is not None else None)
             except ShapeError as e:
                 raise ShapeError(f"at layer {layer.name!r}: {e}") from e
+            if caches is not None:
+                caches.append(cache)
+            del cache  # an eval cache is freed now, not while the next layer runs
+        self.caches = caches
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Fill every registered gradient; returns grad wrt the input."""
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
+        """Fill every registered gradient from the last train-mode forward's caches; returns grad wrt the input."""
+        if self.caches is None:
+            raise NoForwardCacheError("backward needs a train-mode forward first")
+        for layer, cache in zip(reversed(self.layers), reversed(self.caches)):
+            grad_out = layer.backward(cache, grad_out)
         return grad_out
 
     def params(self):

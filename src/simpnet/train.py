@@ -275,7 +275,7 @@ def relu_dead_fraction(model: Model, probe: np.ndarray) -> float:
     fractions = []
     x = probe
     for layer in model.layers:
-        x = layer.forward(x, EVAL, None)
+        x = layer.forward(x, EVAL, None)[0]
         if isinstance(layer, ReLU) and x.ndim == 4:
             fractions.append(activation_stats(x).dead_fraction)
     model.mode = was

@@ -207,9 +207,9 @@ class TestBackwardOracle:
         conv.init_params(x.shape, SplitRng(0), np.float64)
         conv.weight[...] = w
         conv.bias[...] = b
-        y = conv.forward(x, L.TRAIN, None)
+        y, xp = conv.forward(x, L.TRAIN, None)
         assert np.abs(y - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
-        gx = conv.backward(g)
+        gx = conv.backward(xp, g)
         want_gx, want_gw, want_gb = naive_conv2d_backward(x, w, stride, pad, g)
         assert np.abs(gx - want_gx).max() <= 1e-12
         assert np.abs(conv.gweight - want_gw).max() <= 1e-12

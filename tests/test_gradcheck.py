@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from simpnet import gradcheck as gc
+from simpnet import layers as L
 
 
 class TestSuite:
@@ -58,3 +59,48 @@ class TestNumericHelpers:
         a = np.array([1.0, 2.0])
         b = np.array([1.0, 2.5])
         assert gc.rel_error(a, b) > 0.1
+
+
+def _scaled(fn, index):
+    """fn with one returned gradient (the whole result when index is None)
+    multiplied by 1.5."""
+
+    def mutant(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if index is None:
+            return out * 1.5
+        out = list(out)
+        out[index] = out[index] * 1.5
+        return tuple(out)
+
+    return mutant
+
+
+# (case, simpnet.layers backward function the case reaches, returned gradient)
+MUTANTS = (
+    [(case, "conv2d_backward", i) for case in ("conv", "sconv") for i in range(3)]
+    + [("dense", "dense_backward", i) for i in range(3)]
+    + [("batchnorm", "batchnorm_backward", i) for i in range(3)]
+    + [
+        ("relu", "relu_backward", None),
+        ("maxpool", "maxpool_backward", None),
+        ("safpool", "saf_pool_backward", None),
+        ("dropout", "dropout_backward", None),
+        ("gap", "global_avgpool_backward", None),
+        ("softmax_xent", "softmax_xent", 1),
+        ("model", "dense_backward", 1),
+        # Conv2d.backward calls the private kernel, not conv2d_backward
+        ("model", "_conv2d_backward", 1),
+    ]
+)
+
+
+class TestMutants:
+    def test_every_case_has_a_mutant(self):
+        assert {case for case, _, _ in MUTANTS} == set(gc.CASES)
+
+    @pytest.mark.parametrize("case,fn,index", MUTANTS)
+    def test_scaled_gradient_fails_its_case(self, monkeypatch, case, fn, index):
+        monkeypatch.setattr(L, fn, _scaled(getattr(L, fn), index))
+        (result,) = gc.run_suite(layers=[case], instances=2)
+        assert not result.ok, f"{case} missed a 1.5x {fn} output {index}"

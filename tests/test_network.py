@@ -4,7 +4,7 @@ import pytest
 from conftest import fd_grad, rel_err
 from simpnet import layers as L
 from simpnet.archdsl import build, simpnet
-from simpnet.errors import CompatibilityError, FormatError, ShapeError
+from simpnet.errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from simpnet.network import Model, count_macs, load_checkpoint, read_checkpoint, save_checkpoint
 from simpnet.rng import SplitRng
 
@@ -55,31 +55,60 @@ class TestForward:
         assert a.tobytes() == b.tobytes()
 
     def test_eval_forward_keeps_no_backward_cache(self):
-        m = Model(
-            [
-                L.Conv2d("conv1", 3, 4, 3, 1, 1),
-                L.BatchNorm("bn1", 4),
-                L.ReLU("relu1"),
-                L.Dropout("drop1", 0.5),
-                L.SafPool("safpool1", 2, 0.5),
-                L.Flatten("flatten1"),
-                L.Dense("dense1", 4 * 3 * 3, 10),
-            ],
-            (3, 6, 6),
-        ).init_params(SplitRng(0), np.float64)
+        # one layer of every Layer subclass, so a new layer cannot be left out
+        make = {
+            L.Conv2d: lambda: L.Conv2d("conv1", 3, 4, 3, 1, 1),
+            L.BatchNorm: lambda: L.BatchNorm("bn1", 4),
+            L.ReLU: lambda: L.ReLU("relu1"),
+            L.Dropout: lambda: L.Dropout("drop1", 0.5),
+            L.SafPool: lambda: L.SafPool("safpool1", 2, 0.5),
+            L.GlobalAvgPool: lambda: L.GlobalAvgPool("gap1"),
+            L.Flatten: lambda: L.Flatten("flatten1"),
+            L.Dense: lambda: L.Dense("dense1", 4, 10),
+        }
+        classes = [c for c in vars(L).values() if isinstance(c, type)]
+        assert set(make) == {c for c in classes if issubclass(c, L.Layer) and c is not L.Layer}
+
+        def build():
+            return Model([f() for f in make.values()], (3, 6, 6)).init_params(SplitRng(0), np.float64)
+
+        def held_arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for v in obj:
+                    yield from held_arrays(v)
+            elif hasattr(obj, "__dict__"):
+                for v in vars(obj).values():
+                    yield from held_arrays(v)
+
+        def assert_layers_hold_only_state():
+            # parameters, their gradients and BN running stats; nothing per batch
+            for layer in m.layers:
+                state = [a for _, v, g in layer.param_entries() for a in (v, g)] + [v for _, v in layer.state_entries()]
+                assert {id(a) for a in held_arrays(layer)} <= {id(a) for a in state}, layer.name
+
+        m = build()
         x = SplitRng(2).uniform((2, 3, 6, 6))
-        conv, bn, relu, drop, saf, _, dense = m.layers
-
-        def caches():
-            return conv._xp, bn._cache, relu._x, drop._mask, saf._cache, dense._x
-
+        g = SplitRng(4).uniform((2, 10))
         m.train().forward(x, SplitRng(3))
-        assert all(c is not None for c in caches())
+        assert len(m.caches) == len(m.layers)
+        caches = {layer.kind: c for layer, c in zip(m.layers, m.caches)}
         # backward reads boolean keep masks, and BN keeps only xhat and a per-channel scale
-        assert drop._mask.dtype == bool and saf._cache[1].dtype == bool
-        assert sorted(np.shape(a) for a in bn._cache) == [(2, 4, 6, 6), (4,)]
+        assert caches["dropout"].dtype == bool and caches["safpool"][1].dtype == bool
+        assert sorted(np.shape(a) for a in caches["bn"]) == [(2, 4, 6, 6), (4,)]
+        assert_layers_hold_only_state()
+        m.backward(g)
+        assert_layers_hold_only_state()
         m.eval().forward(x)
-        assert all(c is None for c in caches())
+        assert m.caches is None
+        assert_layers_hold_only_state()
+        with pytest.raises(NoForwardCacheError):
+            m.backward(g)
+        m = build()
+        m.eval().forward(x)
+        with pytest.raises(NoForwardCacheError):
+            m.backward(g)
 
 
 class TestBackward:

@@ -92,7 +92,7 @@ class TestEvaluate:
 
         class ConstDense(Dense):
             def forward(self, x, mode, rng):
-                return np.zeros((x.shape[0], self.m))
+                return np.zeros((x.shape[0], self.m)), None
 
         model = Model([ConstDense("dense1", 4, 10)], (1, 1, 4))
         model.layers[0].init_params((1, 4), SplitRng(0), np.float32)
