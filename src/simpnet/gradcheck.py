@@ -121,16 +121,17 @@ def _check_maxpool(rng: SplitRng) -> float:
 def _check_safpool(rng: SplitRng) -> float:
     x = _distinct_image(rng, (2, 3, 6, 6))
     mask_key = int(rng.integers(1, 2**31)[0])
-    cfg = L.SafPoolConfig(drop_p=0.5)
-    y, mask, argmax = L.saf_pool_forward(x, cfg, L.TRAIN, SplitRng(mask_key))
+    pool = L.SafPool("safpool", 2, 0.5)
+    y, cache = pool.forward(x, L.TRAIN, SplitRng(mask_key))
     r = _cot(rng, y.shape)
-    loss = _scalarized(lambda: L.saf_pool_forward(x, cfg, L.TRAIN, SplitRng(mask_key))[0], r)
-    err = _worst(loss, [L.saf_pool_backward(mask, argmax, r, x.shape, cfg.drop_p)], [x])
+    loss = _scalarized(lambda: pool.forward(x, L.TRAIN, SplitRng(mask_key))[0], r)
+    err = _worst(loss, [pool.backward(cache, r)], [x])
 
-    # drop_p = 0 must reduce to plain max-pool in both directions
-    y0, mask0, argmax0 = L.saf_pool_forward(x, L.SafPoolConfig(drop_p=0.0), L.TRAIN, SplitRng(mask_key))
+    # p = 0 must reduce to plain max-pool in both directions
+    pool0 = L.SafPool("safpool", 2, 0.0)
+    y0, cache0 = pool0.forward(x, L.TRAIN, SplitRng(mask_key))
     pooled, argmax_mp = L.maxpool_forward(x)
-    g0 = L.saf_pool_backward(mask0, argmax0, r, x.shape, 0.0)
+    g0 = pool0.backward(cache0, r)
     gmp = L.maxpool_backward(argmax_mp, r, x.shape)
     if not (np.array_equal(y0, pooled) and np.array_equal(g0, gmp)):
         return float("inf")

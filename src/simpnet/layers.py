@@ -16,8 +16,12 @@ input gradient into the same shifted window of an NHWC buffer. Inputs
 and outputs stay NCHW. A conv layer's cache is only the padded input.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
-order so backward routing is deterministic. ReLU uses subgradient 0 at
-exactly 0.
+order so backward routing is deterministic. The SafPool layer is
+SAF-pooling: maxpool_forward then dropout_forward on the pooled units,
+so it has no module functions of its own and is checked through the
+layer. ReLU uses subgradient 0 at exactly 0. Batch norm's running-average
+momentum and variance epsilon are the module constants BN_MOMENTUM and
+BN_EPS.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .rng import SplitRng
 
 TRAIN = "train"
 EVAL = "eval"
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +153,6 @@ def maxpool_backward(argmax, grad_out, input_shape):
     return grad_x.reshape(input_shape)
 
 
-@dataclass(frozen=True)
-class SafPoolConfig:
-    window: int = 2
-    stride: int = 2
-    drop_p: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.drop_p < 1.0:
-            raise ValueError(f"drop_p must be in [0, 1), got {self.drop_p}")
-
-
-def saf_pool_forward(x, cfg: SafPoolConfig, mode: str, rng: SplitRng | None = None):
-    """SAF-pooling: max-pool, then dropout on the pooled units.
-
-    Returns (y, keep mask, argmax offsets). In eval mode, or with
-    drop_p == 0, y is exactly the max-pool output and the mask is all True.
-    """
-    pooled, argmax = maxpool_forward(x, cfg.window, cfg.stride)
-    y, mask = dropout_forward(pooled, cfg.drop_p, mode, rng)
-    return y, mask, argmax
-
-
-def saf_pool_backward(mask, argmax, grad_out, input_shape, drop_p: float):
-    return maxpool_backward(argmax, dropout_backward(grad_out, mask, drop_p), input_shape)
-
-
 def global_avgpool_forward(x):
     return x.mean(axis=(2, 3), keepdims=True)
 
@@ -200,8 +180,6 @@ class BatchNormParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 def batchnorm_forward(x, p: BatchNormParams, mode: str):
@@ -221,15 +199,15 @@ def batchnorm_forward(x, p: BatchNormParams, mode: str):
         xc = x - mean[None, :, None, None]
         var = np.mean(np.square(xc), axis=(0, 2, 3))  # biased
         unbiased = var * (m / (m - 1))
-        p.running_mean *= 1.0 - p.momentum
-        p.running_mean += p.momentum * mean.astype(p.running_mean.dtype)
-        p.running_var *= 1.0 - p.momentum
-        p.running_var += p.momentum * unbiased.astype(p.running_var.dtype)
+        p.running_mean *= 1.0 - BN_MOMENTUM
+        p.running_mean += BN_MOMENTUM * mean.astype(p.running_mean.dtype)
+        p.running_var *= 1.0 - BN_MOMENTUM
+        p.running_var += BN_MOMENTUM * unbiased.astype(p.running_var.dtype)
     else:
         mean = p.running_mean.astype(x.dtype)
         var = p.running_var.astype(x.dtype)
         xc = x - mean[None, :, None, None]
-    std = np.sqrt(var + x.dtype.type(p.eps))
+    std = np.sqrt(var + x.dtype.type(BN_EPS))
     xhat = xc * (1.0 / std)[None, :, None, None].astype(x.dtype)
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
     return y, ((xhat, p.gamma / std) if mode == TRAIN else None)
@@ -302,29 +280,6 @@ def softmax_xent(logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# activation statistics (dropout-effect probe)
-
-
-@dataclass(frozen=True)
-class ActivationStats:
-    dead_fraction: float
-    near_zero_fraction: float
-    per_channel_mean: np.ndarray
-
-
-def activation_stats(x_post_relu: np.ndarray, tau: float = 1e-3) -> ActivationStats:
-    """Dead/near-zero statistics of a post-ReLU activation batch.
-
-    A channel is dead when its activation is 0 across the whole batch;
-    near_zero_fraction counts values below tau.
-    """
-    per_channel_max = x_post_relu.max(axis=(0, 2, 3))
-    dead = float((per_channel_max == 0).mean())
-    near_zero = float((x_post_relu < tau).mean())
-    return ActivationStats(dead, near_zero, x_post_relu.mean(axis=(0, 2, 3)))
-
-
-# ---------------------------------------------------------------------------
 # layer objects (used by network.Model)
 
 
@@ -342,7 +297,7 @@ class Layer:
     def __init__(self, name: str):
         self.name = name
 
-    def init_params(self, in_shape, rng: SplitRng, dtype):
+    def init_params(self, rng: SplitRng, dtype):
         pass
 
     def forward(self, x, mode: str, rng: SplitRng | None):
@@ -362,7 +317,7 @@ class Layer:
     def out_shape(self, in_shape):
         return in_shape
 
-    def param_count(self, in_shape) -> int:
+    def param_count(self) -> int:
         return 0
 
     def mac_count(self, in_shape) -> int:
@@ -383,7 +338,7 @@ class Conv2d(Layer):
         self.pad = pad
         self.weight = self.bias = self.gweight = self.gbias = None
 
-    def init_params(self, in_shape, rng, dtype):
+    def init_params(self, rng, dtype):
         fan_in = self.c_in * self.k * self.k
         scale = np.sqrt(2.0 / fan_in)
         self.weight = (rng.normal((self.c_out, self.c_in, self.k, self.k)) * scale).astype(dtype)
@@ -410,7 +365,7 @@ class Conv2d(Layer):
         oh, ow = conv_out_hw(h, w, self.k, self.stride, self.pad)
         return (n, self.c_out, oh, ow)
 
-    def param_count(self, in_shape) -> int:
+    def param_count(self) -> int:
         return self.c_out * self.c_in * self.k * self.k + self.c_out
 
     def mac_count(self, in_shape) -> int:
@@ -421,21 +376,26 @@ class Conv2d(Layer):
 class SafPool(Layer):
     kind = "safpool"
 
-    def __init__(self, name, window=2, drop_p=0.0, stride=None):
+    def __init__(self, name, window=2, p=0.0, stride=None):
         super().__init__(name)
-        self.cfg = SafPoolConfig(window=window, stride=window if stride is None else stride, drop_p=drop_p)
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"SAF-pool p must be in [0, 1), got {p}")
+        self.window = window
+        self.stride = window if stride is None else stride
+        self.p = p
 
     def forward(self, x, mode, rng):
-        y, mask, argmax = saf_pool_forward(x, self.cfg, mode, rng)
+        pooled, argmax = maxpool_forward(x, self.window, self.stride)
+        y, mask = dropout_forward(pooled, self.p, mode, rng)
         return y, (x.shape, mask, argmax)
 
     def backward(self, cache, grad_out):
         x_shape, mask, argmax = cache
-        return saf_pool_backward(mask, argmax, grad_out, x_shape, self.cfg.drop_p)
+        return maxpool_backward(argmax, dropout_backward(grad_out, mask, self.p), x_shape)
 
     def out_shape(self, in_shape):
         n, c, h, w = in_shape
-        return (n, c, *conv_out_hw(h, w, self.cfg.window, self.cfg.stride, 0))
+        return (n, c, *conv_out_hw(h, w, self.window, self.stride, 0))
 
 
 class ReLU(Layer):
@@ -451,11 +411,9 @@ class ReLU(Layer):
 class BatchNorm(Layer):
     kind = "bn"
 
-    def __init__(self, name, channels, momentum=0.1, eps=1e-5):
+    def __init__(self, name, channels):
         super().__init__(name)
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self._alloc(np.float32)
 
     def _alloc(self, dtype):
@@ -464,13 +422,11 @@ class BatchNorm(Layer):
             beta=np.zeros(self.channels, dtype=dtype),
             running_mean=np.zeros(self.channels, dtype=dtype),
             running_var=np.ones(self.channels, dtype=dtype),
-            momentum=self.momentum,
-            eps=self.eps,
         )
         self.ggamma = np.zeros(self.channels, dtype=dtype)
         self.gbeta = np.zeros(self.channels, dtype=dtype)
 
-    def init_params(self, in_shape, rng, dtype):
+    def init_params(self, rng, dtype):
         self._alloc(dtype)
 
     def forward(self, x, mode, rng):
@@ -495,7 +451,7 @@ class BatchNorm(Layer):
             (f"{self.name}.running_var", self.p.running_var),
         )
 
-    def param_count(self, in_shape) -> int:
+    def param_count(self) -> int:
         return 2 * self.channels
 
 
@@ -555,7 +511,7 @@ class Dense(Layer):
         self.m = units
         self.weight = self.bias = self.gweight = self.gbias = None
 
-    def init_params(self, in_shape, rng, dtype):
+    def init_params(self, rng, dtype):
         scale = np.sqrt(2.0 / self.d)
         self.weight = (rng.normal((self.d, self.m)) * scale).astype(dtype)
         self.bias = np.zeros(self.m, dtype=dtype)
@@ -579,7 +535,7 @@ class Dense(Layer):
             raise ShapeError(f"{self.name}: expects (n, {self.d}), got {in_shape}")
         return (in_shape[0], self.m)
 
-    def param_count(self, in_shape) -> int:
+    def param_count(self) -> int:
         return self.d * self.m + self.m
 
     def mac_count(self, in_shape) -> int:

@@ -68,10 +68,8 @@ class Model:
             raise ValueError("duplicate parameter names in model")
 
     def init_params(self, rng: SplitRng, dtype=np.float32):
-        shape = (1,) + self.input_shape
         for i, layer in enumerate(self.layers):
-            layer.init_params(shape, rng.split(i), dtype)
-            shape = layer.out_shape(shape)
+            layer.init_params(rng.split(i), dtype)
         return self
 
     def train(self):
@@ -143,7 +141,7 @@ def count_macs(model: Model, input_shape=None) -> ParamLedger:
     ledger = ParamLedger()
     for layer in model.layers:
         out = layer.out_shape(shape)
-        ledger.rows.append(LedgerRow(layer.name, layer.param_count(shape), layer.mac_count(shape), out))
+        ledger.rows.append(LedgerRow(layer.name, layer.param_count(), layer.mac_count(shape), out))
         shape = out
     return ledger
 

@@ -22,7 +22,7 @@ from .analyzer import audit
 from .archdsl import Preset, ablation_presets, build
 from .data import AugmentPolicy, Dataset, augment, batches
 from .errors import IsolationError, NumericsError
-from .layers import EVAL, ReLU, activation_stats, softmax_xent
+from .layers import EVAL, ReLU, softmax_xent
 from .network import Model, count_macs, save_checkpoint
 from .rng import SplitRng
 
@@ -267,6 +267,11 @@ def check_budgets(preset: Preset) -> dict[str, int]:
     return totals
 
 
+def dead_channel_fraction(x: np.ndarray) -> float:
+    """Fraction of channels of an NCHW post-ReLU batch that are 0 across the whole batch."""
+    return float((x.max(axis=(0, 2, 3)) == 0).mean())
+
+
 def relu_dead_fraction(model: Model, probe: np.ndarray) -> float:
     """Mean dead-channel fraction over every post-ReLU activation for a
     probe batch (eval mode)."""
@@ -277,7 +282,7 @@ def relu_dead_fraction(model: Model, probe: np.ndarray) -> float:
     for layer in model.layers:
         x = layer.forward(x, EVAL, None)[0]
         if isinstance(layer, ReLU) and x.ndim == 4:
-            fractions.append(activation_stats(x).dead_fraction)
+            fractions.append(dead_channel_fraction(x))
     model.mode = was
     return float(np.mean(fractions)) if fractions else 0.0
 

@@ -204,7 +204,7 @@ class TestBackwardOracle:
         # the layer's backward reads the padded input cached by its forward
         x, w, b, g = self.instance(k, stride, pad)
         conv = L.Conv2d("conv", 3, 4, k, stride, pad)
-        conv.init_params(x.shape, SplitRng(0), np.float64)
+        conv.init_params(SplitRng(0), np.float64)
         conv.weight[...] = w
         conv.bias[...] = b
         y, xp = conv.forward(x, L.TRAIN, None)

@@ -84,7 +84,9 @@ MUTANTS = (
     + [
         ("relu", "relu_backward", None),
         ("maxpool", "maxpool_backward", None),
-        ("safpool", "saf_pool_backward", None),
+        # SafPool.backward is dropout_backward then maxpool_backward
+        ("safpool", "maxpool_backward", None),
+        ("safpool", "dropout_backward", None),
         ("dropout", "dropout_backward", None),
         ("gap", "global_avgpool_backward", None),
         ("softmax_xent", "softmax_xent", 1),

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from simpnet import layers as L
+from simpnet import train as T
 from simpnet.errors import ShapeError
 from simpnet.rng import SplitRng
 
@@ -222,21 +223,15 @@ class TestSoftmaxXent:
 
 
 class TestActivationStats:
+    """The dead-channel statistic of a post-ReLU batch, as the ablation reports it."""
+
     def test_all_zero(self):
-        assert L.activation_stats(np.zeros((2, 4, 3, 3))).dead_fraction == 1.0
+        assert T.dead_channel_fraction(np.zeros((2, 4, 3, 3))) == 1.0
 
     def test_all_positive(self):
-        assert L.activation_stats(np.full((2, 4, 3, 3), 0.5)).dead_fraction == 0.0
+        assert T.dead_channel_fraction(np.full((2, 4, 3, 3), 0.5)) == 0.0
 
     def test_three_of_ten_channels_dead(self):
         x = np.ones((2, 10, 2, 2))
         x[:, [1, 4, 7]] = 0.0
-        stats = L.activation_stats(x)
-        assert stats.dead_fraction == pytest.approx(0.3)
-        assert stats.per_channel_mean.shape == (10,)
-        assert stats.per_channel_mean[1] == 0.0
-
-    def test_near_zero_fraction(self):
-        x = np.zeros((1, 1, 2, 2))
-        x[0, 0, 0, 0] = 1.0
-        assert L.activation_stats(x, tau=0.5).near_zero_fraction == pytest.approx(0.75)
+        assert T.dead_channel_fraction(x) == pytest.approx(0.3)

@@ -47,6 +47,12 @@ class TestForward:
         with pytest.raises(ShapeError, match="conv1"):
             m.forward(np.zeros((1, 2, 6, 6)))
 
+    def test_unchained_hand_built_model_fails_at_forward(self):
+        # init_params reads no shapes, so the layer that does not fit is named by forward
+        m = Model([L.Dense("dense1", 4, 3), L.Dense("dense2", 5, 2)], (1, 1, 4)).init_params(SplitRng(0))
+        with pytest.raises(ShapeError, match="dense2"):
+            m.forward(np.zeros((2, 4), np.float32))
+
     def test_eval_mode_deterministic(self):
         m = toy_model()
         x = SplitRng(2).uniform((2, 3, 6, 6))
@@ -114,7 +120,7 @@ class TestForward:
 class TestBackward:
     def test_single_dense_delegates(self):
         m = Model([L.Dense("dense1", 4, 3)], (1, 1, 4))
-        m.layers[0].init_params((1, 4), SplitRng(0), np.float64)
+        m.layers[0].init_params(SplitRng(0), np.float64)
         x = SplitRng(1).uniform((2, 4))
         g = SplitRng(2).uniform((2, 3))
         m.forward(x)
@@ -286,17 +292,17 @@ class TestCheckpoint:
         path = tmp_path / "m.snpk"
         save_checkpoint(m, path)
         other = Model([L.Dense("dense9", 4, 2)], (1, 1, 4))
-        other.layers[0].init_params((1, 4), SplitRng(0), np.float32)
+        other.layers[0].init_params(SplitRng(0), np.float32)
         with pytest.raises(CompatibilityError, match="conv1.weight|dense9"):
             load_checkpoint(other, path)
 
     def test_shape_mismatch_detected(self, tmp_path):
         m = Model([L.Dense("dense1", 4, 2)], (1, 1, 4))
-        m.layers[0].init_params((1, 4), SplitRng(0), np.float32)
+        m.layers[0].init_params(SplitRng(0), np.float32)
         path = tmp_path / "m.snpk"
         save_checkpoint(m, path)
         bigger = Model([L.Dense("dense1", 8, 2)], (1, 1, 8))
-        bigger.layers[0].init_params((1, 8), SplitRng(0), np.float32)
+        bigger.layers[0].init_params(SplitRng(0), np.float32)
         with pytest.raises(CompatibilityError, match="shape mismatch"):
             load_checkpoint(bigger, path)
 

@@ -87,7 +87,7 @@ class TestSafPool:
         x = rng.uniform((2, 3, 6, 6), -1, 1)
         pooled, argmax = L.maxpool_forward(x)
         for mode in (L.TRAIN, L.EVAL):
-            y, mask, am = L.saf_pool_forward(x, L.SafPoolConfig(drop_p=0.0), mode, SplitRng(0))
+            y, (_, mask, am) = L.SafPool("pool1", 2, 0.0).forward(x, mode, SplitRng(0))
             assert np.array_equal(y, pooled)
             assert np.all(mask == 1.0)
             assert np.array_equal(am, argmax)
@@ -96,7 +96,7 @@ class TestSafPool:
         rng = SplitRng(22)
         x = rng.uniform((2, 3, 6, 6), -1, 1)
         pooled, _ = L.maxpool_forward(x)
-        y, mask, _ = L.saf_pool_forward(x, L.SafPoolConfig(drop_p=0.5), L.EVAL, SplitRng(0))
+        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.EVAL, SplitRng(0))
         assert np.array_equal(y, pooled)
         assert np.all(mask == 1.0)
 
@@ -104,7 +104,7 @@ class TestSafPool:
         rng = SplitRng(23)
         x = rng.uniform((4, 25, 20, 20), 0.5, 1.5)  # 10,000 pooled units
         pooled, _ = L.maxpool_forward(x)
-        y, mask, _ = L.saf_pool_forward(x, L.SafPoolConfig(drop_p=0.5), L.TRAIN, SplitRng(99))
+        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.TRAIN, SplitRng(99))
         assert y.size == 10_000
         zero_fraction = (mask == 0).mean()
         assert 0.48 <= zero_fraction <= 0.52
@@ -121,25 +121,23 @@ class TestSafPool:
 
     def test_drop_p_validated(self):
         with pytest.raises(ValueError):
-            L.SafPoolConfig(drop_p=1.0)
+            L.SafPool("safpool1", 2, 1.0)
         with pytest.raises(ValueError):
-            L.SafPoolConfig(drop_p=-0.1)
+            L.SafPool("safpool1", 2, -0.1)
 
     def test_backward_drop_zero_equals_maxpool_backward(self):
         rng = SplitRng(24)
         x = rng.uniform((1, 2, 4, 4), -1, 1)
-        _, mask, argmax = L.saf_pool_forward(x, L.SafPoolConfig(drop_p=0.0), L.TRAIN, SplitRng(0))
+        pool = L.SafPool("pool1", 2, 0.0)
+        _, cache = pool.forward(x, L.TRAIN, SplitRng(0))
         g = rng.uniform((1, 2, 2, 2), -1, 1)
-        assert np.array_equal(
-            L.saf_pool_backward(mask, argmax, g, x.shape, 0.0),
-            L.maxpool_backward(argmax, g, x.shape),
-        )
+        assert np.array_equal(pool.backward(cache, g), L.maxpool_backward(cache[2], g, x.shape))
 
     def test_backward_fully_masked_window_zero_grad(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         _, argmax = L.maxpool_forward(x)
         mask = np.zeros((1, 1, 2, 2))
-        gx = L.saf_pool_backward(mask, argmax, np.ones((1, 1, 2, 2)), x.shape, 0.5)
+        gx = L.SafPool("safpool1", 2, 0.5).backward((x.shape, mask, argmax), np.ones((1, 1, 2, 2)))
         assert not gx.any()
 
     def test_backward_finite_differences_fixed_mask(self):
@@ -147,15 +145,15 @@ class TestSafPool:
         size = 1 * 2 * 6 * 6
         x = (rng.permutation(size).astype(np.float64) / size).reshape(1, 2, 6, 6)
         key = 4242
-        cfg = L.SafPoolConfig(drop_p=0.5)
-        _, mask, argmax = L.saf_pool_forward(x, cfg, L.TRAIN, SplitRng(key))
+        pool = L.SafPool("safpool1", 2, 0.5)
+        _, cache = pool.forward(x, L.TRAIN, SplitRng(key))
         r = rng.uniform((1, 2, 3, 3), -1, 1)
 
         def loss():
-            y, _, _ = L.saf_pool_forward(x, cfg, L.TRAIN, SplitRng(key))
+            y, _ = pool.forward(x, L.TRAIN, SplitRng(key))
             return float((y * r).sum())
 
-        gx = L.saf_pool_backward(mask, argmax, r, x.shape, cfg.drop_p)
+        gx = pool.backward(cache, r)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-6
 
 

@@ -1,7 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from simpnet import layers as L
 from simpnet.rng import SplitRng
+
+# sha256 of np.packbits(SplitRng(2024).keep_mask((2, 3, 5, 7), 0.3)). Dropout and
+# SAF-pool masks come from this stream, so a change to it changes every trained
+# model: version the stream and update this digest together.
+KEEP_MASK_SHA256 = "8eb4a1c8e9adaa69cf3f1090229412b8543fa712abc0a0854200a24a1bab7988"
 
 
 def test_same_seed_bit_identical():
@@ -69,6 +77,19 @@ def test_keep_mask_fraction():
     m = SplitRng(13).keep_mask(100_000, 0.3)
     assert set(np.unique(m)) <= {0.0, 1.0}
     assert abs(m.mean() - 0.7) < 0.01
+
+
+def test_keep_mask_stream_pinned():
+    m = SplitRng(2024).keep_mask((2, 3, 5, 7), 0.3)
+    assert hashlib.sha256(np.packbits(m).tobytes()).hexdigest() == KEEP_MASK_SHA256
+
+
+def test_layers_draw_their_mask_from_keep_mask():
+    x = SplitRng(5).uniform((2, 3, 6, 6), 0.5, 1.5)
+    _, mask = L.Dropout("dropout1", 0.3).forward(x, L.TRAIN, SplitRng(2024))
+    assert np.array_equal(mask, SplitRng(2024).keep_mask(x.shape, 0.3))
+    _, (_, mask, _) = L.SafPool("safpool1", 2, 0.3).forward(x, L.TRAIN, SplitRng(2024))
+    assert np.array_equal(mask, SplitRng(2024).keep_mask((2, 3, 3, 3), 0.3))
 
 
 def test_integers_range():

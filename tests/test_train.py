@@ -95,7 +95,7 @@ class TestEvaluate:
                 return np.zeros((x.shape[0], self.m)), None
 
         model = Model([ConstDense("dense1", 4, 10)], (1, 1, 4))
-        model.layers[0].init_params((1, 4), SplitRng(0), np.float32)
+        model.layers[0].init_params(SplitRng(0), np.float32)
         images = np.zeros((100, 1, 1, 4), dtype=np.float32)
         labels = np.repeat(np.arange(10), 10).astype(np.int64)  # balanced
         ds = Dataset(images, labels, name="t", num_classes=10)
