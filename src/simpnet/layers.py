@@ -12,8 +12,15 @@ Convolution is cross-correlation (no kernel flip), computed as one GEMM
 per kernel tap over a zero-padded channels-last (NHWC) copy of the
 input: the forward pass sums tap @ W[:, :, dy, dx].T over the k*k taps,
 and the backward pass takes dW per tap and scatter-adds each tap's
-input gradient into the same shifted window of an NHWC buffer. Inputs
-and outputs stay NCHW. A conv layer's cache is only the padded input.
+input gradient into the same shifted window of an NHWC buffer. A conv
+layer's cache is only the padded input.
+
+Arrays are indexed NCHW at every layer boundary, but conv outputs are
+NHWC in memory, and batch norm, ReLU, dropout and max-pool keep that
+layout: dropout draws 4-D masks in (n, h, w, c) order and max-pool
+gathers its windows channels-last. The next conv's padded copy and its
+backward's (n*h*w, c) view of the gradient then need no transposing
+copy.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
@@ -122,23 +129,25 @@ def conv2d_backward(x, weight, stride, pad, grad_out):
 def maxpool_forward(x, window=2, stride=2):
     """Max over each window; returns (pooled, flat input offsets of winners).
 
-    Ties go to the first element in row-major scan order.
+    Ties go to the first element in row-major scan order. The windows are
+    gathered channels-last, so both results are NHWC-strided views, like
+    conv outputs. A winner's offset is its window's origin plus its
+    position in the window, looked up in a window*window table.
     """
     n, c, h, w = x.shape
     oh, ow = conv_out_hw(h, w, window, stride, 0)
-    slabs = np.empty((window * window, n, c, oh, ow), dtype=x.dtype)
-    for dy in range(window):
-        for dx in range(window):
-            slabs[dy * window + dx] = x[:, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride]
+    xt = x.transpose(0, 2, 3, 1)
+    slabs = np.empty((window * window, n, oh, ow, c), dtype=x.dtype)
+    for dy, dx, win in _taps(window, stride, oh, ow):
+        slabs[dy * window + dx] = xt[win]
     which = slabs.argmax(axis=0)  # first max in scan order
     pooled = np.take_along_axis(slabs, which[None], axis=0)[0]
-    dy, dx = np.divmod(which, window)
-    iy = np.arange(oh).reshape(1, 1, oh, 1) * stride + dy
-    ix = np.arange(ow).reshape(1, 1, 1, ow) * stride + dx
-    ni = np.arange(n).reshape(n, 1, 1, 1)
-    ci = np.arange(c).reshape(1, c, 1, 1)
-    argmax = ((ni * c + ci) * h + iy) * w + ix
-    return pooled, argmax
+    table = (np.arange(window).reshape(-1, 1) * w + np.arange(window)).ravel()  # dy*w + dx of each tap
+    origin = np.arange(oh).reshape(oh, 1, 1) * (stride * w) + np.arange(ow).reshape(ow, 1) * stride + np.arange(c) * (h * w)
+    argmax = table[which]
+    argmax += origin
+    argmax += np.arange(n).reshape(n, 1, 1, 1) * (c * h * w)
+    return pooled.transpose(0, 3, 1, 2), argmax.transpose(0, 3, 1, 2)
 
 
 def maxpool_backward(argmax, grad_out, input_shape):
@@ -237,7 +246,12 @@ def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
         return x, np.ones(x.shape, bool)
     if rng is None:
         raise ValueError("dropout with p > 0 requires an rng in train mode")
-    mask = rng.keep_mask(x.shape, p)
+    if x.ndim == 4:
+        # drawn channels-last, so the mask matches the NHWC memory of conv outputs
+        n, c, h, w = x.shape
+        mask = rng.keep_mask((n, h, w, c), p).transpose(0, 3, 1, 2)
+    else:
+        mask = rng.keep_mask(x.shape, p)
     return x * mask / x.dtype.type(1.0 - p), mask
 
 

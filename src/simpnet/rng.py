@@ -9,6 +9,11 @@ a stream can be split into independent child streams by label.
 
 The mixer is splitmix64 (Steele, Lea & Flood's finalizer), vectorized
 over uint64 numpy arrays. All arithmetic wraps mod 2**64.
+
+Dropout and SAF-pool masks come from keep_mask, whose stream carries
+MASK_STREAM_VERSION. Version 2 takes four 16-bit lanes from each draw,
+as Philox and Threefry take several outputs from one counter value
+(Salmon et al., SC'11), and quantizes the drop probability to 2**-16.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ _SPLIT_SALT = np.uint64(0xD6E8FEB86659FD93)
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# bump whenever keep_mask returns other masks for the same key, counter and arguments
+MASK_STREAM_VERSION = 2
+_LANES = 4
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -84,17 +93,25 @@ class SplitRng:
         return z.reshape(shape).astype(dtype, copy=False)
 
     def keep_mask(self, shape, drop_p: float) -> np.ndarray:
-        """Boolean mask with P(False) = drop_p per element.
+        """Boolean mask with P(False) = drop_p per element, in C order of shape.
 
-        Integer threshold compare on the raw 53-bit draws: equivalent to
-        uniform(shape) >= drop_p without the float conversion.
+        Mask stream v2: each splitmix64 draw yields four 16-bit lanes, so
+        ceil(n/4) draws cover n elements and element 4i+j is lane j
+        (bits 16j..16j+15) of draw i. An element is kept when its lane is
+        >= int(drop_p * 65536), so drop_p is quantized to 2**-16. The
+        lanes come from shifts, not a uint16 view, so the stream does not
+        depend on byte order.
         """
         if not 0.0 <= drop_p < 1.0:
             raise ValueError(f"drop probability must be in [0, 1), got {drop_p}")
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
-        threshold = _U64(int(drop_p * (1 << 53)))
-        return ((self._next_u64(n) >> _U64(11)) >= threshold).reshape(shape)
+        draws = self._next_u64((n + _LANES - 1) // _LANES)
+        lanes = np.empty((draws.size, _LANES), dtype=np.uint16)
+        for j in range(_LANES):
+            # the uint16 output truncates each shifted draw to its low 16 bits
+            np.right_shift(draws, _U64(16 * j), out=lanes[:, j], casting="unsafe")
+        return (lanes.reshape(-1)[:n] >= int(drop_p * (1 << 16))).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (argsort of random keys)."""

@@ -168,6 +168,26 @@ class TestDropout:
         assert np.array_equal(gx != 0, y != 0)
 
 
+class TestChannelsLast:
+    def test_conv_block_output_stays_channels_last(self):
+        # a mask drawn in NCHW order would turn the product back into NCHW memory
+        # and make the next conv pay for transposing copies
+        rng = SplitRng(8)
+        layers = [
+            L.Conv2d("conv1", 3, 5, 3, 1, 1),
+            L.BatchNorm("bn1", 5),
+            L.ReLU("relu1"),
+            L.Dropout("dropout1", 0.2),
+            L.SafPool("safpool1", 2, 0.2),
+        ]
+        y = rng.uniform((2, 3, 6, 8)).astype(np.float32)
+        for i, layer in enumerate(layers):
+            layer.init_params(rng.split(i), np.float32)
+            y, _ = layer.forward(y, L.TRAIN, rng.split(100 + i))
+            assert y.transpose(0, 2, 3, 1).flags.c_contiguous, layer.name
+
+
+
 class TestDense:
     def test_identity_weight(self):
         x = np.array([[1.0, 2.0]])

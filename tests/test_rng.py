@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from simpnet import layers as L
-from simpnet.rng import SplitRng
+from simpnet.rng import MASK_STREAM_VERSION, SplitRng
 
-# sha256 of np.packbits(SplitRng(2024).keep_mask((2, 3, 5, 7), 0.3)). Dropout and
-# SAF-pool masks come from this stream, so a change to it changes every trained
-# model: version the stream and update this digest together.
-KEEP_MASK_SHA256 = "8eb4a1c8e9adaa69cf3f1090229412b8543fa712abc0a0854200a24a1bab7988"
+# sha256 of np.packbits(SplitRng(2024).keep_mask((2, 3, 5, 7), 0.3)) under mask
+# stream v2 (MASK_STREAM_VERSION). Dropout and SAF-pool masks come from this
+# stream, so a change to it changes every trained model: bump the version and
+# update this digest together.
+KEEP_MASK_SHA256 = "76c5cd4bcf993c44fcf98e3764a9b24feb695717c6283a68e198994a753be428"
+
+
+def lane_reference(seed, n):
+    """The 16-bit lanes of mask stream v2: lane j of draw i is element 4i+j."""
+    draws = SplitRng(seed)._next_u64(-(-n // 4))
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    return ((draws[:, None] >> shifts) & np.uint64(0xFFFF)).ravel()[:n]
 
 
 def test_same_seed_bit_identical():
@@ -80,16 +88,44 @@ def test_keep_mask_fraction():
 
 
 def test_keep_mask_stream_pinned():
+    assert MASK_STREAM_VERSION == 2
     m = SplitRng(2024).keep_mask((2, 3, 5, 7), 0.3)
     assert hashlib.sha256(np.packbits(m).tobytes()).hexdigest() == KEEP_MASK_SHA256
 
 
+def test_keep_mask_is_lanes_at_or_above_threshold():
+    shape = (2, 3, 5, 7)  # 210 elements: the last draw has two unused lanes
+    m = SplitRng(2024).keep_mask(shape, 0.3)
+    assert np.array_equal(m, (lane_reference(2024, 210) >= int(0.3 * 65536)).reshape(shape))
+
+
+def test_keep_mask_counter_advances_by_draws_of_four_lanes():
+    r = SplitRng(2024)
+    r.keep_mask((2, 3, 5, 7), 0.3)
+    assert r.counter == 53
+    r.keep_mask(5, 0.3)
+    assert r.counter == 55
+
+
+def test_keep_mask_drop_p_quantized_to_16_bits():
+    n = 1_000_000
+    lanes = lane_reference(77, n)
+    assert (lanes == 6552).any() and (lanes == 6553).any()  # both sides of the threshold occur
+    m = SplitRng(77).keep_mask(n, 0.1)
+    assert np.array_equal(m, lanes >= 6553)
+
+
 def test_layers_draw_their_mask_from_keep_mask():
-    x = SplitRng(5).uniform((2, 3, 6, 6), 0.5, 1.5)
+    x = SplitRng(5).uniform((2, 3, 6, 8), 0.5, 1.5)
+    # 4-D masks are drawn channels-last, (n, h, w, c), then viewed as NCHW
     _, mask = L.Dropout("dropout1", 0.3).forward(x, L.TRAIN, SplitRng(2024))
-    assert np.array_equal(mask, SplitRng(2024).keep_mask(x.shape, 0.3))
+    assert np.array_equal(mask, SplitRng(2024).keep_mask((2, 6, 8, 3), 0.3).transpose(0, 3, 1, 2))
     _, (_, mask, _) = L.SafPool("safpool1", 2, 0.3).forward(x, L.TRAIN, SplitRng(2024))
-    assert np.array_equal(mask, SplitRng(2024).keep_mask((2, 3, 3, 3), 0.3))
+    assert np.array_equal(mask, SplitRng(2024).keep_mask((2, 3, 4, 3), 0.3).transpose(0, 3, 1, 2))
+    # other ranks draw in their own C order
+    flat = x.reshape(2, -1)
+    _, mask = L.Dropout("dropout1", 0.3).forward(flat, L.TRAIN, SplitRng(2024))
+    assert np.array_equal(mask, SplitRng(2024).keep_mask(flat.shape, 0.3))
 
 
 def test_integers_range():
