@@ -8,19 +8,21 @@ are zeroed by the trainer. A layer keeps no per-batch state: forward
 returns (output, cache) and backward takes that cache back, and
 network.Model holds the caches of its last train-mode forward.
 
-Convolution is cross-correlation (no kernel flip), computed as one GEMM
-per kernel tap over a zero-padded channels-last (NHWC) copy of the
-input: the forward pass sums tap @ W[:, :, dy, dx].T over the k*k taps,
-and the backward pass takes dW per tap and scatter-adds each tap's
-input gradient into the same shifted window of an NHWC buffer. A conv
-layer's cache is only the padded input.
+Convolution is cross-correlation (no kernel flip), lowered a batch
+chunk at a time: the k*k windows of a few images of a zero-padded
+channels-last (NHWC) copy of the input go into one reused
+(rows, k*k*c_in) buffer, about half the larger of the padded input and
+the output, and one GEMM per chunk writes the output; dW sums
+g_chunk.T @ chunk. grad_x lowers the gradient, dilated by the stride
+and padded by k-1, at stride 1 against the flipped kernel (Dumoulin &
+Visin, 2016). A conv layer's cache is only the padded input.
 
 Arrays are indexed NCHW at every layer boundary, but conv outputs are
-NHWC in memory, and batch norm, ReLU, dropout and max-pool keep that
-layout: dropout draws 4-D masks in (n, h, w, c) order and max-pool
-gathers its windows channels-last. The next conv's padded copy and its
-backward's (n*h*w, c) view of the gradient then need no transposing
-copy.
+NHWC in memory, and batch norm, ReLU, dropout and the pools keep that
+layout in both passes: dropout draws 4-D masks in (n, h, w, c) order and
+max-pool gathers its windows channels-last. The next conv's padded copy
+and its backward's (n*h*w, c) view of the gradient then need no
+transposing copy.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
@@ -33,6 +35,7 @@ BN_EPS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +67,24 @@ def _pad_nhwc(x, pad):
     return xp
 
 
-def _taps(k, stride, oh, ow):
-    """Yields (dy, dx, index of the padded NHWC window that tap reads).
+def _windows(a, k, stride, oh, ow):
+    """Read-only (n, oh, ow, k, k, c) view of the k*k windows of an NHWC array, the first at a[:, 0, 0]."""
+    sn, sh, sw, sc = a.strides
+    shape, strides = (len(a), oh, ow, k, k, a.shape[3]), (sn, stride * sh, stride * sw, sh, sw, sc)
+    return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=False)
 
-    Each window row is a contiguous run of ow*c elements when stride is
-    1, so copying a tap out of the padded input is a cheap strided copy.
-    """
-    for dy in range(k):
-        for dx in range(k):
-            yield dy, dx, (slice(None), slice(dy, dy + stride * oh, stride), slice(dx, dx + stride * ow, stride))
+
+def _lowering_buffer(n, image_shape, budget, dtype):
+    """Reused buffer of whole images (<= budget/2 elements, >= 1 image) and the (lo, hi) chunks of n."""
+    m = max(1, min(n, budget // (2 * math.prod(image_shape))))
+    return np.empty((m, *image_shape), dtype=dtype), [(lo, min(n, lo + m)) for lo in range(0, n, m)]
+
+
+def _lower(windows, buf):
+    """Copies a chunk of a window view into the head of buf; returns it as a (rows, k*k*c) matrix."""
+    cols = buf[: len(windows)]
+    np.copyto(cols, windows)
+    return cols.reshape(-1, math.prod(cols.shape[3:]))
 
 
 def _conv2d_forward(x, weight, bias, stride, pad):
@@ -83,16 +95,14 @@ def _conv2d_forward(x, weight, bias, stride, pad):
         raise ShapeError(f"conv expects {c_in} input channels, got {c}")
     oh, ow = conv_out_hw(h, w, k, stride, pad)
     xp = _pad_nhwc(x, pad)
-    w_taps = weight.transpose(2, 3, 0, 1).copy()  # (k, k, c_out, c_in): one contiguous matrix per tap
-    y = np.empty((n * oh * ow, c_out), dtype=np.result_type(x, weight))
-    y[...] = bias
-    # one tap and one product buffer for all taps: fresh large arrays per tap cost page faults
-    tap = np.empty((n, oh, ow, c), dtype=x.dtype)
-    part = np.empty_like(y)
-    for dy, dx, win in _taps(k, stride, oh, ow):
-        np.copyto(tap, xp[win])
-        y += np.matmul(tap.reshape(-1, c), w_taps[dy, dx].T, out=part)
-    return y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2), xp
+    windows = _windows(xp, k, stride, oh, ow)
+    w_mat = weight.transpose(2, 3, 1, 0).reshape(k * k * c, c_out)  # rows in (dy, dx, c) order, as lowered
+    y = np.empty((n, oh, ow, c_out), dtype=np.result_type(x, weight))
+    buf, chunks = _lowering_buffer(n, windows.shape[1:], max(xp.size, y.size), xp.dtype)
+    for lo, hi in chunks:
+        np.matmul(_lower(windows[lo:hi], buf), w_mat, out=y[lo:hi].reshape(-1, c_out))
+    y += bias
+    return y.transpose(0, 3, 1, 2), xp
 
 
 def _conv2d_backward(xp, weight, stride, pad, grad_out):
@@ -101,15 +111,27 @@ def _conv2d_backward(xp, weight, stride, pad, grad_out):
     oh, ow = conv_out_hw(hp, wp, k, stride, 0)
     if grad_out.shape != (n, c_out, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output {(n, c_out, oh, ow)}")
-    g = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
-    w_taps = weight.transpose(2, 3, 0, 1).copy()
-    grad_w = np.empty(weight.shape, dtype=np.result_type(g, xp))
-    grad_xp = np.zeros(xp.shape, dtype=grad_w.dtype)
-    for dy, dx, win in _taps(k, stride, oh, ow):
-        grad_w[:, :, dy, dx] = g.T @ xp[win].reshape(-1, c)
-        grad_xp[win] += (g @ w_taps[dy, dx]).reshape(n, oh, ow, c)
-    grad_x = grad_xp[:, pad : hp - pad, pad : wp - pad].transpose(0, 3, 1, 2)
-    return grad_x, grad_w, g.sum(axis=0)
+    g = grad_out.transpose(0, 2, 3, 1)  # its chunks are (rows, c_out) views when grad_out is NHWC in memory
+    budget = max(xp.size, g.size)
+    windows = _windows(xp, k, stride, oh, ow)
+    buf, chunks = _lowering_buffer(n, windows.shape[1:], budget, xp.dtype)
+    grad_w = np.zeros((c_out, k * k * c), dtype=np.result_type(g, xp))
+    for lo, hi in chunks:
+        grad_w += g[lo:hi].reshape(-1, c_out).T @ _lower(windows[lo:hi], buf)
+    del buf  # freed before the input-gradient buffers are allocated
+    # grad_x correlates the flipped kernel at stride 1 with the gradient dilated by
+    # stride and zero-padded by k-1; chunks rewrite only the dilated spots
+    h, w = hp - 2 * pad, wp - 2 * pad
+    buf, chunks = _lowering_buffer(n, (h, w, k, k, c_out), budget, grad_w.dtype)
+    dilated = np.zeros((len(buf), hp + k - 1, wp + k - 1, c_out), dtype=grad_w.dtype)
+    spots = dilated[:, k - 1 : k - 1 + stride * oh : stride, k - 1 : k - 1 + stride * ow : stride]
+    windows = _windows(dilated[:, pad:, pad:], k, 1, h, w)
+    w_flip = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * c_out, c)
+    grad_x = np.empty((n, h, w, c), dtype=grad_w.dtype)
+    for lo, hi in chunks:
+        spots[: hi - lo] = g[lo:hi]
+        np.matmul(_lower(windows[: hi - lo], buf), w_flip, out=grad_x[lo:hi].reshape(-1, c))
+    return grad_x.transpose(0, 3, 1, 2), grad_w.reshape(c_out, k, k, c).transpose(0, 3, 1, 2), g.sum(axis=(0, 1, 2))
 
 
 def conv2d_forward(x, weight, bias, stride=1, pad=0):
@@ -136,10 +158,8 @@ def maxpool_forward(x, window=2, stride=2):
     """
     n, c, h, w = x.shape
     oh, ow = conv_out_hw(h, w, window, stride, 0)
-    xt = x.transpose(0, 2, 3, 1)
-    slabs = np.empty((window * window, n, oh, ow, c), dtype=x.dtype)
-    for dy, dx, win in _taps(window, stride, oh, ow):
-        slabs[dy * window + dx] = xt[win]
+    windows = _windows(x.transpose(0, 2, 3, 1), window, stride, oh, ow)
+    slabs = windows.transpose(3, 4, 0, 1, 2, 5).reshape(window * window, n, oh, ow, c)
     which = slabs.argmax(axis=0)  # first max in scan order
     pooled = np.take_along_axis(slabs, which[None], axis=0)[0]
     table = (np.arange(window).reshape(-1, 1) * w + np.arange(window)).ravel()  # dy*w + dx of each tap
@@ -151,15 +171,14 @@ def maxpool_forward(x, window=2, stride=2):
 
 
 def maxpool_backward(argmax, grad_out, input_shape):
-    """Route each output gradient to its winning input cell."""
-    n, c, h, w = input_shape
-    size = n * c * h * w
+    """Route each output gradient to its winning input cell; returns NHWC memory."""
+    size = math.prod(input_shape)
     idx = argmax.ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise AssertionError("argmax offsets out of bounds for input shape")
     grad_x = np.zeros(size, dtype=grad_out.dtype)
     np.add.at(grad_x, idx, grad_out.ravel())
-    return grad_x.reshape(input_shape)
+    return np.ascontiguousarray(grad_x.reshape(input_shape).transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def global_avgpool_forward(x):
@@ -168,7 +187,8 @@ def global_avgpool_forward(x):
 
 def global_avgpool_backward(grad_out, input_shape):
     n, c, h, w = input_shape
-    return np.broadcast_to(grad_out / grad_out.dtype.type(h * w), input_shape).copy()
+    grad_x = np.broadcast_to((grad_out / grad_out.dtype.type(h * w)).reshape(n, 1, 1, c), (n, h, w, c))
+    return grad_x.copy().transpose(0, 3, 1, 2)  # NHWC memory, like the activations it came from
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ plain loops, no slicing tricks, no matmul. The implementation must agree
 with them to 1e-12 in float64, forward and backward.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,99 @@ class TestBackwardOracle:
         assert np.abs(gx - want_gx).max() <= 1e-12
         assert np.abs(conv.gweight - want_gw).max() <= 1e-12
         assert np.abs(conv.gbias - want_gb).max() <= 1e-12
+
+
+class TestChunkedOracle:
+    """Conv lowers whole-image chunks of the batch into one reused buffer.
+    These cases reach what one-image batches do not: chunks of several
+    images, a short last chunk, one input channel, and a stride that
+    leaves the last input rows and columns out of every window."""
+
+    CASES = {
+        # (n, c_in, h, w, c_out, k, stride, pad)
+        "multi-image chunks": (2 * 3 * 3 + 1, 4, 5, 5, 1, 3, 1, 1),
+        "one input channel": (3, 1, 7, 6, 4, 3, 1, 1),
+        "stride 2, odd span": (2, 3, 8, 10, 4, 3, 2, 0),
+    }
+
+    @staticmethod
+    def instance(name):
+        n, c_in, h, wd, c_out, k, stride, pad = TestChunkedOracle.CASES[name]
+        r = SplitRng(2468).split(len(name))
+        x = r.uniform((n, c_in, h, wd), -1, 1)
+        w = r.uniform((c_out, c_in, k, k), -1, 1)
+        b = r.uniform(c_out, -1, 1)
+        g = r.uniform(naive_conv2d(x, w, b, stride, pad).shape, -1, 1)
+        return x, w, b, g, stride, pad
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_function_matches_naive(self, name):
+        x, w, b, g, stride, pad = self.instance(name)
+        assert np.abs(L.conv2d_forward(x, w, b, stride, pad) - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
+        for a, e in zip(L.conv2d_backward(x, w, stride, pad, g), naive_conv2d_backward(x, w, stride, pad, g)):
+            assert a.shape == e.shape
+            assert np.abs(a - e).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_layer_matches_naive(self, name):
+        x, w, b, g, stride, pad = self.instance(name)
+        conv = L.Conv2d("conv", w.shape[1], w.shape[0], w.shape[2], stride, pad)
+        conv.init_params(SplitRng(0), np.float64)
+        conv.weight[...] = w
+        conv.bias[...] = b
+        y, xp = conv.forward(x, L.TRAIN, None)
+        assert np.abs(y - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
+        gx = conv.backward(xp, g)
+        want_gx, want_gw, want_gb = naive_conv2d_backward(x, w, stride, pad, g)
+        assert np.abs(gx - want_gx).max() <= 1e-12
+        assert np.abs(conv.gweight - want_gw).max() <= 1e-12
+        assert np.abs(conv.gbias - want_gb).max() <= 1e-12
+
+    def test_cases_reach_short_multi_image_chunks(self, monkeypatch):
+        chunks = []  # (images lowered, images the buffer holds)
+        lower = L._lower
+
+        def spy(windows, buf):
+            chunks.append((len(windows), len(buf)))
+            return lower(windows, buf)
+
+        monkeypatch.setattr(L, "_lower", spy)
+        x, w, b, g, stride, pad = self.instance("multi-image chunks")
+        L.conv2d_forward(x, w, b, stride, pad)
+        L.conv2d_backward(x, w, stride, pad, g)
+        assert any(m > 1 for m, _ in chunks)
+        assert any(m < cap for m, cap in chunks)
+
+    def test_uncovered_rows_and_columns_get_no_gradient(self):
+        x, w, _, g, stride, pad = self.instance("stride 2, odd span")
+        gx = L.conv2d_backward(x, w, stride, pad, g)[0]
+        assert not gx[:, :, -1].any() and not gx[:, :, :, -1].any()
+        assert gx[:, :, -2, :-1].all() and gx[:, :, :-1, -2].all()
+
+
+class TestScratchMemory:
+    """Beyond what it returns, a conv pass allocates at most the larger of
+    its padded input and its output: lowering goes through one buffer of
+    a few images, never a patch matrix of the whole batch."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n,c_in,size,c_out", [(128, 23, 32, 23), (128, 1, 28, 13)])
+    def test_scratch_within_one_activation(self, n, c_in, size, c_out):
+        r = SplitRng(1357)
+        conv = L.Conv2d("conv", c_in, c_out, 3, 1, 1)
+        conv.init_params(r.split(0), np.float32)
+        x = r.uniform((n, c_in, size, size), -1, 1).astype(np.float32)
+        # NHWC in memory, as a conv receives its gradient
+        g = r.uniform((n, size, size, c_out), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
+        (y, xp), peak = self.traced_peak(lambda: conv.forward(x, L.TRAIN, None))
+        limit = max(xp.nbytes, y.nbytes)
+        assert peak - y.nbytes - xp.nbytes <= limit
+        gx, peak = self.traced_peak(lambda: conv.backward(xp, g))
+        assert peak - gx.nbytes <= limit

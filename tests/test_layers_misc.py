@@ -7,6 +7,7 @@ from conftest import fd_grad, rel_err
 from simpnet import layers as L
 from simpnet import train as T
 from simpnet.errors import ShapeError
+from simpnet.network import Model
 from simpnet.rng import SplitRng
 
 
@@ -185,6 +186,39 @@ class TestChannelsLast:
             layer.init_params(rng.split(i), np.float32)
             y, _ = layer.forward(y, L.TRAIN, rng.split(100 + i))
             assert y.transpose(0, 2, 3, 1).flags.c_contiguous, layer.name
+
+    def test_conv_block_input_gradients_stay_channels_last(self):
+        # a pool gradient in NCHW memory would make dropout, ReLU and BN
+        # backward mix layouts and conv backward copy its gradient
+        rng = SplitRng(9)
+        model = Model(
+            [
+                L.Conv2d("conv1", 3, 5, 3, 1, 1),
+                L.BatchNorm("bn1", 5),
+                L.ReLU("relu1"),
+                L.Dropout("dropout1", 0.2),
+                L.SafPool("safpool1", 2, 0.2),
+            ],
+            (3, 6, 8),
+        ).init_params(rng.split(0), np.float32)
+        grads = {}
+        for layer in model.layers:
+
+            def spy(cache, grad_out, backward=layer.backward, name=layer.name):
+                grads[name] = backward(cache, grad_out)
+                return grads[name]
+
+            layer.backward = spy
+        y = model.forward(rng.uniform((2, 3, 6, 8)).astype(np.float32), rng.split(1))
+        model.backward(rng.uniform(y.shape, -1, 1).astype(np.float32))  # NCHW, as a dense layer returns it
+        assert list(grads) == ["safpool1", "dropout1", "relu1", "bn1", "conv1"]
+        for name, g in grads.items():
+            assert g.transpose(0, 2, 3, 1).flags.c_contiguous, name
+
+    def test_gap_gradient_is_channels_last(self):
+        g = L.global_avgpool_backward(np.arange(6.0).reshape(2, 3, 1, 1), (2, 3, 4, 5))
+        assert g.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert np.array_equal(g, np.broadcast_to(np.arange(6.0).reshape(2, 3, 1, 1) / 20, (2, 3, 4, 5)))
 
 
 
