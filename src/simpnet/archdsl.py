@@ -280,7 +280,7 @@ def build(spec: ArchSpec) -> Model:
                 "(feature maps shrank too far before the classifier tail)"
             ) from e
         built.append(layer)
-    return Model(built, spec.input_shape, name=spec.name)
+    return Model(built, spec.input_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,12 @@ def _add_data_flags(p: argparse.ArgumentParser):
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--wd", type=float, default=5e-4)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=T.TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=T.TrainConfig.lr)
+    p.add_argument("--momentum", type=float, default=T.TrainConfig.momentum)
+    p.add_argument("--wd", type=float, default=T.TrainConfig.weight_decay)
+    p.add_argument("--batch-size", type=int, default=T.TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=T.TrainConfig.seed)
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--augment", action="store_true", help="pad-4 random crop + mirror")
     p.add_argument("--no-normalize", action="store_true", help="skip per-channel normalization")
@@ -152,7 +152,7 @@ def cmd_eval(args) -> int:
     model = archdsl.build(spec)
     T.init_model(model, 0)
     load_checkpoint(model, args.ckpt)
-    loss, top1 = T.evaluate(model.eval(), test_ds, args.batch_size)
+    loss, top1 = T.evaluate(model, test_ds, args.batch_size)
     print(f"test loss {loss:.6g} top1 {top1:.6g}")
     return EXIT_OK
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--preset")
     p.add_argument("--ckpt", required=True)
     _add_data_flags(p)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=int, default=T.EVAL_BATCH)
     p.add_argument("--no-normalize", action="store_true")
     p.set_defaults(func=cmd_eval)
 

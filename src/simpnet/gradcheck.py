@@ -188,7 +188,7 @@ def _toy_model(rng: SplitRng) -> Model:
 
 
 def _check_model(rng: SplitRng) -> float:
-    model = _toy_model(rng.split(0)).train()
+    model = _toy_model(rng.split(0))
     x = rng.uniform((2, 3, 6, 6), -1, 1)
     labels = rng.integers(2, 10)
 

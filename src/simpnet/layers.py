@@ -19,10 +19,10 @@ Visin, 2016). A conv layer's cache is only the padded input.
 
 Arrays are indexed NCHW at every layer boundary, but conv outputs are
 NHWC in memory, and batch norm, ReLU, dropout and the pools keep that
-layout in both passes: dropout draws 4-D masks in (n, h, w, c) order and
-max-pool gathers its windows channels-last. The next conv's padded copy
-and its backward's (n*h*w, c) view of the gradient then need no
-transposing copy.
+layout in both passes: dropout draws 4-D masks in (n, h, w, c) order;
+max-pool gathers its windows channels-last, and its winners' offsets
+index channels-last memory. The next conv's padded copy and its
+backward's (n*h*w, c) view of the gradient then need no transposing copy.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
@@ -149,12 +149,12 @@ def conv2d_backward(x, weight, stride, pad, grad_out):
 
 
 def maxpool_forward(x, window=2, stride=2):
-    """Max over each window; returns (pooled, flat input offsets of winners).
+    """Max over each window; returns (pooled, winners' offsets into the input's channels-last memory).
 
     Ties go to the first element in row-major scan order. The windows are
     gathered channels-last, so both results are NHWC-strided views, like
-    conv outputs. A winner's offset is its window's origin plus its
-    position in the window, looked up in a window*window table.
+    conv outputs. A winner's offset into the flat (n, h, w, c) input is its
+    window's origin plus its position in the window, from a window*window table.
     """
     n, c, h, w = x.shape
     oh, ow = conv_out_hw(h, w, window, stride, 0)
@@ -162,8 +162,8 @@ def maxpool_forward(x, window=2, stride=2):
     slabs = windows.transpose(3, 4, 0, 1, 2, 5).reshape(window * window, n, oh, ow, c)
     which = slabs.argmax(axis=0)  # first max in scan order
     pooled = np.take_along_axis(slabs, which[None], axis=0)[0]
-    table = (np.arange(window).reshape(-1, 1) * w + np.arange(window)).ravel()  # dy*w + dx of each tap
-    origin = np.arange(oh).reshape(oh, 1, 1) * (stride * w) + np.arange(ow).reshape(ow, 1) * stride + np.arange(c) * (h * w)
+    table = (np.arange(window).reshape(-1, 1) * w + np.arange(window)).ravel() * c  # (dy*w + dx)*c of each tap
+    origin = (np.arange(oh).reshape(oh, 1, 1) * (stride * w) + np.arange(ow).reshape(ow, 1) * stride) * c + np.arange(c)
     argmax = table[which]
     argmax += origin
     argmax += np.arange(n).reshape(n, 1, 1, 1) * (c * h * w)
@@ -171,14 +171,15 @@ def maxpool_forward(x, window=2, stride=2):
 
 
 def maxpool_backward(argmax, grad_out, input_shape):
-    """Route each output gradient to its winning input cell; returns NHWC memory."""
+    """Route each output gradient to its winning input cell, scattering into NHWC memory."""
     size = math.prod(input_shape)
     idx = argmax.ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise AssertionError("argmax offsets out of bounds for input shape")
     grad_x = np.zeros(size, dtype=grad_out.dtype)
     np.add.at(grad_x, idx, grad_out.ravel())
-    return np.ascontiguousarray(grad_x.reshape(input_shape).transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    n, c, h, w = input_shape
+    return grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 def global_avgpool_forward(x):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
-from .layers import EVAL, TRAIN, Layer
+from .layers import TRAIN, Layer
 from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"SNPK"
@@ -50,18 +50,16 @@ class Model:
 
     The model is the one owner of per-batch state: `caches` holds each
     layer's backward cache from the last train-mode forward (None after
-    an eval-mode forward), and backward walks them in reverse. Layers
-    keep none, so an eval-mode forward is a pure function of (input,
-    parameters). Gradients accumulate across backward calls after one
-    forward; the trainer zeroes them. A model is single-owner while
-    training.
+    an eval-mode forward), and backward walks them in reverse. The mode
+    is a forward argument, and layers keep no state, so an eval-mode
+    forward is a pure function of (input, parameters). Gradients
+    accumulate across backward calls after one forward; the trainer
+    zeroes them. A model is single-owner while training.
     """
 
-    def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int], name: str = "model"):
+    def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int]):
         self.layers = layers
         self.input_shape = tuple(input_shape)  # (c, h, w)
-        self.name = name
-        self.mode = TRAIN
         self.caches = None
         names = [n for l in layers for n, _, _ in l.param_entries()]
         if len(names) != len(set(names)):
@@ -72,15 +70,7 @@ class Model:
             layer.init_params(rng.split(i), dtype)
         return self
 
-    def train(self):
-        self.mode = TRAIN
-        return self
-
-    def eval(self):
-        self.mode = EVAL
-        return self
-
-    def forward(self, x: np.ndarray, rng: SplitRng | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, rng: SplitRng | None = None, mode: str = TRAIN) -> np.ndarray:
         """Apply layers in order, keeping their caches in train mode only.
 
         The previous forward's caches are dropped first, so their memory
@@ -89,10 +79,10 @@ class Model:
         so streams are stable under reordering.
         """
         self.caches = None
-        caches = [] if self.mode == TRAIN else None
+        caches = [] if mode == TRAIN else None
         for i, layer in enumerate(self.layers):
             try:
-                x, cache = layer.forward(x, self.mode, rng.split(i) if rng is not None else None)
+                x, cache = layer.forward(x, mode, rng.split(i) if rng is not None else None)
             except ShapeError as e:
                 raise ShapeError(f"at layer {layer.name!r}: {e}") from e
             if caches is not None:
@@ -129,9 +119,6 @@ class Model:
             shape = layer.out_shape(shape)
             shapes.append(shape)
         return shapes
-
-    def out_shape(self, batch: int = 1):
-        return self.symbolic_shapes(batch)[-1]
 
 
 def count_macs(model: Model, input_shape=None) -> ParamLedger:

@@ -28,6 +28,7 @@ from .rng import SplitRng
 
 # split labels off the root seed
 INIT, SHUFFLE, STEP = 0, 1, 2
+EVAL_BATCH = 256  # eval keeps no backward caches, so its batch can exceed the training batch
 
 
 @dataclass(frozen=True)
@@ -105,18 +106,15 @@ def sgd_step(params, velocities: dict, lr: float, momentum: float, weight_decay:
         w += v
 
 
-def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> tuple[float, float]:
+def evaluate(model: Model, dataset: Dataset, batch_size: int = EVAL_BATCH) -> tuple[float, float]:
     """Mean loss and top-1 accuracy in eval mode; deterministic."""
-    was = model.mode
-    model.eval()
     loss_sum = 0.0
     correct = 0
     for x, y in batches(dataset, batch_size):
-        logits = model.forward(x)
+        logits = model.forward(x, mode=EVAL)
         loss, _ = softmax_xent(logits, y)
         loss_sum += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
-    model.mode = was
     n = len(dataset)
     return loss_sum / n, correct / n
 
@@ -165,7 +163,6 @@ def train_loop(
     stop = False
     for epoch in range(1, cfg.epochs + 1):
         lr = lr_at(cfg, epoch)
-        model.train()
         shuffle_rng = root.split(SHUFFLE, epoch)
         loss_sum = 0.0
         correct = 0
@@ -191,7 +188,7 @@ def train_loop(
                 break
         emit(epoch, "train", loss_sum / seen, correct / seen, lr)
         if test_ds is not None:
-            test_loss, test_top1 = evaluate(model, test_ds, max(cfg.batch_size, 256))
+            test_loss, test_top1 = evaluate(model, test_ds, max(cfg.batch_size, EVAL_BATCH))
             emit(epoch, "test", test_loss, test_top1, lr)
         if ckpt_path is not None:
             save_checkpoint(model, ckpt_path)
@@ -275,15 +272,12 @@ def dead_channel_fraction(x: np.ndarray) -> float:
 def relu_dead_fraction(model: Model, probe: np.ndarray) -> float:
     """Mean dead-channel fraction over every post-ReLU activation for a
     probe batch (eval mode)."""
-    was = model.mode
-    model.eval()
     fractions = []
     x = probe
     for layer in model.layers:
         x = layer.forward(x, EVAL, None)[0]
         if isinstance(layer, ReLU) and x.ndim == 4:
             fractions.append(dead_channel_fraction(x))
-    model.mode = was
     return float(np.mean(fractions)) if fractions else 0.0
 
 
@@ -319,7 +313,7 @@ def ablate(
             if log:
                 log(f"[{preset_name}] arm {arm_name} seed {seed}: training")
             train_loop(model, train_ds, run_cfg, test_ds=None)
-            _, top1 = evaluate(model, test_ds, max(cfg.batch_size, 256))
+            _, top1 = evaluate(model, test_ds, max(cfg.batch_size, EVAL_BATCH))
             result.seed_top1.append((seed, top1))
             dead.append(relu_dead_fraction(model, probe))
             if log:

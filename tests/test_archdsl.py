@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from simpnet import archdsl as A
+from simpnet import layers as L
 from simpnet.errors import ArchParseError, ArchValidationError
 from simpnet.network import count_macs
 from simpnet.rng import SplitRng
@@ -122,7 +123,7 @@ class TestBuild:
     def test_toy_spec_builds_and_runs(self):
         spec = A.parse("input 2 8 8\ngroup g1\nconv 3 4 s1 p1\nrelu\nmaxpool 2\ngroup head\nflatten\ndense 3\n")
         model = A.build(spec).init_params(SplitRng(0), np.float64)
-        out = model.eval().forward(SplitRng(1).uniform((2, 2, 8, 8)))
+        out = model.forward(SplitRng(1).uniform((2, 2, 8, 8)), mode=L.EVAL)
         assert out.shape == (2, 3)
 
     def test_shape_collapse_is_validation_error(self):
@@ -137,8 +138,8 @@ class TestBuild:
     def test_forward_shape_equals_symbolic(self):
         spec = A.simpnet([8] * 5 + [12] * 5 + [16] * 3, input_shape=(3, 32, 32))
         model = A.build(spec).init_params(SplitRng(0))
-        sym = model.out_shape(4)
-        got = model.eval().forward(np.zeros((4, 3, 32, 32), dtype=np.float32))
+        sym = model.symbolic_shapes(4)[-1]
+        got = model.forward(np.zeros((4, 3, 32, 32), dtype=np.float32), mode=L.EVAL)
         assert got.shape == sym
 
 
@@ -174,7 +175,7 @@ class TestSimpnetBuilder:
         tail_pool = [ls for ls in spec.flat_layers() if ls.kind == "maxpool"][-1]
         assert tail_pool.kernel == 8  # 32 -> 16 -> 8 remaining spatial size
         model = A.build(spec).init_params(SplitRng(0))
-        assert model.out_shape(2) == (2, 10)
+        assert model.symbolic_shapes(2)[-1] == (2, 10)
 
     def test_no_batchnorm_flag(self):
         spec = A.simpnet([8] * 13, batchnorm=False)

@@ -38,9 +38,9 @@ class TestForward:
     def test_output_shape_matches_symbolic(self):
         m = toy_model()
         x = SplitRng(1).uniform((5, 3, 6, 6))
-        out = m.eval().forward(x)
+        out = m.forward(x, mode=L.EVAL)
         assert out.shape == (5, 10)
-        assert m.out_shape(5) == (5, 10)
+        assert m.symbolic_shapes(5)[-1] == (5, 10)
 
     def test_shape_error_names_layer(self):
         m = toy_model()
@@ -56,8 +56,8 @@ class TestForward:
     def test_eval_mode_deterministic(self):
         m = toy_model()
         x = SplitRng(2).uniform((2, 3, 6, 6))
-        a = m.eval().forward(x)
-        b = m.eval().forward(x)
+        a = m.forward(x, mode=L.EVAL)
+        b = m.forward(x, mode=L.EVAL)
         assert a.tobytes() == b.tobytes()
 
     def test_eval_forward_keeps_no_backward_cache(self):
@@ -97,7 +97,7 @@ class TestForward:
         m = build()
         x = SplitRng(2).uniform((2, 3, 6, 6))
         g = SplitRng(4).uniform((2, 10))
-        m.train().forward(x, SplitRng(3))
+        m.forward(x, SplitRng(3))
         assert len(m.caches) == len(m.layers)
         caches = {layer.kind: c for layer, c in zip(m.layers, m.caches)}
         # backward reads boolean keep masks, and BN keeps only xhat and a per-channel scale
@@ -106,13 +106,13 @@ class TestForward:
         assert_layers_hold_only_state()
         m.backward(g)
         assert_layers_hold_only_state()
-        m.eval().forward(x)
+        m.forward(x, mode=L.EVAL)
         assert m.caches is None
         assert_layers_hold_only_state()
         with pytest.raises(NoForwardCacheError):
             m.backward(g)
         m = build()
-        m.eval().forward(x)
+        m.forward(x, mode=L.EVAL)
         with pytest.raises(NoForwardCacheError):
             m.backward(g)
 
@@ -134,7 +134,6 @@ class TestBackward:
         m = toy_model()
         x = SplitRng(3).uniform((2, 3, 6, 6))
         g = SplitRng(4).uniform((2, 10))
-        m.train()
         m.forward(x)
         m.zero_grads()
         m.backward(g)
@@ -148,7 +147,6 @@ class TestBackward:
         m = toy_model()
         x = SplitRng(5).uniform((2, 3, 6, 6))
         g = SplitRng(6).uniform((2, 10))
-        m.train()
         m.forward(x)
         m.zero_grads()
         m.backward(g)
@@ -161,7 +159,6 @@ class TestBackward:
         m = toy_model()
         x = SplitRng(7).uniform((2, 3, 6, 6))
         labels = SplitRng(8).integers(2, 10)
-        m.train()
 
         def loss():
             return L.softmax_xent(m.forward(x), labels)[0]
@@ -250,18 +247,18 @@ class TestCheckpoint:
     def test_round_trip_preserves_eval_outputs(self, tmp_path):
         m = toy_model(np.float32, seed=3)
         x = SplitRng(1).uniform((2, 3, 6, 6), -1, 1, dtype=np.float32)
-        before = m.eval().forward(x)
+        before = m.forward(x, mode=L.EVAL)
         path = tmp_path / "m.snpk"
         save_checkpoint(m, path)
         m2 = toy_model(np.float32, seed=5)
         load_checkpoint(m2, path)
-        after = m2.eval().forward(x)
+        after = m2.forward(x, mode=L.EVAL)
         assert before.tobytes() == after.tobytes()
 
     def test_running_stats_round_trip(self, tmp_path):
         m = toy_model(np.float32, seed=3)
         x = SplitRng(2).uniform((4, 3, 6, 6), -1, 1, dtype=np.float32)
-        m.train().forward(x, SplitRng(0))  # moves BN running stats
+        m.forward(x, SplitRng(0))  # moves BN running stats
         path = tmp_path / "m.snpk"
         save_checkpoint(m, path)
         tensors = read_checkpoint(path)
@@ -325,7 +322,7 @@ class TestCheckpoint:
         m2 = toy_model(np.float64, seed=8)
         load_checkpoint(m2, path)
         x = SplitRng(3).uniform((2, 3, 6, 6))
-        assert m.eval().forward(x).tobytes() == m2.eval().forward(x).tobytes()
+        assert m.forward(x, mode=L.EVAL).tobytes() == m2.forward(x, mode=L.EVAL).tobytes()
 
     def test_dtype_mismatch_rejected(self, tmp_path):
         m = toy_model(np.float64, seed=4)

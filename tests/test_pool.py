@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ class TestMaxPoolBackward:
 
         gx = L.maxpool_backward(argmax, r, x.shape)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-6
+
+    def test_scatters_into_channels_last_memory_without_a_copy(self):
+        r = SplitRng(2468)
+        # NHWC in memory, as conv, BN, ReLU and dropout hand them over
+        x = r.uniform((8, 32, 32, 23), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
+        g = r.uniform((8, 16, 16, 23), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
+        _, argmax = L.maxpool_forward(x)
+        tracemalloc.start()
+        try:
+            gx = L.maxpool_backward(argmax, g, x.shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert peak - gx.nbytes <= x.nbytes
 
 
 class TestSafPool:

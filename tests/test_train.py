@@ -4,7 +4,7 @@ import pytest
 from conftest import memory_dataset
 from simpnet import archdsl as A
 from simpnet import train as T
-from simpnet.errors import NumericsError
+from simpnet.errors import NumericsError, ShapeError
 from simpnet.layers import Dense
 from simpnet.network import Model, read_checkpoint
 from simpnet.rng import SplitRng
@@ -122,6 +122,14 @@ class TestEvaluate:
         model = toy_model()
         assert T.evaluate(model, ds) == T.evaluate(model, ds)
 
+    def test_failed_evaluate_leaves_model_ready_to_train(self):
+        model = toy_model()
+        with pytest.raises(ShapeError):
+            T.evaluate(model, memory_dataset(n=4, shape=(1, 1, 1)))  # too small for the 2x2 pool
+        model.forward(memory_dataset(n=4).images, SplitRng(0))
+        model.backward(np.ones((4, 4), dtype=np.float32))
+        assert any(np.any(g) for _, _, g in model.params())
+
 
 class TestTrainLoop:
     def test_loss_decreases_on_smoke_run(self):
@@ -185,7 +193,6 @@ class TestTrainLoop:
         vel = {}
         x, y = ds.images, ds.labels
         rng = SplitRng(10)
-        model.train()
         for step in range(20):
             model.zero_grads()
             logits = model.forward(x, rng.split(2, 1, step))
