@@ -1,0 +1,73 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --seed0 S
+
+Pair i runs `bench/run.py --workload W --seed S+i --trace 0` once in each
+checkout, the parent first on even pairs and the change first on odd ones,
+so drift of the host between runs falls on both sides alike. For every
+end-to-end metric of the change's BENCHMARK.json it prints the median
+[q1, q3] of each side and how many pairs the change won, then how many
+runs reported `correct` and the failed/attempted totals.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+
+def run_once(checkout, workload, seed):
+    cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: bench/run.py exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent_dir")
+    p.add_argument("change_dir")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed0", type=int, default=0)
+    args = p.parse_args(argv)
+    with open(os.path.join(args.change_dir, "BENCHMARK.json"), encoding="utf-8") as f:
+        end_to_end = json.load(f)["end_to_end"]
+
+    sides = {"parent": args.parent_dir, "change": args.change_dir}
+    results = {side: [] for side in sides}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            results[side].append(run_once(sides[side], args.workload, args.seed0 + i))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}, parent first on even pairs")
+    for entry in end_to_end:
+        name, sign = entry["name"], 1 if entry["better"] == "higher" else -1
+        values = {side: np.array([r["metrics"][name]["value"] for r in results[side]]) for side in sides}
+        wins = int(np.sum(sign * (values["change"] - values["parent"]) > 0))
+        print(f"  {name} ({entry['unit']}): parent {quartiles(values['parent'])} -> "
+              f"change {quartiles(values['change'])}, change won {wins}/{args.pairs}")
+    for side in sides:
+        runs = results[side]
+        correct = sum(bool(r["correct"]) for r in runs)
+        failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+        print(f"  {side}: correct {correct}/{len(runs)}, failed/attempted {failed}/{attempted}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,11 +41,8 @@ def _echo_config(args: argparse.Namespace):
 
 def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--dataset", choices=("mnist", "cifar10"), required=True)
-    p.add_argument(
-        "--data-dir",
-        default=os.environ.get("SIMPNET_DATA_DIR"),
-        help="directory with the dataset files (default: $SIMPNET_DATA_DIR)",
-    )
+    p.add_argument("--data-dir", default=os.environ.get("SIMPNET_DATA_DIR"),
+                   help="directory with the dataset files (default: $SIMPNET_DATA_DIR)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -72,9 +69,7 @@ def _resolve_arch(args) -> archdsl.ArchSpec:
     if args.preset not in presets:
         experiments = archdsl.ablation_presets()
         if args.preset in experiments:
-            raise ValueError(
-                f"{args.preset!r} is a multi-arm experiment preset; run it with the ablate command"
-            )
+            raise ValueError(f"{args.preset!r} is a multi-arm experiment preset; run it with the ablate command")
         raise KeyError(f"unknown preset {args.preset!r}; valid: {', '.join(sorted(presets))}")
     return presets[args.preset]
 
@@ -94,9 +89,7 @@ def _load_data(args):
 
 
 def _train_config(args) -> T.TrainConfig:
-    policy = None
-    if args.augment:
-        policy = data.AugmentPolicy(pad=4, crop=0, mirror_p=0.5)
+    policy = data.AugmentPolicy(pad=4, crop=0, mirror_p=0.5) if args.augment else None
     return T.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,

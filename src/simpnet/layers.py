@@ -19,10 +19,11 @@ Visin, 2016). A conv layer's cache is only the padded input.
 
 Arrays are indexed NCHW at every layer boundary, but conv outputs are
 NHWC in memory, and batch norm, ReLU, dropout and the pools keep that
-layout in both passes: dropout draws 4-D masks in (n, h, w, c) order;
-max-pool gathers its windows channels-last, and its winners' offsets
-index channels-last memory. The next conv's padded copy and its
-backward's (n*h*w, c) view of the gradient then need no transposing copy.
+layout in both passes: batch norm works on its (n*h*w, c) matrix view;
+dropout draws 4-D masks in (n, h, w, c) order; max-pool gathers its
+windows channels-last, and its winners' offsets index channels-last
+memory. The next conv's padded copy and its backward's (n*h*w, c) view
+of the gradient then need no transposing copy.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
@@ -65,6 +66,17 @@ def _pad_nhwc(x, pad):
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
     return xp
+
+
+def _rows(a):
+    """(n*h*w, c) matrix of an NCHW-indexed array: a view when it is NHWC in memory, else a copy."""
+    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
+
+
+def _nchw(a, shape):
+    """NCHW-indexed view, of the given shape, of channels-last data (an (n*h*w, c) matrix or flat)."""
+    n, c, h, w = shape
+    return a.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 def _windows(a, k, stride, oh, ow):
@@ -173,13 +185,12 @@ def maxpool_forward(x, window=2, stride=2):
 def maxpool_backward(argmax, grad_out, input_shape):
     """Route each output gradient to its winning input cell, scattering into NHWC memory."""
     size = math.prod(input_shape)
-    idx = argmax.ravel()
+    idx = argmax.transpose(0, 2, 3, 1).ravel()  # views when both arrive channels-last
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise AssertionError("argmax offsets out of bounds for input shape")
     grad_x = np.zeros(size, dtype=grad_out.dtype)
-    np.add.at(grad_x, idx, grad_out.ravel())
-    n, c, h, w = input_shape
-    return grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    np.add.at(grad_x, idx, grad_out.transpose(0, 2, 3, 1).ravel())
+    return _nchw(grad_x, input_shape)
 
 
 def global_avgpool_forward(x):
@@ -213,50 +224,55 @@ class BatchNormParams:
 
 
 def batchnorm_forward(x, p: BatchNormParams, mode: str):
-    """Per-channel batch normalization over (n, h, w).
+    """Per-channel batch normalization over (n, h, w), on the (n*h*w, c) matrix of x.
 
-    Train mode normalizes by the biased batch variance and folds the
-    unbiased variance into the running average; running stats are
-    updated in place. Returns (y, cache): the cache (xhat, gamma / std)
-    feeds backward in train mode and is None in eval mode.
+    Train mode sums by BLAS and einsum, normalizes by the biased variance of
+    the centred matrix (two passes, not E[x^2] - E[x]^2) and folds the
+    unbiased variance into the running stats in place; eval mode is one
+    affine map per channel. y is NHWC in memory. Returns (y, cache): the
+    cache (xhat, gamma / std) feeds backward in train mode and is None in
+    eval mode.
     """
-    n, c, h, w = x.shape
-    m = n * h * w
-    if mode == TRAIN:
-        if m < 2:
-            raise ValueError(f"batchnorm train mode needs n*h*w >= 2 per channel, got {m}")
-        mean = x.mean(axis=(0, 2, 3))
-        xc = x - mean[None, :, None, None]
-        var = np.mean(np.square(xc), axis=(0, 2, 3))  # biased
-        unbiased = var * (m / (m - 1))
-        p.running_mean *= 1.0 - BN_MOMENTUM
-        p.running_mean += BN_MOMENTUM * mean.astype(p.running_mean.dtype)
-        p.running_var *= 1.0 - BN_MOMENTUM
-        p.running_var += BN_MOMENTUM * unbiased.astype(p.running_var.dtype)
-    else:
-        mean = p.running_mean.astype(x.dtype)
-        var = p.running_var.astype(x.dtype)
-        xc = x - mean[None, :, None, None]
-    std = np.sqrt(var + x.dtype.type(BN_EPS))
-    xhat = xc * (1.0 / std)[None, :, None, None].astype(x.dtype)
-    y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
-    return y, ((xhat, p.gamma / std) if mode == TRAIN else None)
+    rows = _rows(x)
+    m, eps = len(rows), x.dtype.type(BN_EPS)
+    if mode != TRAIN:
+        scale = p.gamma / np.sqrt(p.running_var.astype(x.dtype) + eps)
+        y = rows * scale
+        y += p.beta - p.running_mean.astype(x.dtype) * scale
+        return _nchw(y, x.shape), None
+    if m < 2:
+        raise ValueError(f"batchnorm train mode needs n*h*w >= 2 per channel, got {m}")
+    mean = np.ones(m, x.dtype) @ rows / x.dtype.type(m)
+    xhat = rows - mean
+    var = np.einsum("ij,ij->j", xhat, xhat) / x.dtype.type(m)  # biased
+    for stat, batch in ((p.running_mean, mean), (p.running_var, var * (m / (m - 1)))):
+        stat *= 1.0 - BN_MOMENTUM
+        stat += BN_MOMENTUM * batch.astype(stat.dtype)
+    std = np.sqrt(var + eps)
+    xhat *= 1.0 / std
+    y = xhat * p.gamma
+    y += p.beta
+    return _nchw(y, x.shape), (_nchw(xhat, x.shape), p.gamma / std)
 
 
 def batchnorm_backward(grad_out, cache):
     """Train-mode gradient through the batch mean and variance.
 
-    Closed form per channel (Ioffe & Szegedy, 2015): grad_x =
-    (gamma / std) * (g - mean(g) - xhat * mean(g * xhat)), where the two
-    sums are grad_beta and grad_gamma. Returns (grad_x, grad_gamma, grad_beta).
+    Closed form per channel (Ioffe & Szegedy, 2015) on (n*h*w, c) matrices:
+    grad_x = (gamma / std) * (g - xhat * grad_gamma / m - grad_beta / m), with
+    grad_beta = sum(g) and grad_gamma = sum(g * xhat), built in place in one
+    buffer. grad_x is NHWC in memory. Returns (grad_x, grad_gamma, grad_beta).
     """
     xhat, scale = cache
-    m = grad_out.size // grad_out.shape[1]
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    mean_g, mean_gx = (grad_beta / m)[None, :, None, None], (grad_gamma / m)[None, :, None, None]
-    grad_x = scale[None, :, None, None] * (grad_out - mean_g - xhat * mean_gx)
-    return grad_x, grad_gamma, grad_beta
+    g, xhat = _rows(grad_out), _rows(xhat)
+    m = len(g)
+    grad_beta = np.ones(m, g.dtype) @ g
+    grad_gamma = np.einsum("ij,ij->j", g, xhat)
+    grad_x = xhat * (-grad_gamma / m)
+    grad_x += g
+    grad_x -= grad_beta / m
+    grad_x *= scale
+    return _nchw(grad_x, grad_out.shape), grad_gamma, grad_beta
 
 
 def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
@@ -479,12 +495,8 @@ class BatchNorm(Layer):
         return ((f"{self.name}.gamma", self.p.gamma, self.ggamma), (f"{self.name}.beta", self.p.beta, self.gbeta))
 
     def state_entries(self):
-        return (
-            (f"{self.name}.gamma", self.p.gamma),
-            (f"{self.name}.beta", self.p.beta),
-            (f"{self.name}.running_mean", self.p.running_mean),
-            (f"{self.name}.running_var", self.p.running_var),
-        )
+        running = ((f"{self.name}.running_mean", self.p.running_mean), (f"{self.name}.running_var", self.p.running_var))
+        return super().state_entries() + running
 
     def param_count(self) -> int:
         return 2 * self.channels
@@ -518,8 +530,7 @@ class GlobalAvgPool(Layer):
         return global_avgpool_backward(grad_out, x_shape)
 
     def out_shape(self, in_shape):
-        n, c, h, w = in_shape
-        return (n, c, 1, 1)
+        return (*in_shape[:2], 1, 1)
 
 
 class Flatten(Layer):
@@ -532,9 +543,7 @@ class Flatten(Layer):
         return grad_out.reshape(x_shape)
 
     def out_shape(self, in_shape):
-        n = in_shape[0]
-        d = int(np.prod(in_shape[1:]))
-        return (n, d)
+        return (in_shape[0], int(math.prod(in_shape[1:])))
 
 
 class Dense(Layer):

@@ -81,12 +81,8 @@ METRICS_HEADER = "epoch,step,split,loss,top1,lr,seconds"
 
 
 def format_metrics_csv(rows) -> str:
-    lines = [METRICS_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.epoch},{r.step},{r.split},{r.loss:.6g},{r.top1:.6g},{r.lr:.6g},{r.seconds:.6g}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = [f"{r.epoch},{r.step},{r.split},{r.loss:.6g},{r.top1:.6g},{r.lr:.6g},{r.seconds:.6g}" for r in rows]
+    return "\n".join([METRICS_HEADER, *lines]) + "\n"
 
 
 def sgd_step(params, velocities: dict, lr: float, momentum: float, weight_decay: float):

@@ -1,0 +1,41 @@
+"""scripts/bench_pairs.py against two stand-in checkouts whose bench/run.py prints fixed results."""
+
+import json
+import os
+import subprocess
+import sys
+
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "bench_pairs.py")
+SPEC = {"end_to_end": [
+    {"name": "train_img_per_s", "unit": "img/s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+]}
+
+
+def checkout(root, name, img_per_s, setup_s, log):
+    """A directory with BENCHMARK.json and a bench/run.py that logs its side and prints one result."""
+    path = root / name
+    (path / "bench").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {
+        "train_img_per_s": {"value": img_per_s, "unit": "img/s"}, "setup_s": {"value": setup_s, "unit": "s"}}}
+    (path / "bench" / "run.py").write_text(
+        "import sys\n"
+        f"open({str(log)!r}, 'a').write({name!r} + ' ' + sys.argv[sys.argv.index('--seed') + 1] + '\\n')\n"
+        f"print('report line')\nprint({json.dumps(json.dumps(result))})\n"
+    )
+    return str(path)
+
+
+def test_alternates_sides_and_counts_wins(tmp_path):
+    log = tmp_path / "order.log"
+    parent = checkout(tmp_path, "parent", 100.0, 2.0, log)
+    change = checkout(tmp_path, "change", 120.0, 3.0, log)
+    cmd = [sys.executable, SCRIPT, parent, change, "--workload", "w", "--pairs", "3", "--seed0", "7"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    assert log.read_text().split("\n")[:-1] == [
+        "parent 7", "change 7", "change 8", "parent 8", "parent 9", "change 9"]
+    out = proc.stdout
+    assert "train_img_per_s (img/s): parent 100 [100, 100] -> change 120 [120, 120], change won 3/3" in out
+    assert "setup_s (s): parent 2 [2, 2] -> change 3 [3, 3], change won 0/3" in out
+    assert "parent: correct 3/3, failed/attempted 0/9" in out

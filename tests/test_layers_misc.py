@@ -137,6 +137,43 @@ class TestBatchNorm:
         _, cache = L.batchnorm_forward(x, self._params(3), L.EVAL)
         assert cache is None
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_results_independent_of_input_layout(self, dtype):
+        rng = SplitRng(45)
+        x = rng.uniform((3, 5, 4, 6), -2, 2).astype(dtype)
+        g = rng.uniform(x.shape, -1, 1).astype(dtype)
+        gamma, beta = rng.uniform(5, 0.5, 1.5).astype(dtype), rng.uniform(5, -0.5, 0.5).astype(dtype)
+
+        def nhwc_memory(a):
+            return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+        def run(x, g):
+            p = L.BatchNormParams(gamma.copy(), beta.copy(), np.zeros(5, dtype), np.ones(5, dtype))
+            y, cache = L.batchnorm_forward(x, p, L.TRAIN)
+            y_eval, _ = L.batchnorm_forward(x, p, L.EVAL)
+            grads = L.batchnorm_backward(g, cache)
+            for a in (y, y_eval, grads[0]):
+                assert a.transpose(0, 2, 3, 1).flags.c_contiguous
+            return (y, p.running_mean, p.running_var, y_eval, *grads)
+
+        for a, b in zip(run(x, g), run(nhwc_memory(x), nhwc_memory(g))):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_float32_variance_of_offset_channels(self):
+        # two-pass variance: E[x^2] - E[x]^2 in float32 loses the variance of
+        # channels whose mean is large against their spread
+        rng = SplitRng(46)
+        offsets = rng.uniform((1, 8, 1, 1), -300, 300)
+        x = (offsets + 0.5 * rng.normal((64, 8, 16, 16))).astype(np.float32)
+        c = 8
+        p = L.BatchNormParams(np.ones(c, np.float32), np.zeros(c, np.float32), np.zeros(c, np.float32), np.zeros(c, np.float32))
+        L.batchnorm_forward(x, p, L.TRAIN)
+        x64 = x.astype(np.float64)
+        m = x.size // c
+        expect = L.BN_MOMENTUM * x64.var(axis=(0, 2, 3)) * (m / (m - 1))
+        assert np.max(np.abs(p.running_var - expect) / expect) <= 1e-4
+
 
 class TestDropout:
     def test_p_zero_identity_both_modes(self):

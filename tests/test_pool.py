@@ -97,6 +97,45 @@ class TestMaxPoolBackward:
         assert gx.transpose(0, 2, 3, 1).flags.c_contiguous
         assert peak - gx.nbytes <= x.nbytes
 
+    def test_reads_channels_last_offsets_and_gradient_as_views(self):
+        # ravelled in (n, h, w, c) order, NHWC offsets and gradient need no copy
+        r = SplitRng(2469)
+        x = r.uniform((8, 32, 32, 23), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
+        g = r.uniform((8, 16, 16, 23), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
+        _, argmax = L.maxpool_forward(x)
+        tracemalloc.start()
+        try:
+            gx = L.maxpool_backward(argmax, g, x.shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - gx.nbytes <= 0.1 * x.nbytes
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2)])
+    def test_gradient_independent_of_gradient_layout(self, window, stride):
+        r = SplitRng(2470)
+        x = r.uniform((2, 3, 9, 9), -1, 1)
+        _, argmax = L.maxpool_forward(x, window, stride)
+        g = r.uniform((2, 3, 4, 4), -1, 1)
+        g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        gx = L.maxpool_backward(argmax, g, x.shape)
+        assert np.array_equal(gx, L.maxpool_backward(argmax, g_nhwc, x.shape))
+        assert np.array_equal(gx, self._reference_backward(x, window, stride, g))
+
+    @staticmethod
+    def _reference_backward(x, window, stride, g):
+        """Loop oracle: each output gradient to the first maximum of its window, in scan order."""
+        gx = np.zeros_like(x)
+        n, c, oh, ow = g.shape
+        for i in range(n):
+            for j in range(c):
+                for a in range(oh):
+                    for b in range(ow):
+                        win = x[i, j, a * stride : a * stride + window, b * stride : b * stride + window]
+                        dy, dx = np.unravel_index(np.argmax(win), win.shape)
+                        gx[i, j, a * stride + dy, b * stride + dx] += g[i, j, a, b]
+        return gx
+
 
 class TestSafPool:
     def test_drop_zero_identical_to_maxpool_any_mode(self):
