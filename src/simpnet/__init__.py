@@ -6,7 +6,7 @@ flows through a splittable counter-based generator for exact
 reproducibility.
 """
 
-from .analyzer import AuditConfig, AuditReport, audit, compare
+from .analyzer import AuditReport, audit
 from .archdsl import ArchSpec, LayerSpec, ablation_presets, build, builder_presets, parse, render, simpnet
 from .data import AugmentPolicy, Dataset, augment, batches, load_cifar10, load_mnist, normalize
 from .network import Model, ParamLedger, count_macs, load_checkpoint, save_checkpoint
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchSpec",
-    "AuditConfig",
     "AuditReport",
     "AugmentPolicy",
     "Dataset",
@@ -34,7 +33,6 @@ __all__ = [
     "batches",
     "build",
     "builder_presets",
-    "compare",
     "count_macs",
     "evaluate",
     "init_model",

@@ -1,8 +1,8 @@
 """Static design audit: measurable checks over an architecture spec.
 
 Each rule turns one design principle into a deterministic measurement
-with a threshold. Thresholds are configuration, not claims; the
-defaults classify the reference good/bad layouts correctly. Severity
+with a threshold. The thresholds are the module constants below, set so
+that they classify the reference good/bad layouts correctly. Severity
 never blocks a build: `fail` marks a layout the principles argue
 directly against, `warn` a likely misallocation, `info` a measurement
 worth seeing. The only hard error a spec can raise is shape collapse,
@@ -27,15 +27,11 @@ from .archdsl import ArchSpec, build
 from .network import ParamLedger, count_macs
 
 SEVERITIES = ("info", "warn", "fail")
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    early_kernel_fraction: float = 1 / 3  # R2: leading fraction of conv layers
-    early_pool_min_convs: int = 3  # R3: convs required before any downsampling
-    balance_max_share: float = 0.35  # R4: max parameter share of one layer
-    end_min_spatial: int = 2  # R5: pre-tail maps below this are "tiny"
-    end_max_share: float = 0.50  # R5: max share of the last conv group
+EARLY_KERNEL_FRACTION = 1 / 3  # R2: leading fraction of conv layers
+EARLY_POOL_MIN_CONVS = 3  # R3: convs required before any downsampling
+BALANCE_MAX_SHARE = 0.35  # R4: max parameter share of one layer
+END_MIN_SPATIAL = 2  # R5: pre-tail maps below this are "tiny"
+END_MAX_SHARE = 0.50  # R5: max share of the last conv group
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,8 @@ class AuditReport:
         ) + ("\n" if self.findings else "")
 
 
-def audit(spec: ArchSpec, input_shape=None, config: AuditConfig = AuditConfig()) -> AuditReport:
-    """Evaluate every rule once per applicable layer; deterministic."""
+def audit(spec: ArchSpec, input_shape=None) -> AuditReport:
+    """Evaluate every rule once per applicable layer, appending findings in rule order; deterministic."""
     if input_shape is not None and tuple(input_shape) != tuple(spec.input_shape):
         spec = ArchSpec(spec.name, tuple(input_shape), spec.groups)
     model = build(spec)
@@ -121,7 +117,7 @@ def audit(spec: ArchSpec, input_shape=None, config: AuditConfig = AuditConfig())
             )
 
     # R2: 1x1 kernels in the first third of conv layers
-    early_cut = max(1, int(n_conv * config.early_kernel_fraction))
+    early_cut = max(1, int(n_conv * EARLY_KERNEL_FRACTION))
     for pos, i in enumerate(conv_idx):
         if flat[i].kernel == 1 and pos < early_cut:
             findings.append(
@@ -138,13 +134,13 @@ def audit(spec: ArchSpec, input_shape=None, config: AuditConfig = AuditConfig())
     convs_seen = 0
     for i, ls in enumerate(flat):
         downsamples = ls.kind in ("maxpool", "safpool") or (ls.kind in ("conv", "sconv") and ls.stride > 1)
-        if downsamples and convs_seen < config.early_pool_min_convs:
+        if downsamples and convs_seen < EARLY_POOL_MIN_CONVS:
             findings.append(
                 Finding(
                     "R3",
                     "warn",
                     rows[i].name,
-                    f"downsampling after only {convs_seen} conv layers (< {config.early_pool_min_convs})",
+                    f"downsampling after only {convs_seen} conv layers (< {EARLY_POOL_MIN_CONVS})",
                     "information-utilization",
                 )
             )
@@ -154,13 +150,13 @@ def audit(spec: ArchSpec, input_shape=None, config: AuditConfig = AuditConfig())
     # R4: one layer hoarding the parameter budget
     for row in rows:
         share = row.param_count / total if total else 0.0
-        if share > config.balance_max_share:
+        if share > BALANCE_MAX_SHARE:
             findings.append(
                 Finding(
                     "R4",
                     "warn",
                     row.name,
-                    f"layer holds {share:.1%} of parameters (> {config.balance_max_share:.0%})",
+                    f"layer holds {share:.1%} of parameters (> {BALANCE_MAX_SHARE:.0%})",
                     "balanced-distribution",
                 )
             )
@@ -184,7 +180,7 @@ def audit(spec: ArchSpec, input_shape=None, config: AuditConfig = AuditConfig())
             size = len(spec.groups[last_group][1])
             group_params = sum(r.param_count for r in rows[offset : offset + size])
             share = group_params / total if total else 0.0
-            if (h < config.end_min_spatial or w < config.end_min_spatial) and share > config.end_max_share:
+            if (h < END_MIN_SPATIAL or w < END_MIN_SPATIAL) and share > END_MAX_SHARE:
                 findings.append(
                     Finding(
                         "R5",
@@ -230,35 +226,4 @@ def audit(spec: ArchSpec, input_shape=None, config: AuditConfig = AuditConfig())
             )
         offset += len(group)
 
-    order = {r: i for i, r in enumerate(["R1", "R2", "R3", "R4", "R5", "R6", "R7"])}
-    findings.sort(key=lambda f: order[f.rule_id])
     return AuditReport(spec.name, ledger, findings)
-
-
-def compare(a: AuditReport, b: AuditReport) -> str:
-    """Side-by-side rule counts and ledger totals."""
-    rules = [f"R{i}" for i in range(1, 8)]
-
-    def counts(rep):
-        out = {}
-        for r in rules:
-            fs = [f for f in rep.findings if f.rule_id == r]
-            out[r] = (
-                sum(f.severity == "fail" for f in fs),
-                sum(f.severity == "warn" for f in fs),
-                sum(f.severity == "info" for f in fs),
-            )
-        return out
-
-    ca, cb = counts(a), counts(b)
-    width = max(len(a.arch_name), 14)
-    lines = [f"{'':<6} {a.arch_name:<{width}} {b.arch_name:<{width}} equal"]
-    for r in rules:
-        fa = "/".join(map(str, ca[r]))
-        fb = "/".join(map(str, cb[r]))
-        lines.append(f"{r:<6} {fa:<{width}} {fb:<{width}} {'yes' if ca[r] == cb[r] else 'NO'}")
-    pa, pb = a.ledger.total_params, b.ledger.total_params
-    ma, mb = a.ledger.total_macs, b.ledger.total_macs
-    lines.append(f"{'params':<6} {pa:<{width}} {pb:<{width}} ratio {pb / pa:.2f}" if pa else "params n/a")
-    lines.append(f"{'macs':<6} {ma:<{width}} {mb:<{width}} ratio {mb / ma:.2f}" if ma else "macs n/a")
-    return "\n".join(lines)

@@ -266,9 +266,7 @@ def build(spec: ArchSpec) -> Model:
             layer = L.GlobalAvgPool(fresh("gap"))
         elif ls.kind == "flatten":
             layer = L.Flatten(fresh("flatten"))
-        elif ls.kind == "dense":
-            if len(shape) != 2:
-                raise ArchValidationError("dense must follow flatten")
+        elif ls.kind == "dense":  # validate puts a flatten right before it
             layer = L.Dense(fresh("dense"), shape[1], ls.channels)
         else:  # unreachable given parse
             raise ArchValidationError(f"unknown kind {ls.kind!r}")

@@ -125,13 +125,13 @@ def _check_safpool(rng: SplitRng) -> float:
     y, cache = pool.forward(x, L.TRAIN, SplitRng(mask_key))
     r = _cot(rng, y.shape)
     loss = _scalarized(lambda: pool.forward(x, L.TRAIN, SplitRng(mask_key))[0], r)
-    err = _worst(loss, [pool.backward(cache, r)], [x])
+    err = _worst(loss, [pool.backward(cache, r)[0]], [x])
 
     # p = 0 must reduce to plain max-pool in both directions
     pool0 = L.SafPool("safpool", 2, 0.0)
     y0, cache0 = pool0.forward(x, L.TRAIN, SplitRng(mask_key))
     pooled, argmax_mp = L.maxpool_forward(x)
-    g0 = pool0.backward(cache0, r)
+    g0 = pool0.backward(cache0, r)[0]
     gmp = L.maxpool_backward(argmax_mp, r, x.shape)
     if not (np.array_equal(y0, pooled) and np.array_equal(g0, gmp)):
         return float("inf")
@@ -196,9 +196,7 @@ def _check_model(rng: SplitRng) -> float:
         return L.softmax_xent(model.forward(x), labels)[0]
 
     _, grad_logits = L.softmax_xent(model.forward(x), labels)
-    model.zero_grads()
-    grad_x = model.backward(grad_logits)
-    params = model.params()
+    grad_x, params = model.backward(grad_logits)
     return _worst(loss, [grad_x] + [g for _, _, g in params], [x] + [v for _, v, _ in params])
 
 

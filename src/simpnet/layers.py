@@ -3,10 +3,11 @@
 Two surfaces live here. The module-level functions are pure and carry
 the numerical contracts (they are what the oracle tests check). The
 layer classes wrap them with parameter storage so a sequential model can
-run them in order; gradients accumulate into per-parameter buffers and
-are zeroed by the trainer. A layer keeps no per-batch state: forward
-returns (output, cache) and backward takes that cache back, and
-network.Model holds the caches of its last train-mode forward.
+run them in order. A layer holds only its parameters (and batch norm its
+running stats): forward returns (output, cache), backward takes that
+cache back and returns the input gradient and the parameter gradients
+as values, and network.Model holds the caches of its last train-mode
+forward.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
@@ -276,11 +277,11 @@ def batchnorm_backward(grad_out, cache):
 
 
 def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
-    """Inverted dropout; identity in eval mode. Returns (y, boolean keep mask)."""
+    """Inverted dropout. Returns (y, boolean keep mask), or (x, None) in eval mode and at p = 0."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
     if mode != TRAIN or p == 0.0:
-        return x, np.ones(x.shape, bool)
+        return x, None
     if rng is None:
         raise ValueError("dropout with p > 0 requires an rng in train mode")
     if x.ndim == 4:
@@ -293,7 +294,8 @@ def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
 
 
 def dropout_backward(grad_out, mask, p: float):
-    return grad_out * mask / grad_out.dtype.type(1.0 - p)
+    """Gradient through the keep mask; passed through where the forward was the identity (mask None)."""
+    return grad_out if mask is None else grad_out * mask / grad_out.dtype.type(1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +340,8 @@ class Layer:
     """Base of the layer objects a Model runs in order.
 
     forward(x, mode, rng) returns (y, cache) with what backward needs;
-    backward(cache, grad_out) adds the parameter gradients into their
-    buffers and returns the input gradient. Layers keep no per-batch
+    backward(cache, grad_out) returns (grad_x, grads), with one gradient
+    per param_entries() entry in that order. Layers keep no per-batch
     state: Model keeps the caches, and only in train mode.
     """
 
@@ -358,12 +360,12 @@ class Layer:
         raise NotImplementedError
 
     def param_entries(self):
-        """Yields (name, value, grad) for trainable parameters."""
+        """(name, value) of each trainable parameter."""
         return ()
 
     def state_entries(self):
         """Trainable params plus persistent buffers (for checkpoints)."""
-        return tuple((n, v) for n, v, _ in self.param_entries())
+        return self.param_entries()
 
     def out_shape(self, in_shape):
         return in_shape
@@ -387,27 +389,23 @@ class Conv2d(Layer):
         self.k = kernel
         self.stride = stride
         self.pad = pad
-        self.weight = self.bias = self.gweight = self.gbias = None
+        self.weight = self.bias = None
 
     def init_params(self, rng, dtype):
         fan_in = self.c_in * self.k * self.k
         scale = np.sqrt(2.0 / fan_in)
         self.weight = (rng.normal((self.c_out, self.c_in, self.k, self.k)) * scale).astype(dtype)
         self.bias = np.zeros(self.c_out, dtype=dtype)
-        self.gweight = np.zeros_like(self.weight)
-        self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, mode, rng):
         return _conv2d_forward(x, self.weight, self.bias, self.stride, self.pad)
 
     def backward(self, xp, grad_out):
         gx, gw, gb = _conv2d_backward(xp, self.weight, self.stride, self.pad, grad_out)
-        self.gweight += gw
-        self.gbias += gb
-        return gx
+        return gx, (gw, gb)
 
     def param_entries(self):
-        return ((f"{self.name}.weight", self.weight, self.gweight), (f"{self.name}.bias", self.bias, self.gbias))
+        return ((f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias))
 
     def out_shape(self, in_shape):
         n, c, h, w = in_shape
@@ -442,7 +440,7 @@ class SafPool(Layer):
 
     def backward(self, cache, grad_out):
         x_shape, mask, argmax = cache
-        return maxpool_backward(argmax, dropout_backward(grad_out, mask, self.p), x_shape)
+        return maxpool_backward(argmax, dropout_backward(grad_out, mask, self.p), x_shape), ()
 
     def out_shape(self, in_shape):
         n, c, h, w = in_shape
@@ -456,7 +454,7 @@ class ReLU(Layer):
         return relu_forward(x), x
 
     def backward(self, x, grad_out):
-        return relu_backward(x, grad_out)
+        return relu_backward(x, grad_out), ()
 
 
 class BatchNorm(Layer):
@@ -474,8 +472,6 @@ class BatchNorm(Layer):
             running_mean=np.zeros(self.channels, dtype=dtype),
             running_var=np.ones(self.channels, dtype=dtype),
         )
-        self.ggamma = np.zeros(self.channels, dtype=dtype)
-        self.gbeta = np.zeros(self.channels, dtype=dtype)
 
     def init_params(self, rng, dtype):
         self._alloc(dtype)
@@ -487,12 +483,10 @@ class BatchNorm(Layer):
 
     def backward(self, cache, grad_out):
         gx, gg, gb = batchnorm_backward(grad_out, cache)
-        self.ggamma += gg
-        self.gbeta += gb
-        return gx
+        return gx, (gg, gb)
 
     def param_entries(self):
-        return ((f"{self.name}.gamma", self.p.gamma, self.ggamma), (f"{self.name}.beta", self.p.beta, self.gbeta))
+        return ((f"{self.name}.gamma", self.p.gamma), (f"{self.name}.beta", self.p.beta))
 
     def state_entries(self):
         running = ((f"{self.name}.running_mean", self.p.running_mean), (f"{self.name}.running_var", self.p.running_var))
@@ -512,12 +506,10 @@ class Dropout(Layer):
         self.p = p
 
     def forward(self, x, mode, rng):
-        if mode != TRAIN:
-            return x, None
         return dropout_forward(x, self.p, mode, rng)
 
     def backward(self, mask, grad_out):
-        return dropout_backward(grad_out, mask, self.p)
+        return dropout_backward(grad_out, mask, self.p), ()
 
 
 class GlobalAvgPool(Layer):
@@ -527,7 +519,7 @@ class GlobalAvgPool(Layer):
         return global_avgpool_forward(x), x.shape
 
     def backward(self, x_shape, grad_out):
-        return global_avgpool_backward(grad_out, x_shape)
+        return global_avgpool_backward(grad_out, x_shape), ()
 
     def out_shape(self, in_shape):
         return (*in_shape[:2], 1, 1)
@@ -540,7 +532,7 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, x_shape, grad_out):
-        return grad_out.reshape(x_shape)
+        return grad_out.reshape(x_shape), ()
 
     def out_shape(self, in_shape):
         return (in_shape[0], int(math.prod(in_shape[1:])))
@@ -553,26 +545,22 @@ class Dense(Layer):
         super().__init__(name)
         self.d = in_features
         self.m = units
-        self.weight = self.bias = self.gweight = self.gbias = None
+        self.weight = self.bias = None
 
     def init_params(self, rng, dtype):
         scale = np.sqrt(2.0 / self.d)
         self.weight = (rng.normal((self.d, self.m)) * scale).astype(dtype)
         self.bias = np.zeros(self.m, dtype=dtype)
-        self.gweight = np.zeros_like(self.weight)
-        self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, mode, rng):
         return dense_forward(x, self.weight, self.bias), x
 
     def backward(self, x, grad_out):
         gx, gw, gb = dense_backward(x, self.weight, grad_out)
-        self.gweight += gw
-        self.gbias += gb
-        return gx
+        return gx, (gw, gb)
 
     def param_entries(self):
-        return ((f"{self.name}.weight", self.weight, self.gweight), (f"{self.name}.bias", self.bias, self.gbias))
+        return ((f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias))
 
     def out_shape(self, in_shape):
         if len(in_shape) != 2 or in_shape[1] != self.d:

@@ -46,22 +46,22 @@ class ParamLedger:
 
 
 class Model:
-    """Ordered layer stack with a named parameter/gradient registry.
+    """Ordered layer stack with named parameters.
 
     The model is the one owner of per-batch state: `caches` holds each
     layer's backward cache from the last train-mode forward (None after
     an eval-mode forward), and backward walks them in reverse. The mode
     is a forward argument, and layers keep no state, so an eval-mode
-    forward is a pure function of (input, parameters). Gradients
-    accumulate across backward calls after one forward; the trainer
-    zeroes them. A model is single-owner while training.
+    forward is a pure function of (input, parameters). Backward returns
+    the gradients and keeps none, so calling it again after the same
+    forward gives the same values. A model is single-owner while training.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int]):
         self.layers = layers
         self.input_shape = tuple(input_shape)  # (c, h, w)
         self.caches = None
-        names = [n for l in layers for n, _, _ in l.param_entries()]
+        names = [n for l in layers for n, _ in l.param_entries()]
         if len(names) != len(set(names)):
             raise ValueError("duplicate parameter names in model")
 
@@ -91,25 +91,20 @@ class Model:
         self.caches = caches
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Fill every registered gradient from the last train-mode forward's caches; returns grad wrt the input."""
+    def backward(self, grad_out: np.ndarray):
+        """Gradients from the last train-mode forward's caches: (grad wrt the input,
+        [(name, value, grad)] of every parameter in layer order)."""
         if self.caches is None:
             raise NoForwardCacheError("backward needs a train-mode forward first")
+        grads = []
         for layer, cache in zip(reversed(self.layers), reversed(self.caches)):
-            grad_out = layer.backward(cache, grad_out)
-        return grad_out
-
-    def params(self):
-        """(name, value, grad) triples in layer order."""
-        return [entry for layer in self.layers for entry in layer.param_entries()]
+            grad_out, layer_grads = layer.backward(cache, grad_out)
+            grads[:0] = [(n, v, g) for (n, v), g in zip(layer.param_entries(), layer_grads, strict=True)]
+        return grad_out, grads
 
     def state_tensors(self):
         """Params plus persistent buffers (BN running stats), layer order."""
         return [entry for layer in self.layers for entry in layer.state_entries()]
-
-    def zero_grads(self):
-        for _, _, g in self.params():
-            g[...] = 0
 
     def symbolic_shapes(self, batch: int = 1):
         """Per-layer output shapes computed without running data."""

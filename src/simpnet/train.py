@@ -168,14 +168,13 @@ def train_loop(
             step_rng = root.split(STEP, epoch, step)
             if cfg.augment_policy is not None:
                 x = augment(x, cfg.augment_policy, step_rng.split(0))
-            model.zero_grads()
             logits = model.forward(x, step_rng.split(1))
             loss, grad = softmax_xent(logits, y)
             if not math.isfinite(loss):
                 flush()
                 raise NumericsError(f"loss became non-finite at epoch {epoch} step {step}")
-            model.backward(grad)
-            sgd_step(model.params(), velocities, lr, cfg.momentum, cfg.weight_decay)
+            _, grads = model.backward(grad)
+            sgd_step(grads, velocities, lr, cfg.momentum, cfg.weight_decay)
             loss_sum += loss * len(y)
             correct += int((logits.argmax(axis=1) == y).sum())
             seen += len(y)
@@ -231,7 +230,8 @@ class AblateResult:
             lines.append(
                 f"{a.arm:<14} {a.params:>10} {a.mean_top1:>10.4f} {lo:>8.4f} {hi:>8.4f} {a.dead_fraction:>10.4f}  {per_seed}"
             )
-        for arm_name, rep in audit_arms(self.preset):
+        for arm_name, spec in self.preset.arms:
+            rep = audit(spec)
             n_fail, n_warn = len(rep.fails()), len(rep.warns())
             lines.append(
                 f"audit {arm_name}: {rep.ledger.total_params} params, "
@@ -317,8 +317,3 @@ def ablate(
         result.dead_fraction = float(np.mean(dead))
         arms.append(result)
     return AblateResult(preset, arms)
-
-
-def audit_arms(preset: Preset):
-    """Audit report per arm (used by the CLI to print ledgers alongside)."""
-    return [(arm, audit(spec)) for arm, spec in preset.arms]

@@ -87,7 +87,7 @@ def test_c3_saf_pool_identity_and_statistics():
         for mode in (L.TRAIN, L.EVAL):
             y, cache = pool.forward(x, mode, SplitRng(i))
             assert np.array_equal(y, pooled) and np.array_equal(cache[2], argmax)
-            assert np.array_equal(pool.backward(cache, g), L.maxpool_backward(argmax, g, x.shape))
+            assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(argmax, g, x.shape))
         y, _ = L.SafPool("safpool1", 2, 0.5).forward(x, L.EVAL, SplitRng(i))
         assert np.array_equal(y, pooled)
     x = SplitRng(331).uniform((4, 25, 20, 20), 0.5, 1.5)  # 10,000 pooled units

@@ -1,6 +1,6 @@
 
 from simpnet import archdsl as A
-from simpnet.analyzer import AuditConfig, audit, compare
+from simpnet.analyzer import audit
 from simpnet.archdsl import parse, simpnet
 from simpnet.network import count_macs
 
@@ -241,41 +241,15 @@ class TestReportContract:
         assert report.ledger.total_params == audit(GOOD).ledger.total_params
         assert report.ledger.total_macs > audit(GOOD).ledger.total_macs
 
-    def test_config_thresholds_are_configurable(self):
-        spec = arch(
-            [
-                "input 3 32 32",
-                "group g1",
-                "conv 3 8 s1 p1",
-                "relu",
-                "maxpool 2",
-                "conv 3 16 s1 p1",
-                "relu",
-                "conv 3 24 s1 p1",
-                "relu",
-                "gap",
-            ]
-        )
-        strict = AuditConfig(early_pool_min_convs=0)
-        assert not rules_of(audit(spec, config=strict), "R3")
-
 
 class TestCompare:
-    def test_reflexive_all_equal(self):
-        r = audit(GOOD)
-        text = compare(r, r)
-        assert "NO" not in text
-        assert "ratio 1.00" in text
-
     def test_300k_vs_1_6m_ratio(self):
         presets = A.ablation_presets()
         by_name = dict(presets["kernel-size"].arms)
-        text = compare(audit(by_name["3x3-300k"]), audit(by_name["3x3-1.6m"]))
         ratio = count_macs(A.build(by_name["3x3-1.6m"])).total_params / count_macs(
             A.build(by_name["3x3-300k"])
         ).total_params
         assert abs(ratio - 5.33) < 0.15
-        assert f"ratio {ratio:.2f}" in text
 
     def test_maxpool_vs_sconv_delta(self):
         presets = A.ablation_presets()

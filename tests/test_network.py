@@ -89,9 +89,9 @@ class TestForward:
                     yield from held_arrays(v)
 
         def assert_layers_hold_only_state():
-            # parameters, their gradients and BN running stats; nothing per batch
+            # parameters and BN running stats; no gradients, nothing per batch
             for layer in m.layers:
-                state = [a for _, v, g in layer.param_entries() for a in (v, g)] + [v for _, v in layer.state_entries()]
+                state = [v for _, v in layer.state_entries()]
                 assert {id(a) for a in held_arrays(layer)} <= {id(a) for a in state}, layer.name
 
         m = build()
@@ -124,36 +124,41 @@ class TestBackward:
         x = SplitRng(1).uniform((2, 4))
         g = SplitRng(2).uniform((2, 3))
         m.forward(x)
-        gx = m.backward(g)
+        gx, grads = m.backward(g)
         ex_gx, ex_gw, ex_gb = L.dense_backward(x, m.layers[0].weight, g)
         assert np.array_equal(gx, ex_gx)
-        assert np.array_equal(m.layers[0].gweight, ex_gw)
-        assert np.array_equal(m.layers[0].gbias, ex_gb)
+        (wn, w, gw), (bn, b, gb) = grads
+        assert (wn, bn) == ("dense1.weight", "dense1.bias")
+        assert w is m.layers[0].weight and b is m.layers[0].bias
+        assert np.array_equal(gw, ex_gw)
+        assert np.array_equal(gb, ex_gb)
 
     def test_backward_deterministic_given_cache(self):
+        # gradients are returned values: a second backward neither adds into nor reuses the first's
         m = toy_model()
         x = SplitRng(3).uniform((2, 3, 6, 6))
         g = SplitRng(4).uniform((2, 10))
         m.forward(x)
-        m.zero_grads()
-        m.backward(g)
-        grads1 = {n: gr.copy() for n, _, gr in m.params()}
-        m.zero_grads()
-        m.backward(g)
-        for n, _, gr in m.params():
-            assert np.array_equal(gr, grads1[n])
+        gx1, grads1 = m.backward(g)
+        saved = [gr.copy() for _, _, gr in grads1]
+        gx2, grads2 = m.backward(g)
+        assert gx1.tobytes() == gx2.tobytes()
+        assert [n for n, _, _ in grads1] == [n for n, _, _ in grads2]
+        for (n, _, a), b, (_, _, c) in zip(grads1, saved, grads2):
+            assert a.tobytes() == b.tobytes() == c.tobytes(), n
+            assert not np.shares_memory(a, c), n
 
-    def test_grads_accumulate_until_zeroed(self):
-        m = toy_model()
-        x = SplitRng(5).uniform((2, 3, 6, 6))
-        g = SplitRng(6).uniform((2, 10))
-        m.forward(x)
-        m.zero_grads()
-        m.backward(g)
-        once = {n: gr.copy() for n, _, gr in m.params()}
-        m.backward(g)
-        for n, _, gr in m.params():
-            assert np.allclose(gr, 2 * once[n])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grads_match_state_tensor_params(self, dtype):
+        m = toy_model(dtype)
+        m.forward(SplitRng(9).uniform((2, 3, 6, 6)).astype(dtype))
+        _, grads = m.backward(SplitRng(10).uniform((2, 10)).astype(dtype))
+        running = {f"bn1.{s}" for s in ("running_mean", "running_var")}
+        params = [(n, v) for n, v in m.state_tensors() if n not in running]
+        assert [n for n, _, _ in grads] == [n for n, _ in params]
+        for (n, v, gr), (_, p) in zip(grads, params):
+            assert v is p, n
+            assert gr.shape == p.shape and gr.dtype == p.dtype, n
 
     def test_whole_model_gradcheck(self):
         m = toy_model()
@@ -165,10 +170,9 @@ class TestBackward:
 
         logits = m.forward(x)
         _, grad_logits = L.softmax_xent(logits, labels)
-        m.zero_grads()
-        gx = m.backward(grad_logits)
+        gx, grads = m.backward(grad_logits)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
-        for name, value, grad in m.params():
+        for name, value, grad in grads:
             assert rel_err(grad, fd_grad(loss, value)) < 1e-5, name
 
 

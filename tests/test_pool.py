@@ -145,7 +145,7 @@ class TestSafPool:
         for mode in (L.TRAIN, L.EVAL):
             y, (_, mask, am) = L.SafPool("pool1", 2, 0.0).forward(x, mode, SplitRng(0))
             assert np.array_equal(y, pooled)
-            assert np.all(mask == 1.0)
+            assert mask is None
             assert np.array_equal(am, argmax)
 
     def test_eval_mode_identity_even_with_drop(self):
@@ -154,7 +154,7 @@ class TestSafPool:
         pooled, _ = L.maxpool_forward(x)
         y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.EVAL, SplitRng(0))
         assert np.array_equal(y, pooled)
-        assert np.all(mask == 1.0)
+        assert mask is None
 
     def test_train_mode_drop_statistics_and_scale(self):
         rng = SplitRng(23)
@@ -187,13 +187,13 @@ class TestSafPool:
         pool = L.SafPool("pool1", 2, 0.0)
         _, cache = pool.forward(x, L.TRAIN, SplitRng(0))
         g = rng.uniform((1, 2, 2, 2), -1, 1)
-        assert np.array_equal(pool.backward(cache, g), L.maxpool_backward(cache[2], g, x.shape))
+        assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(cache[2], g, x.shape))
 
     def test_backward_fully_masked_window_zero_grad(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         _, argmax = L.maxpool_forward(x)
         mask = np.zeros((1, 1, 2, 2))
-        gx = L.SafPool("safpool1", 2, 0.5).backward((x.shape, mask, argmax), np.ones((1, 1, 2, 2)))
+        gx, _ = L.SafPool("safpool1", 2, 0.5).backward((x.shape, mask, argmax), np.ones((1, 1, 2, 2)))
         assert not gx.any()
 
     def test_backward_finite_differences_fixed_mask(self):
@@ -209,7 +209,7 @@ class TestSafPool:
             y, _ = pool.forward(x, L.TRAIN, SplitRng(key))
             return float((y * r).sum())
 
-        gx = pool.backward(cache, r)
+        gx, _ = pool.backward(cache, r)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-6
 
 

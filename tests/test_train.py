@@ -127,8 +127,8 @@ class TestEvaluate:
         with pytest.raises(ShapeError):
             T.evaluate(model, memory_dataset(n=4, shape=(1, 1, 1)))  # too small for the 2x2 pool
         model.forward(memory_dataset(n=4).images, SplitRng(0))
-        model.backward(np.ones((4, 4), dtype=np.float32))
-        assert any(np.any(g) for _, _, g in model.params())
+        _, grads = model.backward(np.ones((4, 4), dtype=np.float32))
+        assert any(np.any(g) for _, _, g in grads)
 
 
 class TestTrainLoop:
@@ -145,10 +145,11 @@ class TestTrainLoop:
         # lr must be > 0 by contract; the fixed-point check uses a tiny lr
         ds = memory_dataset(n=32)
         model = toy_model(seed=4)
-        before = {n: v.copy() for n, v, _ in model.params()}
+        params = [entry for layer in model.layers for entry in layer.param_entries()]
+        before = {n: v.copy() for n, v in params}
         cfg = T.TrainConfig(epochs=1, batch_size=16, lr=1e-30, momentum=0.0, weight_decay=0.0, seed=4)
         T.train_loop(model, ds, cfg)
-        for n, v, _ in model.params():
+        for n, v in params:
             assert np.allclose(v, before[n], atol=1e-12)
 
     def test_metrics_stream_deterministic(self, tmp_path):
@@ -194,12 +195,11 @@ class TestTrainLoop:
         x, y = ds.images, ds.labels
         rng = SplitRng(10)
         for step in range(20):
-            model.zero_grads()
             logits = model.forward(x, rng.split(2, 1, step))
             loss, grad = softmax_xent(logits, y)
             cfg_losses.append(loss)
-            model.backward(grad)
-            T.sgd_step(model.params(), vel, 0.05, 0.9, 0.0)
+            _, grads = model.backward(grad)
+            T.sgd_step(grads, vel, 0.05, 0.9, 0.0)
         assert cfg_losses[-1] < cfg_losses[0]
         drops = sum(1 for a, b in zip(cfg_losses, cfg_losses[1:]) if b < a)
         assert drops >= 15  # decreasing in nearly every step
