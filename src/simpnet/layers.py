@@ -7,7 +7,8 @@ run them in order. A layer holds only its parameters (and batch norm its
 running stats): forward returns (output, cache), backward takes that
 cache back and returns the input gradient and the parameter gradients
 as values, and network.Model holds the caches of its last train-mode
-forward.
+forward. In eval mode it runs conv -> bn (-> relu) as one conv with
+bn_eval_affine folded in, and a SafPool as maxpool_values.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
@@ -183,6 +184,16 @@ def maxpool_forward(x, window=2, stride=2):
     return pooled.transpose(0, 3, 1, 2), argmax.transpose(0, 3, 1, 2)
 
 
+def maxpool_values(x, window=2, stride=2):
+    """maxpool_forward's pooled values, NHWC in memory, without the offsets: a running np.maximum
+    over the window*window channels-last taps (a tie of -0.0 with +0.0 may give either zero)."""
+    windows = _windows(x.transpose(0, 2, 3, 1), window, stride, *conv_out_hw(*x.shape[2:], window, stride, 0))
+    y = windows[:, :, :, 0, 0].copy()
+    for t in range(1, window * window):
+        np.maximum(y, windows[:, :, :, t // window, t % window], out=y)
+    return y.transpose(0, 3, 1, 2)
+
+
 def maxpool_backward(argmax, grad_out, input_shape):
     """Route each output gradient to its winning input cell, scattering into NHWC memory."""
     size = math.prod(input_shape)
@@ -224,22 +235,28 @@ class BatchNormParams:
     running_var: np.ndarray
 
 
+def bn_eval_affine(p: BatchNormParams, dtype):
+    """(scale, shift) of eval-mode batch norm for inputs of dtype: y = x * scale + shift per channel."""
+    scale = p.gamma / np.sqrt(p.running_var.astype(dtype) + dtype.type(BN_EPS))
+    return scale, p.beta - p.running_mean.astype(dtype) * scale
+
+
 def batchnorm_forward(x, p: BatchNormParams, mode: str):
     """Per-channel batch normalization over (n, h, w), on the (n*h*w, c) matrix of x.
 
     Train mode sums by BLAS and einsum, normalizes by the biased variance of
     the centred matrix (two passes, not E[x^2] - E[x]^2) and folds the
     unbiased variance into the running stats in place; eval mode is one
-    affine map per channel. y is NHWC in memory. Returns (y, cache): the
-    cache (xhat, gamma / std) feeds backward in train mode and is None in
-    eval mode.
+    affine map per channel (bn_eval_affine). y is NHWC in memory. Returns
+    (y, cache): the cache (xhat, gamma / std) feeds backward in train mode
+    and is None in eval mode.
     """
     rows = _rows(x)
     m, eps = len(rows), x.dtype.type(BN_EPS)
     if mode != TRAIN:
-        scale = p.gamma / np.sqrt(p.running_var.astype(x.dtype) + eps)
+        scale, shift = bn_eval_affine(p, x.dtype)
         y = rows * scale
-        y += p.beta - p.running_mean.astype(x.dtype) * scale
+        y += shift
         return _nchw(y, x.shape), None
     if m < 2:
         raise ValueError(f"batchnorm train mode needs n*h*w >= 2 per channel, got {m}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
-from .layers import TRAIN, Layer
+from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Layer, ReLU, SafPool, bn_eval_affine, conv2d_forward, maxpool_values
 from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"SNPK"
@@ -52,9 +52,10 @@ class Model:
     layer's backward cache from the last train-mode forward (None after
     an eval-mode forward), and backward walks them in reverse. The mode
     is a forward argument, and layers keep no state, so an eval-mode
-    forward is a pure function of (input, parameters). Backward returns
-    the gradients and keeps none, so calling it again after the same
-    forward gives the same values. A model is single-owner while training.
+    forward, which runs fused conv -> bn -> relu and pool units, is a
+    pure function of (input, parameters). Backward returns the gradients
+    and keeps none, so calling it again after the same forward gives the
+    same values. A model is single-owner while training.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int]):
@@ -79,16 +80,38 @@ class Model:
         so streams are stable under reordering.
         """
         self.caches = None
-        caches = [] if mode == TRAIN else None
+        if mode != TRAIN:
+            return self._eval_forward(x)
+        caches = []
         for i, layer in enumerate(self.layers):
             try:
                 x, cache = layer.forward(x, mode, rng.split(i) if rng is not None else None)
             except ShapeError as e:
                 raise ShapeError(f"at layer {layer.name!r}: {e}") from e
-            if caches is not None:
-                caches.append(cache)
-            del cache  # an eval cache is freed now, not while the next layer runs
+            caches.append(cache)
         self.caches = caches
+        return x
+
+    def _eval_forward(self, x):
+        """conv -> bn (-> relu) as one conv, bn folded into new arrays per call (none goes stale); pools as maxima."""
+        layers, i = self.layers, 0
+        while i < len(layers):
+            layer, bn, relu = (*layers[i : i + 3], None, None)[:3]
+            try:
+                if isinstance(layer, SafPool):  # eval dropout is the identity
+                    x = maxpool_values(x, layer.window, layer.stride)
+                elif isinstance(layer, Conv2d) and isinstance(bn, BatchNorm) and bn.channels == layer.c_out:
+                    scale, shift = bn_eval_affine(bn.p, np.result_type(x, layer.weight))
+                    w = layer.weight * scale.reshape(-1, 1, 1, 1)
+                    x = conv2d_forward(x, w, layer.bias * scale + shift, layer.stride, layer.pad)
+                    if isinstance(relu, ReLU):
+                        np.maximum(x, 0, out=x)
+                    i += 1 + isinstance(relu, ReLU)  # the layers folded in
+                else:
+                    x = layer.forward(x, EVAL, None)[0]
+            except ShapeError as e:
+                raise ShapeError(f"at layer {layer.name!r}: {e}") from e
+            i += 1
         return x
 
     def backward(self, grad_out: np.ndarray):

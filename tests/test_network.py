@@ -3,10 +3,11 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from simpnet import layers as L
-from simpnet.archdsl import build, simpnet
+from simpnet.archdsl import build, builder_presets, parse, simpnet
 from simpnet.errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from simpnet.network import Model, count_macs, load_checkpoint, read_checkpoint, save_checkpoint
 from simpnet.rng import SplitRng
+from simpnet.train import sgd_step
 
 
 def toy_model(dtype=np.float64, seed=0):
@@ -174,6 +175,149 @@ class TestBackward:
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
         for name, value, grad in grads:
             assert rel_err(grad, fd_grad(loss, value)) < 1e-5, name
+
+
+# every fused unit and every layer the fused eval forward leaves alone: conv -> bn -> relu,
+# conv -> bn without relu, sconv -> bn, conv -> relu without bn, relu -> bn, maxpool and safpool p > 0
+FUSION_ARCH = """\
+input 3 12 12
+group g1
+conv 3 6 s1 p1
+bn
+relu
+dropout p0.3
+conv 3 6 s1 p1
+bn
+maxpool 2
+group g2
+sconv 2 8 s2 p0
+bn
+relu
+conv 3 8 s1 p1
+relu
+bn
+safpool 2 p0.25 s1
+group head
+gap
+flatten
+dense 5
+"""
+
+
+def fusion_model(name, dtype, seed=0):
+    """A built model with random BN running stats, gamma, beta and conv biases, so no fold is trivial."""
+    spec = parse(FUSION_ARCH) if name == "fusion" else builder_presets()[name]
+    m = build(spec).init_params(SplitRng(seed), dtype)
+    r = np.random.default_rng(seed)
+    for layer in m.layers:
+        if isinstance(layer, L.BatchNorm):
+            c = layer.channels
+            layer.p.gamma[...] = r.uniform(0.5, 1.5, c)
+            layer.p.beta[...] = r.normal(0.0, 0.3, c)
+            layer.p.running_mean[...] = r.normal(0.0, 0.3, c)
+            layer.p.running_var[...] = r.uniform(0.5, 2.0, c)
+        elif isinstance(layer, L.Conv2d):
+            layer.bias[...] = r.normal(0.0, 0.1, layer.c_out)
+    return m
+
+
+def layer_by_layer_eval(m, x):
+    for layer in m.layers:
+        x = layer.forward(x, L.EVAL, None)[0]
+    return x
+
+
+def rel_max(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+def model_input(m, n, dtype, seed=5):
+    return SplitRng(seed).normal((n, *m.input_shape)).astype(dtype)
+
+
+class TestFusedEval:
+    @pytest.mark.parametrize("name", ["fusion", "simpnet-tiny", "simpnet-300k"])
+    def test_matches_layer_by_layer_float64(self, name):
+        m = fusion_model(name, np.float64)
+        x = model_input(m, 3, np.float64)
+        assert rel_max(m.forward(x, mode=L.EVAL), layer_by_layer_eval(m, x)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["simpnet-tiny", "simpnet-300k"])
+    def test_float32_argmax_equal(self, name):
+        m = fusion_model(name, np.float32)
+        x = model_input(m, 16, np.float32)
+        fused, ref = m.forward(x, mode=L.EVAL), layer_by_layer_eval(m, x)
+        assert fused.dtype == ref.dtype == np.float32
+        assert rel_max(fused, ref) <= 1e-5
+        assert np.array_equal(fused.argmax(axis=1), ref.argmax(axis=1))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [L.Conv2d("conv1", 3, 4, 3, 1, 1), L.BatchNorm("bn1", 4)],
+            lambda: [L.Conv2d("conv1", 3, 4, 3, 1, 1), L.BatchNorm("bn1", 4), L.ReLU("relu1")],
+            lambda: [L.ReLU("relu1"), L.Conv2d("conv1", 3, 4, 3, 1, 1), L.ReLU("relu2"), L.BatchNorm("bn1", 4)],
+        ],
+        ids=["conv-bn-last", "conv-bn-relu-last", "relu-bn-last"],
+    )
+    def test_units_at_the_end_of_the_stack(self, make):
+        m = Model(make(), (3, 5, 5)).init_params(SplitRng(1), np.float64)
+        for layer in m.layers:
+            if isinstance(layer, L.BatchNorm):
+                layer.p.running_mean[...] = [0.5, -0.2, 0.1, 0.0]
+                layer.p.running_var[...] = [2.0, 0.5, 1.0, 3.0]
+        x = model_input(m, 2, np.float64)
+        assert rel_max(m.forward(x, mode=L.EVAL), layer_by_layer_eval(m, x)) <= 1e-12
+
+    def test_fused_units_skip_the_layer_forwards(self, monkeypatch):
+        # in simpnet-tiny every bn follows a conv and every relu a bn, so only dropout, gap,
+        # flatten and dense run their own forward in eval mode
+        calls = []
+        for cls in (L.Conv2d, L.BatchNorm, L.ReLU, L.SafPool, L.Dropout):
+            def spy(self, x, mode, rng, forward=cls.forward):
+                calls.append(self.kind)
+                return forward(self, x, mode, rng)
+            monkeypatch.setattr(cls, "forward", spy)
+        m = fusion_model("simpnet-tiny", np.float32)
+        m.forward(model_input(m, 2, np.float32), mode=L.EVAL)
+        assert set(calls) == {"dropout"}
+
+    def test_bn_of_another_width_is_not_folded(self):
+        m = Model([L.Conv2d("conv1", 3, 4, 3, 1, 1), L.BatchNorm("bn1", 1)], (3, 5, 5)).init_params(SplitRng(1))
+        with pytest.raises(ShapeError, match="bn1"):
+            m.forward(model_input(m, 2, np.float32), mode=L.EVAL)
+
+    def test_state_unchanged_no_cache_repeatable(self):
+        m = fusion_model("fusion", np.float32)
+        x = model_input(m, 4, np.float32)
+        m.forward(x, SplitRng(2))  # leaves train-mode caches behind
+        before = [(n, v.tobytes()) for n, v in m.state_tensors()]
+        a = m.forward(x, mode=L.EVAL)
+        assert m.caches is None
+        b = m.forward(x, mode=L.EVAL)
+        assert [(n, v.tobytes()) for n, v in m.state_tensors()] == before
+        assert a.tobytes() == b.tobytes()
+
+    def test_follows_sgd_step(self):
+        m = fusion_model("fusion", np.float64)
+        x = model_input(m, 4, np.float64)
+        before = m.forward(x, mode=L.EVAL)
+        logits = m.forward(x, SplitRng(2))
+        _, grad = L.softmax_xent(logits, SplitRng(3).integers(4, 5))
+        sgd_step(m.backward(grad)[1], {}, lr=0.1, momentum=0.9, weight_decay=1e-4)
+        after = m.forward(x, mode=L.EVAL)
+        assert rel_max(after, before) > 1e-6
+        assert rel_max(after, layer_by_layer_eval(m, x)) <= 1e-12
+
+    def test_follows_load_checkpoint(self, tmp_path):
+        m, other = fusion_model("fusion", np.float64, seed=0), fusion_model("fusion", np.float64, seed=1)
+        x = model_input(m, 4, np.float64)
+        m.forward(x, mode=L.EVAL)
+        save_checkpoint(other, tmp_path / "other.snpk")
+        load_checkpoint(m, tmp_path / "other.snpk")
+        fused = m.forward(x, mode=L.EVAL)
+        assert fused.tobytes() == other.forward(x, mode=L.EVAL).tobytes()
+        assert rel_max(fused, layer_by_layer_eval(m, x)) <= 1e-12
 
 
 class TestParamCounting:

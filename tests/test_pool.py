@@ -51,6 +51,27 @@ class TestMaxPoolForward:
         assert y.shape == (1, 1, 2, 2)
 
 
+class TestMaxPoolValues:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_bit_identical_to_maxpool_forward(self, window, stride, layout, dtype):
+        # few distinct values (zero and a negative among them), so most windows hold ties
+        x = (SplitRng(window * 10 + stride).integers(2 * 3 * 7 * 6, 4) - 1.0).astype(dtype).reshape(2, 3, 7, 6)
+        if layout == "nhwc":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        y = L.maxpool_values(x, window, stride)
+        ref = L.maxpool_forward(x, window, stride)[0]
+        assert y.dtype == ref.dtype and y.shape == ref.shape
+        assert y.tobytes() == ref.tobytes()
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous  # NHWC in memory
+
+    def test_window_larger_than_input(self):
+        with pytest.raises(ShapeError):
+            L.maxpool_values(np.zeros((1, 2, 2, 5)), 3, 1)
+
+
 class TestMaxPoolBackward:
     def test_routing_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
