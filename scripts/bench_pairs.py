@@ -6,8 +6,13 @@ Pair i runs `bench/run.py --workload W --seed S+i --trace 0` once in each
 checkout, the parent first on even pairs and the change first on odd ones,
 so drift of the host between runs falls on both sides alike. For every
 end-to-end metric of the change's BENCHMARK.json it prints the median
-[q1, q3] of each side and how many pairs the change won, then how many
-runs reported `correct` and the failed/attempted totals.
+[q1, q3] of each side and how many pairs the change won, then a verdict
+line: whether a gain may be claimed (the change won at least 9/10 of the
+pairs and the medians differ in its favour by more than the parent's
+interquartile range), and whether the change's median stays within the
+metric's `bound`, the fraction of the parent's median by which it may be
+worse. Last come how many runs reported `correct` and the failed/attempted
+totals.
 """
 
 from __future__ import annotations
@@ -35,6 +40,25 @@ def quartiles(values):
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def compare(parent, change, better, bound):
+    """(pairs the change won, verdict) for one metric, from each side's values in pair order.
+
+    The verdict says whether the gain rule holds and whether the change's
+    median is worse than the parent's by no more than bound (a fraction).
+    """
+    sign = 1 if better == "higher" else -1
+    wins = int(np.sum(sign * (change - parent) > 0))
+    q1, med, q3 = np.percentile(parent, [25, 50, 75])
+    gap = sign * (np.median(change) - med)  # > 0 in the change's favour
+    gain = wins * 10 >= 9 * len(parent) and gap > q3 - q1
+    worse = -gap / abs(med) if med else 0.0
+    return wins, (
+        f"gain {'holds' if gain else 'not shown'} (won {wins}/{len(parent)}, median gap {gap:+.4g} vs parent IQR "
+        f"{q3 - q1:.4g}); {'within' if worse <= bound else 'OUTSIDE'} bound (median {'worse' if worse > 0 else 'better'} "
+        f"by {abs(worse):.1%}, bound {bound:.0%})"
+    )
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_dir")
@@ -56,11 +80,12 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}, parent first on even pairs")
     for entry in end_to_end:
-        name, sign = entry["name"], 1 if entry["better"] == "higher" else -1
+        name = entry["name"]
         values = {side: np.array([r["metrics"][name]["value"] for r in results[side]]) for side in sides}
-        wins = int(np.sum(sign * (values["change"] - values["parent"]) > 0))
+        wins, text = compare(values["parent"], values["change"], entry["better"], entry["bound"])
         print(f"  {name} ({entry['unit']}): parent {quartiles(values['parent'])} -> "
               f"change {quartiles(values['change'])}, change won {wins}/{args.pairs}")
+        print(f"    verdict: {text}")
     for side in sides:
         runs = results[side]
         correct = sum(bool(r["correct"]) for r in runs)

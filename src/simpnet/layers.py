@@ -8,7 +8,13 @@ running stats): forward returns (output, cache), backward takes that
 cache back and returns the input gradient and the parameter gradients
 as values, and network.Model holds the caches of its last train-mode
 forward. In eval mode it runs conv -> bn (-> relu) as one conv with
-bn_eval_affine folded in, and a SafPool as maxpool_values.
+bn_eval_affine folded in, and a SafPool as maxpool_values. In train mode
+it runs a relu directly followed by a dropout with p > 0 as
+relu_dropout_forward, whose one cache is the bool keep = y > 0 and
+whose backward is dropout_backward. What train mode caches for backward
+is then: a conv's padded NHWC input, batch norm's xhat and per-channel
+scale, a pair's keep mask, a SafPool's keep mask and winners' offsets,
+a dense layer's input, and the input of a relu that is not paired.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
@@ -119,7 +125,7 @@ def _conv2d_forward(x, weight, bias, stride, pad):
     return y.transpose(0, 3, 1, 2), xp
 
 
-def _conv2d_backward(xp, weight, stride, pad, grad_out):
+def _conv2d_backward(xp, weight, stride, pad, grad_out, input_grad=True):
     n, hp, wp, c = xp.shape
     c_out, _, k, _ = weight.shape
     oh, ow = conv_out_hw(hp, wp, k, stride, 0)
@@ -132,6 +138,9 @@ def _conv2d_backward(xp, weight, stride, pad, grad_out):
     grad_w = np.zeros((c_out, k * k * c), dtype=np.result_type(g, xp))
     for lo, hi in chunks:
         grad_w += g[lo:hi].reshape(-1, c_out).T @ _lower(windows[lo:hi], buf)
+    grad_w, grad_b = grad_w.reshape(c_out, k, k, c).transpose(0, 3, 1, 2), g.sum(axis=(0, 1, 2))
+    if not input_grad:
+        return None, grad_w, grad_b
     del buf  # freed before the input-gradient buffers are allocated
     # grad_x correlates the flipped kernel at stride 1 with the gradient dilated by
     # stride and zero-padded by k-1; chunks rewrite only the dilated spots
@@ -145,7 +154,7 @@ def _conv2d_backward(xp, weight, stride, pad, grad_out):
     for lo, hi in chunks:
         spots[: hi - lo] = g[lo:hi]
         np.matmul(_lower(windows[: hi - lo], buf), w_flip, out=grad_x[lo:hi].reshape(-1, c))
-    return grad_x.transpose(0, 3, 1, 2), grad_w.reshape(c_out, k, k, c).transpose(0, 3, 1, 2), g.sum(axis=(0, 1, 2))
+    return grad_x.transpose(0, 3, 1, 2), grad_w, grad_b
 
 
 def conv2d_forward(x, weight, bias, stride=1, pad=0):
@@ -293,26 +302,51 @@ def batchnorm_backward(grad_out, cache):
     return _nchw(grad_x, grad_out.shape), grad_gamma, grad_beta
 
 
+def _keep_mask(x, p, rng):
+    """rng's keep mask for x; a 4-D one is drawn channels-last, to match the NHWC memory of conv outputs."""
+    if rng is None:
+        raise ValueError("dropout with p > 0 requires an rng in train mode")
+    if x.ndim == 4:
+        n, c, h, w = x.shape
+        return rng.keep_mask((n, h, w, c), p).transpose(0, 3, 1, 2)
+    return rng.keep_mask(x.shape, p)
+
+
 def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
     """Inverted dropout. Returns (y, boolean keep mask), or (x, None) in eval mode and at p = 0."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
     if mode != TRAIN or p == 0.0:
         return x, None
-    if rng is None:
-        raise ValueError("dropout with p > 0 requires an rng in train mode")
-    if x.ndim == 4:
-        # drawn channels-last, so the mask matches the NHWC memory of conv outputs
-        n, c, h, w = x.shape
-        mask = rng.keep_mask((n, h, w, c), p).transpose(0, 3, 1, 2)
-    else:
-        mask = rng.keep_mask(x.shape, p)
-    return x * mask / x.dtype.type(1.0 - p), mask
+    mask = _keep_mask(x, p, rng)
+    y = np.multiply(x, mask)
+    y /= x.dtype.type(1.0 - p)
+    return y, mask
 
 
 def dropout_backward(grad_out, mask, p: float):
     """Gradient through the keep mask; passed through where the forward was the identity (mask None)."""
-    return grad_out if mask is None else grad_out * mask / grad_out.dtype.type(1.0 - p)
+    if mask is None:
+        return grad_out
+    grad_x = np.multiply(grad_out, mask)
+    grad_x /= grad_out.dtype.type(1.0 - p)
+    return grad_x
+
+
+def relu_dropout_forward(x, p: float, rng: SplitRng | None):
+    """relu_forward then train-mode dropout_forward (p > 0, mask from rng), in one buffer: (y, keep).
+
+    y has the bytes of the two in turn. keep = y > 0 is the pair's whole
+    backward cache: as 1 - p <= 1, y > 0 exactly where x > 0 and the mask
+    kept the element, so dropout_backward(g, keep, p) equals dropout_backward
+    then relu_backward bit for bit, signed zeros included, and the ReLU's
+    input is not held.
+    """
+    mask = _keep_mask(x, p, rng)
+    y = relu_forward(x)
+    y *= mask
+    y /= x.dtype.type(1.0 - p)
+    return y, y > 0
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +451,9 @@ class Conv2d(Layer):
     def forward(self, x, mode, rng):
         return _conv2d_forward(x, self.weight, self.bias, self.stride, self.pad)
 
-    def backward(self, xp, grad_out):
-        gx, gw, gb = _conv2d_backward(xp, self.weight, self.stride, self.pad, grad_out)
+    def backward(self, xp, grad_out, input_grad=True):
+        """With input_grad=False the input gradient is not computed and comes back as None."""
+        gx, gw, gb = _conv2d_backward(xp, self.weight, self.stride, self.pad, grad_out, input_grad)
         return gx, (gw, gb)
 
     def param_entries(self):

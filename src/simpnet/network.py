@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
-from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Layer, ReLU, SafPool, bn_eval_affine, conv2d_forward, maxpool_values
+from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
+from .layers import bn_eval_affine, conv2d_forward, maxpool_values, relu_dropout_forward
 from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"SNPK"
@@ -50,7 +51,10 @@ class Model:
 
     The model is the one owner of per-batch state: `caches` holds each
     layer's backward cache from the last train-mode forward (None after
-    an eval-mode forward), and backward walks them in reverse. The mode
+    an eval-mode forward), and backward walks them in reverse. A train-mode
+    forward runs relu -> dropout (p > 0) as one unit that caches only a
+    bool keep mask, under the dropout; the relu's cache is None, and
+    backward runs only the dropout's backward for the pair. The mode
     is a forward argument, and layers keep no state, so an eval-mode
     forward, which runs fused conv -> bn -> relu and pool units, is a
     pure function of (input, parameters). Backward returns the gradients
@@ -82,13 +86,24 @@ class Model:
         self.caches = None
         if mode != TRAIN:
             return self._eval_forward(x)
-        caches = []
-        for i, layer in enumerate(self.layers):
+        return self._train_forward(x, rng)
+
+    def _train_forward(self, x, rng):
+        """relu -> dropout (p > 0) as relu_dropout_forward, caching only its keep mask; the rest layer by layer."""
+        layers, caches, i = self.layers, [], 0
+        while i < len(layers):
+            layer, drop = (*layers[i : i + 2], None)[:2]
             try:
-                x, cache = layer.forward(x, mode, rng.split(i) if rng is not None else None)
+                if isinstance(layer, ReLU) and isinstance(drop, Dropout) and drop.p > 0 and rng is not None:
+                    x, keep = relu_dropout_forward(x, drop.p, rng.split(i + 1))
+                    caches += [None, keep]  # backward skips a ReLU whose cache is None
+                    i += 1
+                else:
+                    x, cache = layer.forward(x, TRAIN, rng.split(i) if rng is not None else None)
+                    caches.append(cache)
             except ShapeError as e:
                 raise ShapeError(f"at layer {layer.name!r}: {e}") from e
-            caches.append(cache)
+            i += 1
         self.caches = caches
         return x
 
@@ -114,16 +129,26 @@ class Model:
             i += 1
         return x
 
-    def backward(self, grad_out: np.ndarray):
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True):
         """Gradients from the last train-mode forward's caches: (grad wrt the input,
-        [(name, value, grad)] of every parameter in layer order)."""
+        [(name, value, grad)] of every parameter in layer order).
+
+        With input_grad=False the input gradient comes back as None, and a
+        first conv does not compute it; the parameter gradients are the same.
+        """
         if self.caches is None:
             raise NoForwardCacheError("backward needs a train-mode forward first")
         grads = []
-        for layer, cache in zip(reversed(self.layers), reversed(self.caches)):
-            grad_out, layer_grads = layer.backward(cache, grad_out)
+        for i in reversed(range(len(self.layers))):
+            layer, cache = self.layers[i], self.caches[i]
+            if cache is None and isinstance(layer, ReLU):
+                continue  # folded into the next dropout's keep mask
+            if i == 0 and not input_grad and isinstance(layer, Conv2d):
+                grad_out, layer_grads = layer.backward(cache, grad_out, input_grad=False)
+            else:
+                grad_out, layer_grads = layer.backward(cache, grad_out)
             grads[:0] = [(n, v, g) for (n, v), g in zip(layer.param_entries(), layer_grads, strict=True)]
-        return grad_out, grads
+        return (grad_out if input_grad else None), grads
 
     def state_tensors(self):
         """Params plus persistent buffers (BN running stats), layer order."""

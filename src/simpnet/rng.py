@@ -31,14 +31,22 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # bump whenever keep_mask returns other masks for the same key, counter and arguments
 MASK_STREAM_VERSION = 2
 _LANES = 4
+# keep_mask mixes this many draws at a time, so its uint64 temporaries stay in cache
+_MASK_BLOCK = 1 << 15
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64's finalizer applied in place to the uint64 array z, with tmp
+    (z's shape, or a new array) as its one temporary; returns z."""
+    t = np.empty_like(z) if tmp is None else tmp
     # uint64 arithmetic wraps mod 2**64 by design
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+        for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(z, _U64(shift), out=t)
+            z ^= t
+            if mult is not None:
+                z *= mult
+    return z
 
 
 class SplitRng:
@@ -60,7 +68,7 @@ class SplitRng:
         with np.errstate(over="ignore"):
             for label in labels:
                 salted = _U64((int(label) & _MASK64)) * _SPLIT_SALT + _GOLDEN
-                key = _mix64(key ^ _mix64(np.asarray(salted, dtype=np.uint64)))
+                key = _mix64(np.asarray(key ^ _mix64(np.asarray(salted, dtype=np.uint64))))
         return SplitRng(int(key))
 
     def _next_u64(self, n: int) -> np.ndarray:
@@ -99,19 +107,32 @@ class SplitRng:
         ceil(n/4) draws cover n elements and element 4i+j is lane j
         (bits 16j..16j+15) of draw i. An element is kept when its lane is
         >= int(drop_p * 65536), so drop_p is quantized to 2**-16. The
-        lanes come from shifts, not a uint16 view, so the stream does not
-        depend on byte order.
+        lanes are read through a little-endian view of the draws (a
+        byte-swapped copy on big-endian hosts), so the stream does not
+        depend on byte order. Draws are made and compared in place a block
+        of _MASK_BLOCK at a time, straight into the one bool output.
         """
         if not 0.0 <= drop_p < 1.0:
             raise ValueError(f"drop probability must be in [0, 1), got {drop_p}")
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
-        draws = self._next_u64((n + _LANES - 1) // _LANES)
-        lanes = np.empty((draws.size, _LANES), dtype=np.uint16)
-        for j in range(_LANES):
-            # the uint16 output truncates each shifted draw to its low 16 bits
-            np.right_shift(draws, _U64(16 * j), out=lanes[:, j], casting="unsafe")
-        return (lanes.reshape(-1)[:n] >= int(drop_p * (1 << 16))).reshape(shape)
+        n_draws = (n + _LANES - 1) // _LANES
+        keep = np.empty((n_draws, _LANES), dtype=bool)
+        threshold = np.uint16(int(drop_p * (1 << 16)))
+        block = max(1, min(n_draws, _MASK_BLOCK))
+        steps = np.arange(1, block + 1, dtype=np.uint64)
+        z, tmp = np.empty(block, np.uint64), np.empty(block, np.uint64)
+        for lo in range(0, n_draws, block):
+            zb = z[: min(block, n_draws - lo)]
+            with np.errstate(over="ignore"):  # draw i is mix64(key + (counter + i) * golden)
+                np.add(steps[: len(zb)], _U64(self.counter + lo), out=zb)
+                zb *= _GOLDEN
+                zb += self.key
+            # little-endian uint16 lanes: lane j is bits 16j..16j+15 on any host
+            lanes = _mix64(zb, tmp[: len(zb)]).astype("<u8", copy=False).view("<u2")
+            np.greater_equal(lanes, threshold, out=keep[lo : lo + len(zb)].reshape(-1))
+        self.counter += n_draws
+        return keep.reshape(-1)[:n].reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (argsort of random keys)."""

@@ -173,7 +173,7 @@ def train_loop(
             if not math.isfinite(loss):
                 flush()
                 raise NumericsError(f"loss became non-finite at epoch {epoch} step {step}")
-            _, grads = model.backward(grad)
+            _, grads = model.backward(grad, input_grad=False)
             sgd_step(grads, velocities, lr, cfg.momentum, cfg.weight_decay)
             loss_sum += loss * len(y)
             correct += int((logits.argmax(axis=1) == y).sum())

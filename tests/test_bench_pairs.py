@@ -1,9 +1,13 @@
 """scripts/bench_pairs.py against two stand-in checkouts whose bench/run.py prints fixed results."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "bench_pairs.py")
 SPEC = {"end_to_end": [
@@ -39,3 +43,33 @@ def test_alternates_sides_and_counts_wins(tmp_path):
     assert "train_img_per_s (img/s): parent 100 [100, 100] -> change 120 [120, 120], change won 3/3" in out
     assert "setup_s (s): parent 2 [2, 2] -> change 3 [3, 3], change won 0/3" in out
     assert "parent: correct 3/3, failed/attempted 0/9" in out
+    assert "    verdict: gain holds (won 3/3, median gap +20 vs parent IQR 0); within bound (median better by 20.0%, bound 25%)" in out
+    assert "    verdict: gain not shown (won 0/3, median gap -1 vs parent IQR 0); OUTSIDE bound (median worse by 50.0%, bound 25%)" in out
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "parent,change,better,expect",
+    [
+        # 9 of 10 pairs won, and a median gap of 3.5 beyond the parent's IQR of 2
+        ([10, 11, 12, 13, 14, 10, 11, 12, 13, 14], [14, 15, 16, 17, 18, 14, 15, 16, 17, 10], "higher",
+         "gain holds (won 9/10, median gap +3.5 vs parent IQR 2); within bound"),
+        # 8 of 10 pairs won is too few, however large the gap
+        ([10] * 10, [20] * 8 + [5] * 2, "higher", "gain not shown (won 8/10"),
+        # every pair won, but the gap does not exceed the parent's own spread
+        ([10, 20, 10, 20, 10, 20, 10, 20, 10, 20], [11, 21, 11, 21, 11, 21, 11, 21, 11, 21], "higher",
+         "gain not shown (won 10/10, median gap +1 vs parent IQR 10"),
+        # lower is better: 10% worse than the parent's median is within a 25% bound
+        ([2.0] * 10, [2.2] * 10, "lower", "gain not shown (won 0/10, median gap -0.2 vs parent IQR 0); within bound (median worse by 10.0%"),
+    ],
+    ids=["gain", "too-few-wins", "gap-within-spread", "worse-within-bound"],
+)
+def test_verdict(parent, change, better, expect):
+    wins, text = load_script().compare(np.array(parent, float), np.array(change, float), better, 0.25)
+    assert text.startswith(expect), text

@@ -205,6 +205,26 @@ class TestDropout:
         g = np.ones_like(x)
         gx = L.dropout_backward(g, mask, 0.4)
         assert np.array_equal(gx != 0, y != 0)
+        assert y.tobytes() == (x * mask / 0.6).tobytes() and gx.tobytes() == (g * mask / 0.6).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5, 6), (7, 9)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_dropout_is_relu_then_dropout_bit_for_bit(self, dtype, shape):
+        rng = SplitRng(12)
+        x = rng.uniform(shape, -1, 1).astype(dtype)
+        x.flat[::7], x.flat[3::11], x.flat[5::13] = 0.0, -0.0, np.finfo(dtype).smallest_subnormal
+        g = rng.uniform(shape, -1, 1).astype(dtype)
+        g.flat[::5], g.flat[1::9] = -0.0, 0.0
+        if x.ndim == 4:  # NHWC in memory, as conv outputs are
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        y, keep = L.relu_dropout_forward(x, 0.3, SplitRng(4))
+        ref, mask = L.dropout_forward(L.relu_forward(x), 0.3, L.TRAIN, SplitRng(4))
+        assert y.dtype == dtype and y.tobytes() == ref.tobytes()
+        assert keep.dtype == bool and np.array_equal(keep, (x > 0) & mask)
+        # signed zeros included: every dropped or clipped element gets g's sign
+        assert L.dropout_backward(g, keep, 0.3).tobytes() == L.relu_backward(x, L.dropout_backward(g, mask, 0.3)).tobytes()
+        if x.ndim == 4:
+            assert y.transpose(0, 2, 3, 1).flags.c_contiguous and keep.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 class TestChannelsLast:
@@ -227,7 +247,8 @@ class TestChannelsLast:
 
     def test_conv_block_input_gradients_stay_channels_last(self):
         # a pool gradient in NCHW memory would make dropout, ReLU and BN
-        # backward mix layouts and conv backward copy its gradient
+        # backward mix layouts and conv backward copy its gradient; the
+        # relu -> dropout pair runs as one unit, whose backward is the dropout's
         rng = SplitRng(9)
         model = Model(
             [
@@ -250,7 +271,7 @@ class TestChannelsLast:
             layer.backward = spy
         y = model.forward(rng.uniform((2, 3, 6, 8)).astype(np.float32), rng.split(1))
         model.backward(rng.uniform(y.shape, -1, 1).astype(np.float32))  # NCHW, as a dense layer returns it
-        assert list(grads) == ["safpool1", "dropout1", "relu1", "bn1", "conv1"]
+        assert list(grads) == ["safpool1", "dropout1", "bn1", "conv1"]
         for name, g in grads.items():
             assert g.transpose(0, 2, 3, 1).flags.c_contiguous, name
 

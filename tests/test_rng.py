@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simpnet import layers as L
-from simpnet.rng import MASK_STREAM_VERSION, SplitRng
+from simpnet.rng import _MASK_BLOCK, MASK_STREAM_VERSION, SplitRng
 
 # sha256 of np.packbits(SplitRng(2024).keep_mask((2, 3, 5, 7), 0.3)) under mask
 # stream v2 (MASK_STREAM_VERSION). Dropout and SAF-pool masks come from this
@@ -97,6 +97,24 @@ def test_keep_mask_is_lanes_at_or_above_threshold():
     shape = (2, 3, 5, 7)  # 210 elements: the last draw has two unused lanes
     m = SplitRng(2024).keep_mask(shape, 0.3)
     assert np.array_equal(m, (lane_reference(2024, 210) >= int(0.3 * 65536)).reshape(shape))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [4 * _MASK_BLOCK + 3, 1000, 4 * 3 * _MASK_BLOCK + 4 * 100],
+    ids=["not-multiple-of-4", "under-one-block", "several-blocks"],
+)
+def test_keep_mask_blocks_match_whole_stream_formula(n):
+    # keep_mask draws a block at a time; the mask is the whole stream's lanes against the threshold,
+    # also after an earlier draw left the counter mid-block
+    r = SplitRng(31)
+    r.keep_mask(5, 0.3)  # two draws
+    lanes = lane_reference(31, 8 + n)[8:]
+    for p in (0.1, 0.5):
+        m = SplitRng(31).keep_mask(n, p)
+        assert np.array_equal(m, lane_reference(31, n) >= int(p * 65536))
+    assert np.array_equal(r.keep_mask((1, n), 0.3), (lanes >= int(0.3 * 65536)).reshape(1, n))
+    assert r.counter == 2 + -(-n // 4)
 
 
 def test_keep_mask_counter_advances_by_draws_of_four_lanes():
