@@ -8,7 +8,8 @@ and the BLAS thread count pinned to 2:
   - train --deterministic, then eval of its checkpoint, for simpnet-tiny
     and for a batch-norm-free arch with dropout, maxpool, SAF-pool and a
     strided conv;
-  - analyze --preset simpnet-300k, as a table and as records;
+  - analyze --preset simpnet-300k, as a table and as records, and
+    analyze of the batch-norm-free arch file as records;
   - gradcheck --instances 20 at seeds 0, 1 and 2.
 It prints `sha256  output` for each file a command writes and for each
 command's stdout. Checkouts that compute the same bytes print the same
@@ -84,6 +85,7 @@ def commands(work):
         runs.append((f"eval-{name}", ["eval", *arch, *data, "--ckpt", ckpt], []))
     for fmt in ("table", "records"):
         runs.append((f"analyze-{fmt}", ["analyze", "--preset", "simpnet-300k", "--format", fmt], []))
+    runs.append(("analyze-no-bn", ["analyze", "--arch", arch_file, "--format", "records"], []))
     for seed in GRADCHECK_SEEDS:
         runs.append((f"gradcheck-seed{seed}", ["gradcheck", "--instances", str(GRADCHECK_INSTANCES), "--seed", str(seed)], []))
     return runs

@@ -14,10 +14,10 @@ The text format is line-oriented, one layer per line, `#` comments:
     flatten
     dense 10
 
-Flags: s<int> is stride, p<int> is padding on conv/sconv, p<float> is a
-probability on safpool/dropout. A valid file is one input line, one or
-more named groups, and exactly one classifier tail: `gap`, or
-`flatten` + `dense`, or `gap` + `flatten` + `dense`.
+KINDS lists each keyword's integer arguments and flags: s<int> is stride,
+p<int> padding on conv/sconv, p<float> a probability on safpool/dropout.
+A valid file is one input line, one or more named groups, and exactly one
+classifier tail: `gap`, or `flatten` + `dense`, or `gap` + `flatten` + `dense`.
 
 Published per-layer widths for the reference architectures are not
 available; preset width vectors are derived here by a deterministic
@@ -28,8 +28,10 @@ preserving depth, pooling placement and kernel sizes.
 from __future__ import annotations
 
 import importlib.resources
+import os
 import re
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import layers as L
@@ -37,8 +39,7 @@ from .errors import ArchParseError, ArchValidationError, ShapeError
 from .network import Model, count_macs
 
 CONV_KERNELS = (1, 2, 3, 5, 7)
-
-KINDS = ("conv", "sconv", "maxpool", "safpool", "gap", "bn", "relu", "dropout", "dense", "flatten")
+MIN_WIDTH = 4  # the narrowest conv the width solver hands out
 
 
 @dataclass(frozen=True)
@@ -61,46 +62,86 @@ class ArchSpec:
         return [ls for _, group in self.groups for ls in group]
 
 
+@dataclass(frozen=True)
+class Kind:
+    """One layer keyword's rules, read by parse, render and build alike."""
+
+    args: tuple[tuple[str, str], ...]  # integer arguments: (LayerSpec field, word in error messages)
+    flags: tuple[str, ...]  # LayerSpec fields taken as FLAGS, in render order
+    label: str  # prefix of the layer names it builds
+    make: Callable[[str, int, LayerSpec], L.Layer]  # (name, input channels or features, spec)
+
+
+def _conv(name, c, ls):
+    return L.Conv2d(name, c, ls.channels, ls.kernel, ls.stride, ls.pad)
+
+
+_CONV_ARGS = (("kernel", "kernel"), ("channels", "out_channels"))
+_POOL_ARGS = (("kernel", "window"),)
+
+KINDS = {
+    "conv": Kind(_CONV_ARGS, ("stride", "pad"), "conv", _conv),
+    "sconv": Kind(_CONV_ARGS, ("stride", "pad"), "sconv", _conv),
+    "maxpool": Kind(_POOL_ARGS, ("stride",), "pool", lambda name, c, ls: L.SafPool(name, ls.kernel, 0.0, ls.stride)),
+    "safpool": Kind(_POOL_ARGS, ("p", "stride"), "safpool", lambda name, c, ls: L.SafPool(name, ls.kernel, ls.p, ls.stride)),
+    "gap": Kind((), (), "gap", lambda name, c, ls: L.GlobalAvgPool(name)),
+    "bn": Kind((), (), "bn", lambda name, c, ls: L.BatchNorm(name, c)),
+    "relu": Kind((), (), "relu", lambda name, c, ls: L.ReLU(name)),
+    "dropout": Kind((), ("p",), "drop", lambda name, c, ls: L.Dropout(name, ls.p)),
+    # validate puts a flatten right before dense, so c is its feature count
+    "dense": Kind((("channels", "units"),), (), "dense", lambda name, c, ls: L.Dense(name, c, ls.channels)),
+    "flatten": Kind((), (), "flatten", lambda name, c, ls: L.Flatten(name)),
+}
+
+# flag field -> (letter, word in error messages, least value; None for a probability in [0, 1))
+FLAGS = {"stride": ("s", "stride", 1), "pad": ("p", "padding", 0), "p": ("p", "probability", None)}
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _tokens(line: str):
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
-
-
-def _want_int(tok: str, lineno: int, col: int, what: str) -> int:
+def _want_int(tok: str, lineno: int, col: int, what: str, least: int = 0) -> int:
     if not re.fullmatch(r"\d+", tok):
         raise ArchParseError(f"expected integer {what}, got {tok!r}", lineno, col)
+    if int(tok) < least:
+        raise ArchParseError(f"{what} must be >= {least}", lineno, col)
     return int(tok)
 
 
-def _want_float(tok: str, lineno: int, col: int, what: str) -> float:
+def _want_prob(tok: str, lineno: int, col: int) -> float:
     try:
-        return float(tok)
+        prob = float(tok)
     except ValueError:
-        raise ArchParseError(f"expected number {what}, got {tok!r}", lineno, col) from None
+        raise ArchParseError(f"expected number probability, got {tok!r}", lineno, col) from None
+    if not 0.0 <= prob < 1.0:
+        raise ArchParseError(f"probability must be in [0, 1), got {prob}", lineno, col)
+    return prob
 
 
-def _parse_flags(toks, lineno, kind):
-    """s<k>/p<k or real> flags; returns (stride, pad, p) with None = unset.
-
-    The p flag means padding on conv/sconv and a probability on
-    safpool/dropout; other kinds reject it.
-    """
-    stride = pad = prob = None
-    for tok, col in toks:
-        if tok.startswith("s") and stride is None:
-            stride = _want_int(tok[1:], lineno, col, "stride")
-        elif tok.startswith("p") and pad is None and prob is None and kind in ("conv", "sconv"):
-            pad = _want_int(tok[1:], lineno, col, "padding")
-        elif tok.startswith("p") and pad is None and prob is None and kind in ("safpool", "dropout"):
-            prob = _want_float(tok[1:], lineno, col, "probability")
-            if not 0.0 <= prob < 1.0:
-                raise ArchParseError(f"probability must be in [0, 1), got {prob}", lineno, col)
-        else:
-            raise ArchParseError(f"unexpected token {tok!r}", lineno, col)
-    return stride, pad, prob
+def _read_layer(head: str, rest, lineno: int, col: int) -> LayerSpec:
+    """One layer line: the kind's integer arguments, then its flags in any order, each at most once."""
+    kind = KINDS[head]
+    if len(rest) < len(kind.args):
+        raise ArchParseError(f"{head} needs {' and '.join(word for _, word in kind.args)}", lineno, col)
+    fields = {}
+    for (field, word), (tok, tcol) in zip(kind.args, rest):
+        fields[field] = _want_int(tok, lineno, tcol, word, least=1)
+        if word == "kernel" and fields[field] not in CONV_KERNELS:
+            raise ArchParseError(f"kernel {fields[field]} not in allowed set {CONV_KERNELS}", lineno, tcol)
+    by_letter = {FLAGS[field][0]: field for field in kind.flags}
+    for tok, tcol in rest[len(kind.args) :]:
+        field = by_letter.get(tok[:1])
+        if field is None or field in fields:
+            raise ArchParseError(f"unexpected token {tok!r}", lineno, tcol)
+        _, word, least = FLAGS[field]
+        text = tok[1:]
+        fields[field] = _want_prob(text, lineno, tcol) if least is None else _want_int(text, lineno, tcol, word, least)
+    if head == "dropout" and "p" not in fields:
+        raise ArchParseError("dropout needs p<real>", lineno, col)
+    if "stride" in kind.flags and "stride" not in fields:  # a pool's stride defaults to its window
+        fields["stride"] = {"conv": 1, "sconv": 2}.get(head, fields["kernel"])
+    return LayerSpec(head, **fields)
 
 
 def parse(text: str, name: str = "arch") -> ArchSpec:
@@ -111,7 +152,7 @@ def parse(text: str, name: str = "arch") -> ArchSpec:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        toks = _tokens(line)
+        toks = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
         head, col = toks[0]
         rest = toks[1:]
         if input_shape is None:
@@ -135,52 +176,7 @@ def parse(text: str, name: str = "arch") -> ArchSpec:
             raise ArchParseError(f"unknown keyword {head!r}", lineno, col)
         if not groups:
             raise ArchParseError(f"layer {head!r} before any group", lineno, col)
-
-        if head in ("conv", "sconv"):
-            if len(rest) < 2:
-                raise ArchParseError(f"{head} needs kernel and out_channels", lineno, col)
-            (ktok, kcol), (ctok, ccol) = rest[0], rest[1]
-            kernel = _want_int(ktok, lineno, kcol, "kernel")
-            if kernel not in CONV_KERNELS:
-                raise ArchParseError(f"kernel {kernel} not in allowed set {CONV_KERNELS}", lineno, kcol)
-            channels = _want_int(ctok, lineno, ccol, "out_channels")
-            stride, pad, _ = _parse_flags(rest[2:], lineno, head)
-            spec = LayerSpec(
-                head,
-                kernel=kernel,
-                channels=channels,
-                stride=stride if stride is not None else (2 if head == "sconv" else 1),
-                pad=pad if pad is not None else 0,
-            )
-        elif head in ("maxpool", "safpool"):
-            if len(rest) < 1:
-                raise ArchParseError(f"{head} needs a window size", lineno, col)
-            wtok, wcol = rest[0]
-            window = _want_int(wtok, lineno, wcol, "window")
-            if window < 1:
-                raise ArchParseError("window must be >= 1", lineno, wcol)
-            stride, _, prob = _parse_flags(rest[1:], lineno, head)
-            spec = LayerSpec(
-                head,
-                kernel=window,
-                stride=stride if stride is not None else window,
-                p=prob if prob is not None else 0.0,
-            )
-        elif head == "dropout":
-            _, _, prob = _parse_flags(rest, lineno, head)
-            if prob is None:
-                raise ArchParseError("dropout needs p<real>", lineno, col)
-            spec = LayerSpec(head, p=prob)
-        elif head == "dense":
-            if len(rest) != 1:
-                raise ArchParseError("dense takes exactly one unit count", lineno, col)
-            utok, ucol = rest[0]
-            spec = LayerSpec(head, channels=_want_int(utok, lineno, ucol, "units"))
-        else:  # gap, bn, relu, flatten
-            if rest:
-                raise ArchParseError(f"{head} takes no arguments", lineno, rest[0][1])
-            spec = LayerSpec(head)
-        groups[-1][1].append(spec)
+        groups[-1][1].append(_read_layer(head, rest, lineno, col))
 
     if input_shape is None:
         raise ArchParseError("empty architecture (no input line)", 1, 1)
@@ -195,17 +191,10 @@ def render(spec: ArchSpec) -> str:
     for gname, group in spec.groups:
         lines.append(f"group {gname}")
         for ls in group:
-            if ls.kind in ("conv", "sconv"):
-                lines.append(f"{ls.kind} {ls.kernel} {ls.channels} s{ls.stride} p{ls.pad}")
-            elif ls.kind in ("maxpool", "safpool"):
-                probe = f" p{ls.p!r}" if ls.kind == "safpool" else ""
-                lines.append(f"{ls.kind} {ls.kernel}{probe} s{ls.stride}")
-            elif ls.kind == "dropout":
-                lines.append(f"dropout p{ls.p!r}")
-            elif ls.kind == "dense":
-                lines.append(f"dense {ls.channels}")
-            else:
-                lines.append(ls.kind)
+            kind = KINDS[ls.kind]
+            args = [str(getattr(ls, field)) for field, _ in kind.args]
+            flags = [f"{FLAGS[field][0]}{getattr(ls, field)}" for field in kind.flags]
+            lines.append(" ".join([ls.kind, *args, *flags]))
     return "\n".join(lines) + "\n"
 
 
@@ -249,27 +238,8 @@ def build(spec: ArchSpec) -> Model:
         return f"{kind_label}{counters[kind_label]}"
 
     for ls in spec.flat_layers():
-        ch = shape[1]
-        if ls.kind in ("conv", "sconv"):
-            layer = L.Conv2d(fresh(ls.kind), ch, ls.channels, ls.kernel, ls.stride, ls.pad)
-        elif ls.kind == "maxpool":
-            layer = L.SafPool(fresh("pool"), ls.kernel, 0.0, ls.stride)
-        elif ls.kind == "safpool":
-            layer = L.SafPool(fresh("safpool"), ls.kernel, ls.p, ls.stride)
-        elif ls.kind == "bn":
-            layer = L.BatchNorm(fresh("bn"), ch)
-        elif ls.kind == "relu":
-            layer = L.ReLU(fresh("relu"))
-        elif ls.kind == "dropout":
-            layer = L.Dropout(fresh("drop"), ls.p)
-        elif ls.kind == "gap":
-            layer = L.GlobalAvgPool(fresh("gap"))
-        elif ls.kind == "flatten":
-            layer = L.Flatten(fresh("flatten"))
-        elif ls.kind == "dense":  # validate puts a flatten right before it
-            layer = L.Dense(fresh("dense"), shape[1], ls.channels)
-        else:  # unreachable given parse
-            raise ArchValidationError(f"unknown kind {ls.kind!r}")
+        kind = KINDS[ls.kind]
+        layer = kind.make(fresh(kind.label), shape[1], ls)
         try:
             shape = layer.out_shape(shape)
         except ShapeError as e:
@@ -374,7 +344,7 @@ def simpnet(widths, input_shape=(3, 32, 32), num_classes: int = 10, **options) -
 # width solver
 
 
-def solve_widths(make_spec, profile, target: int, tol: float = 0.02, min_width: int = 4) -> list[int]:
+def solve_widths(make_spec, profile, target: int, tol: float = 0.02) -> list[int]:
     """Find integer widths w = round(scale * profile) whose built model
     has a parameter total within tol of target.
 
@@ -384,7 +354,7 @@ def solve_widths(make_spec, profile, target: int, tol: float = 0.02, min_width: 
     profile = [float(p) for p in profile]
 
     def widths_at(scale: float) -> list[int]:
-        return [max(min_width, round(scale * p)) for p in profile]
+        return [max(MIN_WIDTH, round(scale * p)) for p in profile]
 
     def total(ws) -> int:
         return count_macs(build(make_spec(ws))).total_params
@@ -414,7 +384,7 @@ def solve_widths(make_spec, profile, target: int, tol: float = 0.02, min_width: 
             for d in (-1, 1):
                 trial = list(best)
                 trial[i] += d
-                if trial[i] < min_width:
+                if trial[i] < MIN_WIDTH:
                     continue
                 if keep_monotone and not all(b >= a for a, b in zip(trial, trial[1:])):
                     continue
@@ -580,7 +550,4 @@ def builder_presets() -> dict[str, ArchSpec]:
 
 def load_arch_file(path) -> ArchSpec:
     with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    import os
-
-    return parse(text, name=os.path.splitext(os.path.basename(path))[0])
+        return parse(f.read(), name=os.path.splitext(os.path.basename(path))[0])

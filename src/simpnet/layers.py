@@ -433,8 +433,8 @@ class Conv2d(Layer):
 
     def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0):
         super().__init__(name)
-        if kernel < 1 or stride < 1 or pad < 0:
-            raise ValueError("conv requires kernel,stride >= 1 and pad >= 0")
+        if min(in_channels, out_channels, kernel, stride) < 1 or pad < 0:
+            raise ValueError("conv requires channels, kernel, stride >= 1 and pad >= 0")
         self.c_in = in_channels
         self.c_out = out_channels
         self.k = kernel
@@ -483,6 +483,8 @@ class SafPool(Layer):
             raise ValueError(f"SAF-pool p must be in [0, 1), got {p}")
         self.window = window
         self.stride = window if stride is None else stride
+        if min(self.window, self.stride) < 1:
+            raise ValueError("SAF-pool requires window, stride >= 1")
         self.p = p
 
     def forward(self, x, mode, rng):
@@ -595,6 +597,8 @@ class Dense(Layer):
 
     def __init__(self, name, in_features, units):
         super().__init__(name)
+        if min(in_features, units) < 1:
+            raise ValueError("dense requires in_features, units >= 1")
         self.d = in_features
         self.m = units
         self.weight = self.bias = None

@@ -59,9 +59,9 @@ class SplitRng:
 
     __slots__ = ("key", "counter")
 
-    def __init__(self, seed: int, _counter: int = 0):
+    def __init__(self, seed: int):
         self.key = _U64(seed & _MASK64)
-        self.counter = _counter
+        self.counter = 0
 
     def split(self, *labels: int) -> "SplitRng":
         key = self.key

@@ -283,7 +283,6 @@ def ablate(
     test_ds: Dataset,
     cfg: TrainConfig,
     subset: int | None = None,
-    seeds: tuple[int, ...] | None = None,
     log=None,
 ) -> AblateResult:
     """Train every arm of a preset under identical config and seeds
@@ -295,7 +294,7 @@ def ablate(
     totals = check_budgets(preset)
     if subset is not None:
         train_ds = train_ds.subset(subset)
-    seeds = seeds if seeds is not None else (cfg.seed, cfg.seed + 1, cfg.seed + 2)
+    seeds = (cfg.seed, cfg.seed + 1, cfg.seed + 2)
 
     probe = test_ds.images[: min(64, len(test_ds))]
     arms: list[ArmResult] = []

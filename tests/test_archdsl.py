@@ -1,3 +1,6 @@
+import importlib.resources
+import re
+
 import numpy as np
 import pytest
 
@@ -87,11 +90,53 @@ class TestParse:
         with pytest.raises(ArchParseError, match="unexpected token"):
             A.parse("input 1 8 8\ngroup g1\nconv 3 8 s1 p1\nmaxpool 2 p0.3\ngap\n")
 
+    @pytest.mark.parametrize(
+        "line,column,message",
+        [
+            ("maxpool 2 s0", 11, "stride must be >= 1"),
+            ("safpool 2 s0 p0.1", 11, "stride must be >= 1"),
+            ("conv 3 8 s0", 10, "stride must be >= 1"),
+            ("sconv 2 8 s0", 11, "stride must be >= 1"),
+            ("conv 3 0 s1 p1", 8, "out_channels must be >= 1"),
+            ("dense 0", 7, "units must be >= 1"),
+            ("maxpool 0", 9, "window must be >= 1"),
+            ("dropout p0.3 s1", 14, "unexpected token 's1'"),
+            ("conv 4 8", 6, "kernel 4 not in allowed set"),
+            ("conv 3 x", 8, "expected integer out_channels, got 'x'"),
+            ("conv 3", 1, "conv needs kernel and out_channels"),
+            ("conv 3 8 p0.5", 10, "expected integer padding, got '0.5'"),
+            ("conv 3 8 s1 p1 p1", 16, "unexpected token 'p1'"),
+            ("conv 3 8 q1", 10, "unexpected token 'q1'"),
+            ("maxpool", 1, "maxpool needs window"),
+            ("maxpool 2 p0.1", 11, "unexpected token 'p0.1'"),
+            ("maxpool 2 s1 s1", 14, "unexpected token 's1'"),
+            ("safpool 2 p1.5", 11, "probability must be in"),
+            ("safpool 2 px", 11, "expected number probability, got 'x'"),
+            ("dropout", 1, "dropout needs p<real>"),
+            ("dropout p0.2 p0.2", 14, "unexpected token 'p0.2'"),
+            ("dense", 1, "dense needs units"),
+            ("dense 3 4", 9, "unexpected token '4'"),
+            ("dense x", 7, "expected integer units, got 'x'"),
+            ("bn 3", 4, "unexpected token '3'"),
+            ("relu x", 6, "unexpected token 'x'"),
+        ],
+    )
+    def test_malformed_layer_line_names_its_token(self, line, column, message):
+        with pytest.raises(ArchParseError, match=re.escape(message)) as e:
+            A.parse(f"input 1 8 8\ngroup g1\n{line}\ngap\n")
+        assert (e.value.line, e.value.column) == (3, column)
+
 
 class TestRenderRoundTrip:
     def test_example_round_trip(self):
         spec = A.parse(EXAMPLE)
         assert A.parse(A.render(spec)) == spec
+
+    @pytest.mark.parametrize("name", sorted(A.builder_presets()))
+    def test_render_gives_the_packaged_file(self, name):
+        text = (importlib.resources.files("simpnet.presets") / f"{name.replace('-', '_')}.arch").read_text()
+        layer_lines = [line for line in text.splitlines() if not line.startswith("#")]
+        assert A.render(A.parse(text)) == "\n".join(layer_lines) + "\n"
 
     def test_random_specs_round_trip(self):
         rng = SplitRng(404)

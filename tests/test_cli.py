@@ -199,6 +199,24 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--arch", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["maxpool 2 s0", "safpool 2 s0 p0.1", "conv 3 8 s0", "conv 3 0 s1 p1", "dense 0", "dropout p0.3 s1"]
+    )
+    def test_zero_sizes_and_foreign_flags_exit_2(self, tmp_path, capsys, line):
+        path = tmp_path / "broken.arch"
+        path.write_text(f"input 1 28 28\ngroup g1\nconv 3 8 s1 p1\n{line}\ngroup head\nflatten\ndense 10\n")
+        assert main(["analyze", "--arch", str(path)]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_zero_stride_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "broken.arch"
+        path.write_text("input 1 28 28\ngroup g1\nconv 3 8 s1 p1\nmaxpool 2 s0\ngroup head\ngap\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simpnet.__file__)))
+        cmd = [sys.executable, "-m", "simpnet.cli", "analyze", "--arch", str(path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "line 4, col 11" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_input_override(self, capsys):
         assert main(["analyze", "--preset", "simpnet-300k", "--input", "3", "64", "64"]) == 0
 

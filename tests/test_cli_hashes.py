@@ -28,6 +28,6 @@ def test_two_runs_print_the_same_hashes(monkeypatch, capsys):
     assert [line.split("  ")[1] for line in runs[0]] == [
         "train-tiny/stdout", "train-tiny/tiny.csv", "train-tiny/tiny.snpk", "eval-tiny/stdout",
         "train-no-bn/stdout", "train-no-bn/no-bn.csv", "train-no-bn/no-bn.snpk", "eval-no-bn/stdout",
-        "analyze-table/stdout", "analyze-records/stdout", "gradcheck-seed0/stdout",
+        "analyze-table/stdout", "analyze-records/stdout", "analyze-no-bn/stdout", "gradcheck-seed0/stdout",
     ]
     assert all(len(line.split("  ")[0]) == 64 for line in runs[0])

@@ -282,6 +282,24 @@ class TestChannelsLast:
 
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: L.Conv2d("conv1", 3, 0, 3),
+        lambda: L.Conv2d("conv1", 0, 8, 3),
+        lambda: L.Conv2d("conv1", 3, 8, 3, stride=0),
+        lambda: L.SafPool("pool1", 0),
+        lambda: L.SafPool("pool1", 2, 0.1, stride=0),
+        lambda: L.Dense("dense1", 4, 0),
+        lambda: L.Dense("dense1", 0, 10),
+    ],
+    ids=["conv-out", "conv-in", "conv-stride", "pool-window", "pool-stride", "dense-units", "dense-in"],
+)
+def test_zero_sizes_and_strides_rejected_at_construction(make):
+    with pytest.raises(ValueError, match=">= 1"):
+        make()
+
+
 class TestDense:
     def test_identity_weight(self):
         x = np.array([[1.0, 2.0]])
