@@ -1,8 +1,9 @@
 """Command-line entry point: train, eval, analyze, gradcheck, ablate.
 
 Exit codes: 0 success; 1 gradient-check failure; 2 argument/preset/parse
-errors; 3 data or file-format errors; 4 numerical abort during
-training; 5 build-blocking shape collapse in analyze.
+errors; 3 data or file-format errors, or a file that cannot be opened,
+read or written; 4 numerical abort during training; 5 build-blocking
+shape collapse in analyze.
 
 Every run echoes its full resolved configuration to stderr. In
 deterministic mode identical invocations produce byte-identical output
@@ -61,10 +62,7 @@ def _add_train_flags(p: argparse.ArgumentParser):
 
 def _resolve_arch(args) -> archdsl.ArchSpec:
     if getattr(args, "arch", None):
-        try:
-            return archdsl.load_arch_file(args.arch)
-        except FileNotFoundError:
-            raise FormatError(f"arch file not found: {args.arch}") from None
+        return archdsl.load_arch_file(args.arch)
     presets = archdsl.builder_presets()
     if args.preset not in presets:
         experiments = archdsl.ablation_presets()
@@ -77,11 +75,8 @@ def _resolve_arch(args) -> archdsl.ArchSpec:
 def _load_data(args):
     if not args.data_dir:
         raise ValueError("no --data-dir given and SIMPNET_DATA_DIR is unset")
-    try:
-        train_ds = data.load_split(args.dataset, args.data_dir, "train")
-        test_ds = data.load_split(args.dataset, args.data_dir, "test")
-    except FileNotFoundError as e:
-        raise FormatError(f"dataset file missing: {e.filename}") from None
+    train_ds = data.load_split(args.dataset, args.data_dir, "train")
+    test_ds = data.load_split(args.dataset, args.data_dir, "test")
     if not getattr(args, "no_normalize", False):
         train_ds = data.normalize(train_ds)
         test_ds = data.normalize(test_ds, mean=train_ds.mean, std=train_ds.std)
@@ -117,7 +112,7 @@ def _check_input_shape(spec: archdsl.ArchSpec, dataset):
 def cmd_train(args) -> int:
     spec = _resolve_arch(args)
     train_ds, test_ds = _load_data(args)
-    if args.subset:
+    if args.subset is not None:
         train_ds = train_ds.subset(args.subset)
     _check_input_shape(spec, train_ds)
     cfg = _train_config(args)
@@ -152,6 +147,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = _resolve_arch(args)
+    if args.input and min(args.input) < 1:
+        raise ValueError(f"--input dims must be >= 1, got {' '.join(map(str, args.input))}")
     input_shape = tuple(args.input) if args.input else None
     report = audit(spec, input_shape=input_shape)
     print(report.render_records() if args.format == "records" else report.render_table())
@@ -253,8 +250,8 @@ def main(argv=None) -> int:
     except ArchValidationError as e:
         _err(f"architecture invalid: {e}")
         return EXIT_COLLAPSE if args.command == "analyze" else EXIT_ARGS
-    except (FormatError, CompatibilityError) as e:
-        _err(str(e))
+    except (FormatError, CompatibilityError, OSError) as e:
+        _err(str(e))  # an OSError's text names the file it failed on
         return EXIT_DATA
     except (KeyError, ValueError) as e:
         msg = e.args[0] if e.args else str(e)

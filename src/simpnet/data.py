@@ -8,6 +8,7 @@ format; everything else in the project is little-endian.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -28,7 +29,7 @@ CIFAR10_BATCH_BYTES = CIFAR10_BATCH_RECORDS * CIFAR10_RECORD_BYTES
 class Dataset:
     images: np.ndarray  # (N, c, h, w) float32
     labels: np.ndarray  # (N,) int64
-    name: str
+    name: str  # where the examples came from; prefixes validation errors
     num_classes: int
     mean: np.ndarray | None = None  # per-channel, set by normalize()
     std: np.ndarray | None = None
@@ -36,10 +37,13 @@ class Dataset:
     def __post_init__(self):
         if len(self.images) != len(self.labels):
             raise FormatError(
-                f"image/label count mismatch: {len(self.images)} images vs {len(self.labels)} labels"
+                f"{self.name}: image/label count mismatch: {len(self.images)} images vs {len(self.labels)} labels"
             )
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise FormatError(f"labels outside [0, {self.num_classes})")
+        if len(self.labels) == 0:
+            raise FormatError(f"{self.name}: no examples")
+        lo, hi = self.labels.min(), self.labels.max()
+        if lo < 0 or hi >= self.num_classes:
+            raise FormatError(f"{self.name}: label {lo if lo < 0 else hi} out of range for {self.num_classes} classes")
 
     def __len__(self):
         return len(self.labels)
@@ -50,42 +54,37 @@ class Dataset:
 
     def subset(self, n: int) -> "Dataset":
         """First n examples (deterministic desk-scale truncation)."""
+        if n < 1:
+            raise ValueError(f"subset must be >= 1, got {n}")
         n = min(n, len(self))
         return replace(self, images=self.images[:n], labels=self.labels[:n])
 
 
 # ---------------------------------------------------------------------------
-# MNIST IDX
+# bounded reads (IDX, checkpoints) and MNIST IDX
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated IDX file: expected {n} bytes for {what}, got {len(buf)}")
-    return buf
+def read_exact(f, n: int, what: str, fmt: str) -> bytes:
+    """The next n bytes of binary file f. n is checked against the bytes
+    left in the file before reading, so a header that claims more data
+    than the file holds fails without allocating for it."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise FormatError(f"{f.name}: truncated {fmt}: expected {n} bytes for {what}, {left} left")
+    return f.read(n)
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Raw (N, h, w) uint8 pixel array from an IDX image file."""
+def read_idx(path, ndim: int) -> np.ndarray:
+    """Raw uint8 array from an IDX file of ndim dims: (N,) labels or (N, h, w) pixels."""
+    expected = {1: IDX_LABELS_MAGIC, 3: IDX_IMAGES_MAGIC}[ndim]
     with open(path, "rb") as f:
-        magic, count, h, w = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"bad IDX image magic 0x{magic:08x} (expected 0x{IDX_IMAGES_MAGIC:08x})")
-        data = _read_exact(f, count * h * w, "pixel data")
-        if f.read(1):
-            raise FormatError("trailing bytes after IDX pixel data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(count, h, w)
-
-
-def read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"bad IDX label magic 0x{magic:08x} (expected 0x{IDX_LABELS_MAGIC:08x})")
-        data = _read_exact(f, count, "label data")
-        if f.read(1):
-            raise FormatError("trailing bytes after IDX label data")
-    return np.frombuffer(data, dtype=np.uint8)
+        magic, *dims = struct.unpack(f">{ndim + 1}I", read_exact(f, 4 * (ndim + 1), "header", "IDX file"))
+        if magic != expected:
+            raise FormatError(f"{path}: bad IDX magic 0x{magic:08x} (expected 0x{expected:08x})")
+        data = read_exact(f, math.prod(dims), "data", "IDX file")
+        if f.peek(1):
+            raise FormatError(f"{path}: trailing bytes after IDX data")
+    return np.frombuffer(data, dtype=np.uint8).reshape(dims)
 
 
 def write_idx_images(images: np.ndarray, path):
@@ -110,14 +109,10 @@ def write_idx_labels(labels: np.ndarray, path):
 
 def load_mnist(images_path, labels_path) -> Dataset:
     """IDX pair -> Dataset of (N, 1, h, w) float32 pixels in [0, 1]."""
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
-    if len(images) != len(labels):
-        raise FormatError(f"IDX count mismatch: {len(images)} images vs {len(labels)} labels")
-    if labels.size and labels.max() > 9:
-        raise FormatError(f"label byte {labels.max()} out of range for 10 classes")
+    images = read_idx(images_path, 3)
+    labels = read_idx(labels_path, 1)
     x = (images.astype(np.float32) / 255.0)[:, None, :, :]
-    return Dataset(x, labels.astype(np.int64), name="mnist", num_classes=10)
+    return Dataset(x, labels.astype(np.int64), name=f"{images_path}, {labels_path}", num_classes=10)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +136,12 @@ def load_cifar10(batch_paths) -> Dataset:
             raw = np.frombuffer(f.read(), dtype=np.uint8)
         records = raw.reshape(-1, CIFAR10_RECORD_BYTES)
         labels = records[:, 0]
-        if labels.size and labels.max() > 9:
-            raise FormatError(f"{path}: label byte {labels.max()} out of range for 10 classes")
         images = records[:, 1:].reshape(-1, 3, 32, 32)
         all_images.append(images)
         all_labels.append(labels)
     x = np.concatenate(all_images).astype(np.float32) / 255.0
     y = np.concatenate(all_labels).astype(np.int64)
-    return Dataset(x, y, name="cifar10", num_classes=10)
+    return Dataset(x, y, name=", ".join(map(str, batch_paths)), num_classes=10)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,8 @@ class CheckResult:
 
 def run_suite(layers=None, seed: int = 0, instances: int = 20, registry=None) -> list[CheckResult]:
     """Run every case (or the named subset) on `instances` random draws."""
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     registry = CASES if registry is None else registry
     if layers:
         unknown = [l for l in layers if l not in registry]

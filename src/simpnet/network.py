@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_exact
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
 from .layers import bn_eval_affine, conv2d_forward, maxpool_values, relu_dropout_forward
@@ -201,38 +203,28 @@ def save_checkpoint(model: Model, path):
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
     """Parse a checkpoint into name -> tensor, validating the framing."""
-
-    def need(f, n, what):
-        buf = f.read(n)
-        if len(buf) != n:
-            raise FormatError(f"truncated checkpoint: expected {n} bytes for {what}")
-        return buf
-
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise FormatError("bad checkpoint magic (expected SNPK)")
-        (version,) = struct.unpack("<B", need(f, 1, "version"))
+        if read_exact(f, 4, "magic", "checkpoint") != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic (expected SNPK)")
+        (version,) = struct.unpack("<B", read_exact(f, 1, "version", "checkpoint"))
         if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        while True:
-            head = f.read(2)
-            if not head:
-                break
-            if len(head) != 2:
-                raise FormatError("truncated checkpoint: name length")
-            (name_len,) = struct.unpack("<H", head)
-            name = need(f, name_len, "name").decode("utf-8")
-            code, ndim = struct.unpack("<BB", need(f, 2, "dtype/ndim"))
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        while f.peek(1):
+            (name_len,) = struct.unpack("<H", read_exact(f, 2, "name length", "checkpoint"))
+            try:
+                name = read_exact(f, name_len, "name", "checkpoint").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: tensor name is not UTF-8") from None
+            code, ndim = struct.unpack("<BB", read_exact(f, 2, "dtype/ndim", "checkpoint"))
             if code not in _CODE_DTYPES:
-                raise FormatError(f"unknown dtype code {code} for {name!r}")
-            dims = struct.unpack(f"<{ndim}I", need(f, 4 * ndim, "dims"))
+                raise FormatError(f"{path}: unknown dtype code {code} for {name!r}")
+            dims = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "dims", "checkpoint"))
             dtype = _CODE_DTYPES[code]
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-            data = need(f, nbytes, f"data of {name!r}")
+            data = read_exact(f, math.prod(dims) * dtype.itemsize, f"data of {name!r}", "checkpoint")
             arr = np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(dims)
             if name in tensors:
-                raise FormatError(f"duplicate tensor {name!r} in checkpoint")
+                raise FormatError(f"{path}: duplicate tensor {name!r} in checkpoint")
             tensors[name] = arr
     return tensors
 

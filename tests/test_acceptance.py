@@ -280,13 +280,13 @@ def test_c9_loader_bit_exactness(tmp_path):
     bad_magic = tmp_path / "badmagic"
     bad_magic.write_bytes(b"\x00\x00\x08\x05" + bytes(12))
     with pytest.raises(FormatError):
-        D.read_idx_images(bad_magic)
+        D.read_idx(bad_magic, 3)
     truncated = tmp_path / "trunc"
     import struct as _s
 
     truncated.write_bytes(_s.pack(">IIII", 0x803, 10, 28, 28) + bytes(100))
     with pytest.raises(FormatError):
-        D.read_idx_images(truncated)
+        D.read_idx(truncated, 3)
     odd_cifar = tmp_path / "odd.bin"
     odd_cifar.write_bytes(bytes(3073 + 1))
     with pytest.raises(FormatError):

@@ -1,10 +1,12 @@
 import os
+import struct
 import subprocess
 import sys
 
 import pytest
 
 import simpnet
+from conftest import write_idx_pair
 from simpnet.cli import main
 
 TOY_ARCH = (
@@ -275,6 +277,128 @@ class TestAblateCommand:
         assert "maxpool" in out and "sconv" in out
         records = (tmp_path / "records.tsv").read_text().strip().splitlines()
         assert len(records) == 6
+
+
+def _data_dir(root, n_train=64, train_images=None):
+    """An MNIST-format directory; train_images, if given, replaces the
+    bytes of its train image file. Returns the directory and that file."""
+    root.mkdir()
+    img, _ = write_idx_pair(root, "train", n_train, seed=1)
+    write_idx_pair(root, "t10k", 16, seed=2)
+    if train_images is not None:
+        with open(img, "wb") as f:
+            f.write(train_images)
+    return root, img
+
+
+def _eval_args(tmp_path, arch, ckpt):
+    data_dir, _ = _data_dir(tmp_path / "data")
+    return ["eval", "--arch", arch, "--ckpt", str(ckpt), "--dataset", "mnist", "--data-dir", str(data_dir)]
+
+
+def _eval_with_checkpoint(tmp_path, arch, payload):
+    ckpt = tmp_path / "bad.snpk"
+    ckpt.write_bytes(b"SNPK\x01" + payload)
+    return _eval_args(tmp_path, arch, ckpt), ckpt
+
+
+def _train_on(tmp_path, arch, data_dir, *extra):
+    return train_args(arch, data_dir, tmp_path, "--subset", "64", "--max-steps", "1", *extra)
+
+
+def _case_analyze_arch_dir(tmp_path, arch):
+    return ["analyze", "--arch", str(tmp_path)], tmp_path
+
+
+def _case_eval_missing_ckpt(tmp_path, arch):
+    missing = tmp_path / "missing.snpk"
+    return _eval_args(tmp_path, arch, missing), missing
+
+
+def _case_train_out_metrics_dir(tmp_path, arch):
+    data_dir, _ = _data_dir(tmp_path / "data")
+    return _train_on(tmp_path, arch, data_dir, "--out-metrics", str(data_dir)), data_dir
+
+
+def _case_idx_header_exceeds_file(tmp_path, arch):
+    header = struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFF, 0xFFFF)
+    data_dir, img = _data_dir(tmp_path / "data", train_images=header + bytes(100))
+    return _train_on(tmp_path, arch, data_dir), img
+
+
+def _case_ckpt_size_exceeds_file(tmp_path, arch):
+    payload = struct.pack("<H", 1) + b"w" + struct.pack("<BB2I", 0, 2, 0xFFFFFFFF, 0xFFFFFFFF)
+    return _eval_with_checkpoint(tmp_path, arch, payload)
+
+
+def _case_ckpt_name_not_utf8(tmp_path, arch):
+    return _eval_with_checkpoint(tmp_path, arch, struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BB", 0, 0))
+
+
+def _case_empty_train_split(tmp_path, arch):
+    data_dir, img = _data_dir(tmp_path / "data", n_train=0)
+    return _train_on(tmp_path, arch, data_dir), img
+
+
+def _case_ablate_subset_0(tmp_path, arch):
+    data_dir, _ = _data_dir(tmp_path / "data")
+    argv = ["ablate", "--preset", "maxpool-vs-sconv", "--dataset", "mnist", "--data-dir", str(data_dir)]
+    return argv + ["--subset", "0", "--out-records", str(tmp_path / "records.tsv")], "subset"
+
+
+def _train_setting(setting, *flags):
+    def case(tmp_path, arch):
+        data_dir, _ = _data_dir(tmp_path / "data")
+        return train_args(arch, data_dir, tmp_path, *flags), setting
+
+    return case
+
+
+def _setting(setting, *argv):
+    return lambda tmp_path, arch: (list(argv), setting)
+
+
+@pytest.mark.parametrize(
+    "make_case, code",
+    [
+        pytest.param(_case_analyze_arch_dir, 3, id="analyze-arch-dir"),
+        pytest.param(_case_eval_missing_ckpt, 3, id="eval-missing-ckpt"),
+        pytest.param(_case_train_out_metrics_dir, 3, id="train-out-metrics-dir"),
+        pytest.param(_case_idx_header_exceeds_file, 3, id="idx-header-exceeds-file"),
+        pytest.param(_case_ckpt_size_exceeds_file, 3, id="ckpt-size-exceeds-file"),
+        pytest.param(_case_ckpt_name_not_utf8, 3, id="ckpt-name-not-utf8"),
+        pytest.param(_case_empty_train_split, 3, id="empty-train-split"),
+        pytest.param(_train_setting("subset", "--subset", "0"), 2, id="train-subset-0"),
+        pytest.param(_case_ablate_subset_0, 2, id="ablate-subset-0"),
+        pytest.param(_train_setting("max_steps", "--max-steps", "0"), 2, id="train-max-steps-0"),
+        pytest.param(_train_setting("epochs", "--epochs", "0"), 2, id="train-epochs-0"),
+        pytest.param(_setting("instances", "gradcheck", "--instances", "0"), 2, id="gradcheck-instances-0"),
+        pytest.param(
+            _setting("--input", "analyze", "--preset", "simpnet-300k", "--input", "3", "0", "0"),
+            2,
+            id="analyze-input-3-0-0",
+        ),
+        pytest.param(
+            _setting("--input", "analyze", "--preset", "simpnet-300k", "--input", "0", "32", "32"),
+            2,
+            id="analyze-input-0-32-32",
+        ),
+    ],
+)
+def test_malformed_input_exits_with_a_message_naming_it(tmp_path, toy_arch_file, capsys, make_case, code):
+    argv, named = make_case(tmp_path, toy_arch_file)
+    assert main(argv) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert str(named) in errors[0]
+
+
+def test_arch_directory_exits_3_without_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simpnet.__file__)))
+    cmd = [sys.executable, "-m", "simpnet.cli", "analyze", "--arch", str(tmp_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert str(tmp_path) in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_every_package_module_is_reachable_from_the_cli():

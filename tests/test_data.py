@@ -66,19 +66,25 @@ class TestMnistLoader:
         path = tmp_path / "img"
         path.write_bytes(struct.pack(">IIII", 0xDEAD, 1, 2, 2) + bytes(4))
         with pytest.raises(FormatError, match="magic"):
-            D.read_idx_images(path)
+            D.read_idx(path, 3)
 
     def test_bad_label_magic(self, tmp_path):
         path = tmp_path / "lbl"
         path.write_bytes(struct.pack(">II", 2051, 1) + bytes(1))
         with pytest.raises(FormatError, match="magic"):
-            D.read_idx_labels(path)
+            D.read_idx(path, 1)
 
     def test_truncated_images(self, tmp_path):
         path = tmp_path / "img"
         path.write_bytes(struct.pack(">IIII", 2051, 4, 28, 28) + bytes(100))
         with pytest.raises(FormatError, match="truncated"):
-            D.read_idx_images(path)
+            D.read_idx(path, 3)
+
+    def test_header_claiming_more_than_the_file_fails_before_reading(self, tmp_path):
+        path = tmp_path / "img"
+        path.write_bytes(struct.pack(">IIII", 2051, 0xFFFFFFFF, 0xFFFF, 0xFFFF) + bytes(100))
+        with pytest.raises(FormatError, match="truncated"):
+            D.read_idx(path, 3)
 
     def test_count_mismatch_between_files(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, "train", 8, seed=1)

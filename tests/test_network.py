@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -591,6 +592,12 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 7])
+        with pytest.raises(FormatError, match="truncated"):
+            read_checkpoint(path)
+
+    def test_dims_overflowing_int64_fail_as_truncated(self, tmp_path):
+        path = tmp_path / "huge.snpk"
+        path.write_bytes(b"SNPK\x01" + struct.pack("<H", 1) + b"w" + struct.pack("<BB2I", 0, 2, 0xFFFFFFFF, 0xFFFFFFFF))
         with pytest.raises(FormatError, match="truncated"):
             read_checkpoint(path)
 
