@@ -35,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import layers as L
-from .errors import ArchParseError, ArchValidationError, ShapeError
+from .errors import ArchParseError, ArchValidationError, FormatError, ShapeError
 from .network import Model, count_macs
 
 CONV_KERNELS = (1, 2, 3, 5, 7)
@@ -550,4 +550,8 @@ def builder_presets() -> dict[str, ArchSpec]:
 
 def load_arch_file(path) -> ArchSpec:
     with open(path, "r", encoding="utf-8") as f:
-        return parse(f.read(), name=os.path.splitext(os.path.basename(path))[0])
+        try:
+            text = f.read()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: architecture file is not UTF-8") from None
+    return parse(text, name=os.path.splitext(os.path.basename(path))[0])

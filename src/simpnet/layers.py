@@ -7,14 +7,7 @@ run them in order. A layer holds only its parameters (and batch norm its
 running stats): forward returns (output, cache), backward takes that
 cache back and returns the input gradient and the parameter gradients
 as values, and network.Model holds the caches of its last train-mode
-forward. In eval mode it runs conv -> bn (-> relu) as one conv with
-bn_eval_affine folded in, and a SafPool as maxpool_values. In train mode
-it runs a relu directly followed by a dropout with p > 0 as
-relu_dropout_forward, whose one cache is the bool keep = y > 0 and
-whose backward is dropout_backward. What train mode caches for backward
-is then: a conv's padded NHWC input, batch norm's xhat and per-channel
-scale, a pair's keep mask, a SafPool's keep mask and winners' offsets,
-a dense layer's input, and the input of a relu that is not paired.
+forward. network.plan decides which layers run together as one unit.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -48,25 +49,65 @@ class ParamLedger:
         return "\n".join(lines)
 
 
+def _folded_conv(conv, bn, relu, x, rng):
+    scale, shift = bn_eval_affine(bn.p, np.result_type(x, conv.weight))
+    w = conv.weight * scale.reshape(-1, 1, 1, 1)
+    y = conv2d_forward(x, w, conv.bias * scale + shift, conv.stride, conv.pad)
+    return (np.maximum(y, 0, out=y) if relu else y), None
+
+
+def plan(layers: list[Layer], mode: str) -> list[tuple]:
+    """The units a forward in `mode` runs, in order: (index of the first
+    layer, the layers, run(x, rng) -> (y, cache)), each layer in one unit.
+
+    Train mode runs a relu directly followed by a dropout with p > 0 as
+    relu_dropout_forward, caching only the bool keep = y > 0, on which
+    the dropout's backward is the pair's gradient bit for bit. Eval mode
+    runs a conv directly followed by a batch norm of its width (and a
+    relu after that) as one conv with bn_eval_affine folded in, into new
+    arrays per call, and a SafPool as maxpool_values; eval units cache
+    nothing. Other layers run alone, drawing from rng.split(i) for layer
+    index i. Units read layer attributes and call methods and kernels by
+    name when they run, so replaced parameters and wrapped functions are
+    seen. Train mode caches: a conv's padded NHWC input, batch norm's
+    xhat and per-channel scale, a pair's keep mask, a SafPool's keep mask
+    and winners' offsets, a dense layer's input, an unpaired relu's input.
+    """
+    units, i = [], 0
+    while i < len(layers):
+        layer, nxt, after = (*layers[i : i + 3], None, None)[:3]
+        if mode == TRAIN and isinstance(layer, ReLU) and isinstance(nxt, Dropout) and nxt.p > 0:
+            group, run = (layer, nxt), lambda x, rng, d=nxt, j=i + 1: relu_dropout_forward(x, d.p, rng and rng.split(j))
+        elif mode == EVAL and isinstance(layer, Conv2d) and isinstance(nxt, BatchNorm) and nxt.channels == layer.c_out:
+            group = (layer, nxt, after)[: 2 + isinstance(after, ReLU)]
+            run = partial(_folded_conv, layer, nxt, len(group) == 3)
+        elif mode == EVAL and isinstance(layer, SafPool):  # eval dropout is the identity
+            group, run = (layer,), lambda x, rng, pool=layer: (maxpool_values(x, pool.window, pool.stride), None)
+        elif mode == EVAL:
+            group, run = (layer,), lambda x, rng, layer=layer: (layer.forward(x, EVAL, None)[0], None)
+        else:
+            group, run = (layer,), lambda x, rng, layer=layer, j=i: layer.forward(x, TRAIN, rng and rng.split(j))
+        units.append((i, group, run))
+        i += len(group)
+    return units
+
+
 class Model:
-    """Ordered layer stack with named parameters.
+    """Ordered layer stack with named parameters; `units` holds plan(layers, mode) per mode.
 
     The model is the one owner of per-batch state: `caches` holds each
-    layer's backward cache from the last train-mode forward (None after
-    an eval-mode forward), and backward walks them in reverse. A train-mode
-    forward runs relu -> dropout (p > 0) as one unit that caches only a
-    bool keep mask, under the dropout; the relu's cache is None, and
-    backward runs only the dropout's backward for the pair. The mode
-    is a forward argument, and layers keep no state, so an eval-mode
-    forward, which runs fused conv -> bn -> relu and pool units, is a
-    pure function of (input, parameters). Backward returns the gradients
-    and keeps none, so calling it again after the same forward gives the
-    same values. A model is single-owner while training.
+    train unit's backward cache from the last train-mode forward (None
+    after an eval-mode forward). Layers keep no state, so an eval-mode
+    forward is a pure function of (input, parameters), and backward
+    returns the gradients and keeps none, so calling it again after the
+    same forward gives the same values. A model is single-owner while
+    training.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int]):
         self.layers = layers
         self.input_shape = tuple(input_shape)  # (c, h, w)
+        self.units = {mode: plan(layers, mode) for mode in (TRAIN, EVAL)}
         self.caches = None
         names = [n for l in layers for n, _ in l.param_entries()]
         if len(names) != len(set(names)):
@@ -78,57 +119,19 @@ class Model:
         return self
 
     def forward(self, x: np.ndarray, rng: SplitRng | None = None, mode: str = TRAIN) -> np.ndarray:
-        """Apply layers in order, keeping their caches in train mode only.
+        """Run the units of `mode` in order, keeping their caches in train mode only.
 
         The previous forward's caches are dropped first, so their memory
-        is free before this forward allocates. In train mode each
-        stochastic layer draws from rng.split(i) with i the layer index,
-        so streams are stable under reordering.
+        is free before this forward allocates.
         """
-        self.caches = None
-        if mode != TRAIN:
-            return self._eval_forward(x)
-        return self._train_forward(x, rng)
-
-    def _train_forward(self, x, rng):
-        """relu -> dropout (p > 0) as relu_dropout_forward, caching only its keep mask; the rest layer by layer."""
-        layers, caches, i = self.layers, [], 0
-        while i < len(layers):
-            layer, drop = (*layers[i : i + 2], None)[:2]
+        self.caches, caches = None, []
+        for _, layers, run in self.units[mode]:
             try:
-                if isinstance(layer, ReLU) and isinstance(drop, Dropout) and drop.p > 0 and rng is not None:
-                    x, keep = relu_dropout_forward(x, drop.p, rng.split(i + 1))
-                    caches += [None, keep]  # backward skips a ReLU whose cache is None
-                    i += 1
-                else:
-                    x, cache = layer.forward(x, TRAIN, rng.split(i) if rng is not None else None)
-                    caches.append(cache)
+                x, cache = run(x, rng)
             except ShapeError as e:
-                raise ShapeError(f"at layer {layer.name!r}: {e}") from e
-            i += 1
-        self.caches = caches
-        return x
-
-    def _eval_forward(self, x):
-        """conv -> bn (-> relu) as one conv, bn folded into new arrays per call (none goes stale); pools as maxima."""
-        layers, i = self.layers, 0
-        while i < len(layers):
-            layer, bn, relu = (*layers[i : i + 3], None, None)[:3]
-            try:
-                if isinstance(layer, SafPool):  # eval dropout is the identity
-                    x = maxpool_values(x, layer.window, layer.stride)
-                elif isinstance(layer, Conv2d) and isinstance(bn, BatchNorm) and bn.channels == layer.c_out:
-                    scale, shift = bn_eval_affine(bn.p, np.result_type(x, layer.weight))
-                    w = layer.weight * scale.reshape(-1, 1, 1, 1)
-                    x = conv2d_forward(x, w, layer.bias * scale + shift, layer.stride, layer.pad)
-                    if isinstance(relu, ReLU):
-                        np.maximum(x, 0, out=x)
-                    i += 1 + isinstance(relu, ReLU)  # the layers folded in
-                else:
-                    x = layer.forward(x, EVAL, None)[0]
-            except ShapeError as e:
-                raise ShapeError(f"at layer {layer.name!r}: {e}") from e
-            i += 1
+                raise ShapeError(f"at layer {layers[0].name!r}: {e}") from e
+            caches.append(cache)
+        self.caches = caches if mode == TRAIN else None
         return x
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
@@ -141,11 +144,9 @@ class Model:
         if self.caches is None:
             raise NoForwardCacheError("backward needs a train-mode forward first")
         grads = []
-        for i in reversed(range(len(self.layers))):
-            layer, cache = self.layers[i], self.caches[i]
-            if cache is None and isinstance(layer, ReLU):
-                continue  # folded into the next dropout's keep mask
-            if i == 0 and not input_grad and isinstance(layer, Conv2d):
+        for (start, layers, _), cache in zip(reversed(self.units[TRAIN]), reversed(self.caches)):
+            layer = layers[-1]
+            if start == 0 and not input_grad and isinstance(layer, Conv2d):
                 grad_out, layer_grads = layer.backward(cache, grad_out, input_grad=False)
             else:
                 grad_out, layer_grads = layer.backward(cache, grad_out)

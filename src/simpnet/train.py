@@ -158,6 +158,7 @@ def train_loop(
         if log:
             log(f"epoch {epoch} {split}: loss {loss:.4f} top1 {top1:.4f} lr {lr:.4g}")
 
+    flush()  # the header: a metrics path that cannot be written fails before the first step
     if ckpt_path is not None:
         save_checkpoint(model, ckpt_path)
     stop = False
@@ -270,13 +271,13 @@ def dead_channel_fraction(x: np.ndarray) -> float:
 
 
 def relu_dead_fraction(model: Model, probe: np.ndarray) -> float:
-    """Mean dead-channel fraction over every post-ReLU activation for a
-    probe batch (eval mode)."""
+    """Mean dead-channel fraction over the 4-D output of every eval-mode
+    unit that ends in a ReLU, for a probe batch: the forward evaluate scores."""
     fractions = []
     x = probe
-    for layer in model.layers:
-        x = layer.forward(x, EVAL, None)[0]
-        if isinstance(layer, ReLU) and x.ndim == 4:
+    for _, layers, run in model.units[EVAL]:
+        x = run(x, None)[0]
+        if isinstance(layers[-1], ReLU) and x.ndim == 4:
             fractions.append(dead_channel_fraction(x))
     return float(np.mean(fractions)) if fractions else 0.0
 

@@ -320,6 +320,12 @@ def _case_train_out_metrics_dir(tmp_path, arch):
     return _train_on(tmp_path, arch, data_dir, "--out-metrics", str(data_dir)), data_dir
 
 
+def _case_arch_not_utf8(tmp_path, arch):
+    bad = tmp_path / "bad.arch"
+    bad.write_bytes(b"\xff\xfe")
+    return ["analyze", "--arch", str(bad)], bad
+
+
 def _case_idx_header_exceeds_file(tmp_path, arch):
     header = struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFF, 0xFFFF)
     data_dir, img = _data_dir(tmp_path / "data", train_images=header + bytes(100))
@@ -364,6 +370,7 @@ def _setting(setting, *argv):
         pytest.param(_case_analyze_arch_dir, 3, id="analyze-arch-dir"),
         pytest.param(_case_eval_missing_ckpt, 3, id="eval-missing-ckpt"),
         pytest.param(_case_train_out_metrics_dir, 3, id="train-out-metrics-dir"),
+        pytest.param(_case_arch_not_utf8, 3, id="arch-not-utf8"),
         pytest.param(_case_idx_header_exceeds_file, 3, id="idx-header-exceeds-file"),
         pytest.param(_case_ckpt_size_exceeds_file, 3, id="ckpt-size-exceeds-file"),
         pytest.param(_case_ckpt_name_not_utf8, 3, id="ckpt-name-not-utf8"),
@@ -388,9 +395,11 @@ def _setting(setting, *argv):
 def test_malformed_input_exits_with_a_message_naming_it(tmp_path, toy_arch_file, capsys, make_case, code):
     argv, named = make_case(tmp_path, toy_arch_file)
     assert main(argv) == code
-    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error: ")]
     assert len(errors) == 1
     assert str(named) in errors[0]
+    assert not any(line.startswith("epoch 1 train") for line in err)  # each fails before the first step
 
 
 def test_arch_directory_exits_3_without_traceback(tmp_path):

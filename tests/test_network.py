@@ -10,7 +10,7 @@ from simpnet.archdsl import build, builder_presets, parse, simpnet
 from simpnet.errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from simpnet.network import Model, count_macs, load_checkpoint, read_checkpoint, save_checkpoint
 from simpnet.rng import SplitRng
-from simpnet.train import sgd_step
+from simpnet.train import dead_channel_fraction, relu_dead_fraction, sgd_step
 
 
 def toy_model(dtype=np.float64, seed=0):
@@ -102,8 +102,9 @@ class TestForward:
         x = SplitRng(2).uniform((2, 3, 6, 6))
         g = SplitRng(4).uniform((2, 10))
         m.forward(x, SplitRng(3))
-        assert len(m.caches) == len(m.layers)
-        caches = {layer.kind: c for layer, c in zip(m.layers, m.caches)}
+        assert len(m.caches) == len(m.units[L.TRAIN])
+        # keyed by each unit's last layer, so the relu -> dropout pair's cache is under "dropout"
+        caches = {layers[-1].kind: c for (_, layers, _), c in zip(m.units[L.TRAIN], m.caches)}
         # backward reads boolean keep masks, and BN keeps only xhat and a per-channel scale
         assert caches["dropout"].dtype == bool and caches["safpool"][1].dtype == bool
         assert sorted(np.shape(a) for a in caches["bn"]) == [(2, 4, 6, 6), (4,)]
@@ -285,6 +286,20 @@ class TestFusedEval:
         m.forward(model_input(m, 2, np.float32), mode=L.EVAL)
         assert set(calls) == {"dropout"}
 
+    def test_dead_fraction_reads_the_eval_units(self):
+        m = fusion_model("fusion", np.float32)
+        for layer in m.layers:
+            if isinstance(layer, L.BatchNorm):
+                layer.p.beta[::2] = -20.0  # every other channel of a bn -> relu is 0 on these inputs
+        x = model_input(m, 8, np.float32)
+        fractions, y = [], x
+        for layer in m.layers:
+            y = layer.forward(y, L.EVAL, None)[0]
+            if isinstance(layer, L.ReLU) and y.ndim == 4:
+                fractions.append(dead_channel_fraction(y))
+        assert np.mean(fractions) > 0
+        assert relu_dead_fraction(m, x) == float(np.mean(fractions))
+
     def test_bn_of_another_width_is_not_folded(self):
         m = Model([L.Conv2d("conv1", 3, 4, 3, 1, 1), L.BatchNorm("bn1", 1)], (3, 5, 5)).init_params(SplitRng(1))
         with pytest.raises(ShapeError, match="bn1"):
@@ -379,6 +394,27 @@ def layer_by_layer_train_step(m, x, rng, labels):
     return x, g, grads
 
 
+class TestPlan:
+    @pytest.mark.parametrize("mode", [L.TRAIN, L.EVAL])
+    @pytest.mark.parametrize("name", [*builder_presets(), "fusion", "units"])
+    def test_units_cover_the_layers_and_fuse_each_pattern(self, name, mode):
+        arch = {"fusion": FUSION_ARCH, "units": TRAIN_UNITS_ARCH}.get(name)
+        m = build(parse(arch) if arch else builder_presets()[name])
+        units = m.units[mode]
+        assert [layer for _, layers, _ in units for layer in layers] == m.layers
+        assert [start for start, _, _ in units] == [m.layers.index(layers[0]) for _, layers, _ in units]
+        # a layer-by-layer reading of the fusion rules: relu -> dropout p > 0 in train mode,
+        # conv -> bn (-> relu) in eval mode; every other unit is one layer
+        expected = {}
+        for i, (a, b, c) in enumerate(zip(m.layers, m.layers[1:], [*m.layers[2:], None])):
+            if mode == L.TRAIN and isinstance(a, L.ReLU) and isinstance(b, L.Dropout) and b.p > 0:
+                expected[i] = (a, b)
+            if mode == L.EVAL and isinstance(a, L.Conv2d) and isinstance(b, L.BatchNorm):
+                expected[i] = (a, b, c) if isinstance(c, L.ReLU) else (a, b)
+        assert expected
+        assert {start: layers for start, layers, _ in units if len(layers) > 1} == expected
+
+
 class TestFusedTrain:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", ["units", "dense-pair-last", "simpnet-tiny", "simpnet-300k"])
@@ -412,10 +448,11 @@ class TestFusedTrain:
         m = train_units_model("simpnet-tiny", np.float32)
         y = m.forward(model_input(m, 2, np.float32), SplitRng(3))
         assert calls == []
-        for layer, nxt, cache, kept in zip(m.layers, m.layers[1:], m.caches, m.caches[1:]):
-            if isinstance(layer, L.ReLU):
-                assert isinstance(nxt, L.Dropout) and cache is None
-                assert kept.dtype == bool and kept.transpose(0, 2, 3, 1).flags.c_contiguous
+        for (_, layers, _), cache in zip(m.units[L.TRAIN], m.caches):
+            if any(isinstance(layer, L.ReLU) for layer in layers):
+                # every relu is in a pair, whose one cache is the keep mask: no relu float input is held
+                assert [type(layer) for layer in layers] == [L.ReLU, L.Dropout]
+                assert cache.dtype == bool and cache.transpose(0, 2, 3, 1).flags.c_contiguous
         m.backward(np.ones_like(y))
         assert set(calls) == {"dropout.backward"}
 
@@ -443,7 +480,9 @@ class TestFusedTrain:
             return L.softmax_xent(m.forward(x, SplitRng(7)), labels)[0]  # the same masks every call
 
         logits = m.forward(x, SplitRng(7))
-        assert m.caches[2] is None  # the pair ran as one unit
+        # the pair ran as one unit, caching only its keep mask
+        assert [len(layers) for _, layers, _ in m.units[L.TRAIN]] == [1, 1, 2, 1, 1]
+        assert m.caches[2].dtype == bool
         gx, grads = m.backward(L.softmax_xent(logits, labels)[1])
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
         for name, value, grad in grads:
