@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -19,6 +23,29 @@ CHECKPOINT_MAGIC = b"SNPK"
 CHECKPOINT_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
+EVAL_SLICE = 32  # images per eval slice, from a sweep of 32, 64 and 128 (CHANGES.md)
+
+
+def _openblas_thread_calls(libdir=os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")):
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, through ctypes, or None."""
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+_BLAS_THREADS = _openblas_thread_calls()
+EVAL_WORKERS = _BLAS_THREADS[0]() if _BLAS_THREADS else 1  # threads an eval forward runs slices on
+_eval_pool = None  # EVAL_WORKERS - 1 threads, started by the first sliced eval forward
 
 
 @dataclass(frozen=True)
@@ -92,6 +119,18 @@ def plan(layers: list[Layer], mode: str) -> list[tuple]:
     return units
 
 
+def _run_units(units, x, rng):
+    """(output, [cache per unit]) of running `units` in order; a ShapeError names its unit's first layer."""
+    caches = []
+    for _, layers, run in units:
+        try:
+            x, cache = run(x, rng)
+        except ShapeError as e:
+            raise ShapeError(f"at layer {layers[0].name!r}: {e}") from e
+        caches.append(cache)
+    return x, caches
+
+
 class Model:
     """Ordered layer stack with named parameters; `units` holds plan(layers, mode) per mode.
 
@@ -101,7 +140,8 @@ class Model:
     forward is a pure function of (input, parameters), and backward
     returns the gradients and keeps none, so calling it again after the
     same forward gives the same values. A model is single-owner while
-    training.
+    training. An eval forward sets the process-wide BLAS thread count
+    until it returns, so two eval forwards must not run at the same time.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int]):
@@ -122,17 +162,55 @@ class Model:
         """Run the units of `mode` in order, keeping their caches in train mode only.
 
         The previous forward's caches are dropped first, so their memory
-        is free before this forward allocates.
+        is free before this forward allocates. Where the OpenBLAS thread
+        calls are found, an eval forward runs as slices (see _eval_slices).
         """
-        self.caches, caches = None, []
-        for _, layers, run in self.units[mode]:
-            try:
-                x, cache = run(x, rng)
-            except ShapeError as e:
-                raise ShapeError(f"at layer {layers[0].name!r}: {e}") from e
-            caches.append(cache)
+        self.caches = None
+        if mode == EVAL and _BLAS_THREADS is not None:
+            return self._eval_slices(x)
+        x, caches = _run_units(self.units[mode], x, rng)
         self.caches = caches if mode == TRAIN else None
         return x
+
+    def _eval_slices(self, x: np.ndarray) -> np.ndarray:
+        """Eval forward of EVAL_SLICE images at a time, slice j on thread j mod
+        EVAL_WORKERS, with the BLAS at one thread until every slice is done.
+
+        Thread 0 is the caller, so it allocates the intermediates of its
+        slices in its own malloc arena. When pool threads ran every slice
+        and the caller only waited, their fresh glibc arenas raised peak
+        RSS by 17% on simpnet-tiny. Every worker count runs the same slices
+        at one BLAS thread, so the logits do not depend on the thread
+        count. They can differ in their last bits from the same images run
+        as one batch, since OpenBLAS rounds some GEMMs by their row count
+        (float32 ones with M*N*K <= 10**6, one-row products, more in
+        float64); in float32, four full slices give the whole batch's bytes.
+        """
+        global _eval_pool
+        units, k = self.units[EVAL], EVAL_WORKERS
+        parts = [x[i : i + EVAL_SLICE] for i in range(0, len(x), EVAL_SLICE)] or [x]
+        out = [None] * len(parts)
+
+        def run_slices(first):
+            for j in range(first, len(parts), k):
+                out[j] = _run_units(units, parts[j], None)[0]
+
+        get, put = _BLAS_THREADS
+        threads = get()
+        put(1)  # process-wide, so the pool threads' GEMMs run at one thread too
+        try:
+            if k > 1 and len(parts) > 1 and _eval_pool is None:
+                _eval_pool = ThreadPoolExecutor(k - 1, thread_name_prefix="simpnet-eval")
+            futures = [_eval_pool.submit(run_slices, t) for t in range(1, min(k, len(parts)))]
+            try:
+                run_slices(0)
+            finally:
+                wait(futures)
+            for f in futures:  # the first error of a pool slice, if the caller's slices raised none
+                f.result()
+        finally:
+            put(threads)
+        return np.concatenate(out)
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
         """Gradients from the last train-mode forward's caches: (grad wrt the input,

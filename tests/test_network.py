@@ -1,4 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +11,7 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from simpnet import layers as L
+from simpnet import network as N
 from simpnet.archdsl import build, builder_presets, parse, simpnet
 from simpnet.errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from simpnet.network import Model, count_macs, load_checkpoint, read_checkpoint, save_checkpoint
@@ -338,6 +344,179 @@ class TestFusedEval:
         assert rel_max(fused, layer_by_layer_eval(m, x)) <= 1e-12
 
 
+needs_blas_calls = pytest.mark.skipif(N._BLAS_THREADS is None, reason="no OpenBLAS thread calls found in numpy")
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Eval forwards take the sliced path on two threads, whatever the BLAS thread count is,
+    with a pool of their own that is shut down afterwards."""
+    monkeypatch.setattr(N, "EVAL_WORKERS", 2)
+    monkeypatch.setattr(N, "_eval_pool", None)
+    yield
+    if N._eval_pool is not None:
+        N._eval_pool.shutdown()
+
+
+def one_worker(m, x, monkeypatch):
+    """Eval logits with every slice run on the calling thread."""
+    with monkeypatch.context() as mp:
+        mp.setattr(N, "EVAL_WORKERS", 1)
+        return m.forward(x, mode=L.EVAL)
+
+
+ENGINE_SRC = os.path.dirname(os.path.dirname(N.__file__))
+EVAL_LOGITS_PROBE = """\
+import hashlib
+import numpy as np
+from simpnet import archdsl, network, train
+from simpnet.layers import EVAL
+from simpnet.rng import SplitRng
+for name in ("simpnet-tiny", "simpnet-300k"):
+    m = train.init_model(archdsl.build(archdsl.builder_presets()[name]), 7)
+    x = SplitRng(8).normal((256, *m.input_shape)).astype(np.float32)
+    print(name, network.EVAL_WORKERS, hashlib.sha256(m.forward(x, mode=EVAL).tobytes()).hexdigest())
+"""
+
+
+@needs_blas_calls
+@pytest.mark.usefixtures("two_workers")
+class TestSlicedEval:
+    @pytest.mark.parametrize("n", [1, N.EVAL_SLICE - 1, N.EVAL_SLICE + 1, 257])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["simpnet-tiny", "simpnet-300k"])
+    def test_logits_do_not_depend_on_the_worker_count(self, name, dtype, n, monkeypatch):
+        m = fusion_model(name, dtype)
+        x = model_input(m, n, dtype)
+        sliced = m.forward(x, mode=L.EVAL)
+        assert sliced.shape == (n, 10) and sliced.dtype == dtype
+        assert sliced.tobytes() == one_worker(m, x, monkeypatch).tobytes()
+
+    @pytest.mark.parametrize("name", ["simpnet-tiny", "simpnet-300k"])
+    def test_full_slices_give_the_whole_batch_bytes_at_one_blas_thread(self, name):
+        # float32 at batch 256, in full slices: every GEMM is above OpenBLAS's small-matrix size
+        # (M*N*K <= 10**6), below which sgemm rounds by row count; float64 does so more often
+        m = fusion_model(name, np.float32)
+        x = model_input(m, 256, np.float32)
+        get, put = N._BLAS_THREADS
+        threads = get()
+        put(1)
+        try:
+            whole = N._run_units(m.units[L.EVAL], x, None)[0]
+        finally:
+            put(threads)
+        assert m.forward(x, mode=L.EVAL).tobytes() == whole.tobytes()
+
+    def test_many_workers_and_small_slices_under_fast_thread_switching(self, monkeypatch):
+        monkeypatch.setattr(N, "EVAL_WORKERS", 4)  # more threads than cores on a host of 2 or 3
+        monkeypatch.setattr(N, "EVAL_SLICE", 2)
+        m = fusion_model("simpnet-tiny", np.float32)
+        x = model_input(m, 41, np.float32)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sliced = [m.forward(x, mode=L.EVAL) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(switch)
+        ref = one_worker(m, x, monkeypatch).tobytes()
+        assert [s.tobytes() for s in sliced] == [ref] * 3
+
+    def test_shape_error_in_a_pool_slice_names_its_layer(self, monkeypatch):
+        def fails_off_the_caller(x, window, stride, values=N.maxpool_values):
+            if threading.current_thread() is not threading.main_thread():
+                raise ShapeError("raised in a pool slice")
+            return values(x, window, stride)
+
+        monkeypatch.setattr(N, "maxpool_values", fails_off_the_caller)
+        m = fusion_model("simpnet-tiny", np.float32)
+        pool = next(layer.name for layer in m.layers if isinstance(layer, L.SafPool))
+        with pytest.raises(ShapeError, match=f"at layer {pool!r}: raised in a pool slice"):
+            m.forward(model_input(m, 2 * N.EVAL_SLICE, np.float32), mode=L.EVAL)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_waits_for_every_slice_and_restores_blas_threads(self, fail, monkeypatch):
+        # pool slices are slowed down, and in the failing case the caller's first conv raises,
+        # so a forward that returned before its slices ended would leave one running
+        running, threads_seen, lock, conv = [0], set(), threading.Lock(), N.conv2d_forward
+
+        def spy(x, *args):
+            with lock:
+                running[0] += 1
+                threads_seen.add(threading.get_ident())
+            try:
+                if threading.current_thread() is threading.main_thread():
+                    if fail:
+                        raise ShapeError("caller slice fails")
+                else:
+                    time.sleep(0.01)
+                return conv(x, *args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(N, "conv2d_forward", spy)
+        m = fusion_model("simpnet-tiny", np.float32)
+        x = model_input(m, 2 * N.EVAL_SLICE, np.float32)
+        get, put = N._BLAS_THREADS
+        initial = get()
+        try:
+            for threads in sorted({1, initial}):
+                put(threads)
+                if fail:
+                    with pytest.raises(ShapeError, match="caller slice fails"):
+                        m.forward(x, mode=L.EVAL)
+                else:
+                    assert m.forward(x, mode=L.EVAL).shape == (len(x), 10)
+                assert running[0] == 0
+                assert get() == threads
+        finally:
+            put(initial)
+        assert len(threads_seen) == 2
+
+
+def test_without_blas_calls_eval_starts_no_thread(tmp_path, monkeypatch):
+    assert N._openblas_thread_calls(str(tmp_path)) is None
+    (tmp_path / "libopenblas_broken.so").write_bytes(b"not a shared library")
+    assert N._openblas_thread_calls(str(tmp_path)) is None
+    monkeypatch.setattr(N, "_BLAS_THREADS", None)
+    monkeypatch.setattr(N, "EVAL_WORKERS", 1)
+    monkeypatch.setattr(N, "_eval_pool", None)
+    m = fusion_model("simpnet-tiny", np.float32)
+    before = threading.active_count()
+    m.forward(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32), mode=L.EVAL)
+    assert threading.active_count() == before and N._eval_pool is None
+
+
+def test_import_build_and_analyze_start_no_thread():
+    probe = (
+        "import threading\n"
+        "before = threading.active_count()\n"
+        "import simpnet\n"
+        "from simpnet import archdsl, cli\n"
+        "archdsl.build(archdsl.builder_presets()['simpnet-300k'])\n"
+        "assert cli.main(['analyze', '--preset', 'simpnet-300k']) == 0\n"
+        "print('threads started', threading.active_count() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=ENGINE_SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "threads started 0"
+
+
+@needs_blas_calls
+def test_eval_logits_do_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=ENGINE_SRC, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", EVAL_LOGITS_PROBE], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append([line.split() for line in proc.stdout.splitlines()])
+    (tiny1, big1), (tiny2, big2) = outputs
+    assert tiny1[1] == big1[1] == "1"
+    assert N.EVAL_WORKERS == 1 or tiny2[1] == big2[1] == "2"  # the sliced path ran where it can
+    assert (tiny1[::2], big1[::2]) == (tiny2[::2], big2[::2])
+
+
 # relu -> dropout p > 0 pairs, which the train forward runs as one unit, among the layers it
 # leaves alone: relu -> dropout p0, relu -> relu -> dropout (the second relu pairs) and conv -> dropout
 TRAIN_UNITS_ARCH = """\
@@ -516,6 +695,25 @@ class TestFusedTrain:
         try:
             logits = m.forward(x, SplitRng(3))
             m.backward(L.softmax_xent(logits, labels)[1], input_grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    # tracemalloc peak of one float32 eval batch of 256, the input excluded, run as slices of 32 on
+    # two threads. Measured with numpy 2.4: 9.3 MiB on simpnet-tiny and 21.4 MiB on simpnet-300k, two
+    # slices' worth, against 37.0 and 85.0 MiB for the whole batch in one pass. The bounds leave about
+    # 15% headroom. The caller runs slices itself rather than only waiting: pool threads allocate from
+    # fresh glibc arenas, and when they ran every slice, peak RSS on simpnet-tiny rose 17%.
+    @needs_blas_calls
+    @pytest.mark.usefixtures("two_workers")
+    @pytest.mark.parametrize("name,bound_mib", [("simpnet-tiny", 11), ("simpnet-300k", 25)])
+    def test_eval_batch_peak_memory(self, name, bound_mib):
+        m = train_units_model(name, np.float32)
+        x = model_input(m, 256, np.float32)
+        tracemalloc.start()
+        try:
+            m.forward(x, mode=L.EVAL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
