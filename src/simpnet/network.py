@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import itertools
 import math
 import os
 import struct
@@ -173,9 +174,12 @@ class Model:
         return x
 
     def _eval_slices(self, x: np.ndarray) -> np.ndarray:
-        """Eval forward of EVAL_SLICE images at a time, slice j on thread j mod
-        EVAL_WORKERS, with the BLAS at one thread until every slice is done.
+        """Eval forward of EVAL_SLICE images at a time on EVAL_WORKERS threads,
+        with the BLAS at one thread until every slice is done.
 
+        Thread t runs slice t first; after that each thread takes the next
+        slice that no thread has taken, so a thread whose core the host
+        slows down runs fewer slices instead of holding up the batch.
         Thread 0 is the caller, so it allocates the intermediates of its
         slices in its own malloc arena. When pool threads ran every slice
         and the caller only waited, their fresh glibc arenas raised peak
@@ -191,9 +195,12 @@ class Model:
         parts = [x[i : i + EVAL_SLICE] for i in range(0, len(x), EVAL_SLICE)] or [x]
         out = [None] * len(parts)
 
-        def run_slices(first):
-            for j in range(first, len(parts), k):
+        take = itertools.count(k).__next__  # atomic under the GIL
+
+        def run_slices(j):
+            while j < len(parts):
                 out[j] = _run_units(units, parts[j], None)[0]
+                j = take()
 
         get, put = _BLAS_THREADS
         threads = get()
