@@ -120,13 +120,11 @@ def load_mnist(images_path, labels_path) -> Dataset:
 
 
 def load_cifar10(batch_paths) -> Dataset:
-    """One or more CIFAR-10 binary batch files -> (N, 3, 32, 32) Dataset.
+    """A list of CIFAR-10 binary batch files -> (N, 3, 32, 32) Dataset.
 
     Each record is 3073 bytes: label byte then 3072 channel-planar
     (R, G, B) row-major pixels.
     """
-    if isinstance(batch_paths, (str, os.PathLike)):
-        batch_paths = [batch_paths]
     all_images, all_labels = [], []
     for path in batch_paths:
         size = os.path.getsize(path)
@@ -149,16 +147,16 @@ def load_cifar10(batch_paths) -> Dataset:
 
 
 def normalize(dataset: Dataset, mean: np.ndarray | None = None, std: np.ndarray | None = None) -> Dataset:
-    """Per-channel (x - mean) / std. Statistics are computed in float64
-    from this dataset when not given (fit on train, reuse on test)."""
-    if mean is None or std is None:
-        x64 = dataset.images.astype(np.float64)
-        mean = x64.mean(axis=(0, 2, 3)) if mean is None else mean
-        std = x64.std(axis=(0, 2, 3)) if std is None else std
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    x = (dataset.images - mean[None, :, None, None].astype(np.float32)) / std[None, :, None, None].astype(np.float32)
-    return replace(dataset, images=x.astype(np.float32, copy=False), mean=mean, std=std)
+    """Per-channel (x - mean) / std, into one new float32 array. Statistics
+    are accumulated in float64 from this dataset when not given (fit on
+    train, reuse on test); np.std's float64 deviations are the only
+    temporary of the images' size."""
+    images = dataset.images
+    mean = np.asarray(images.mean(axis=(0, 2, 3), dtype=np.float64) if mean is None else mean, dtype=np.float64)
+    std = np.asarray(images.std(axis=(0, 2, 3), dtype=np.float64) if std is None else std, dtype=np.float64)
+    x = images - mean[None, :, None, None].astype(np.float32)
+    x /= std[None, :, None, None].astype(np.float32)
+    return replace(dataset, images=x, mean=mean, std=std)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Central finite-difference verification of every backward pass.
 
-Each case builds small random float64 instances, scalarizes the layer
-output against a fixed random cotangent, and compares the analytic
-gradient with (f(x+h) - f(x-h)) / 2h elementwise. The reported error is
+Each per-layer case builds the layer object that network.Model runs,
+with small random float64 parameters and input, and hands it to one
+driver, _check_layer: it scalarizes the layer's train-mode output
+against a random cotangent and compares layer.backward's gradients with
+(f(x+h) - f(x-h)) / 2h elementwise. softmax_xent checks the loss and
+model a whole toy Model. The reported error is
 ||a - n||_inf / max(||a||_inf, ||n||_inf): a global relative error that
 is insensitive to individual near-zero partials.
 
@@ -50,21 +53,26 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
-def _cot(rng: SplitRng, shape) -> np.ndarray:
-    """Random cotangent so the whole Jacobian is exercised."""
-    return rng.uniform(shape, -1.0, 1.0)
-
-
-def _scalarized(forward, cot):
-    """The loss sum(forward() * cot), whose gradient is the backward pass
-    applied to cot."""
-    return lambda: float((forward() * cot).sum())
-
-
 def _worst(loss, grads, inputs) -> float:
     """Worst relative error of each analytic gradient against the central
     difference of loss wrt its input; every gradient must have one."""
     return max(rel_error(g, numeric_grad(loss, x)) for g, x in zip(grads, inputs, strict=True))
+
+
+def _check_layer(rng: SplitRng, layer: L.Layer, x: np.ndarray, mask_key=None) -> float:
+    """Worst error of layer.backward, wrt x and each param_entries() value,
+    for the loss sum(y * r) of the train-mode output y and a cotangent r
+    drawn from rng after the first forward. Every forward draws its masks
+    from a fresh SplitRng(mask_key), so all of them drop the same units."""
+
+    def forward():
+        return layer.forward(x, L.TRAIN, None if mask_key is None else SplitRng(mask_key))
+
+    y, cache = forward()
+    r = rng.uniform(y.shape, -1.0, 1.0)  # random, so the whole Jacobian is exercised
+    grad_x, grads = layer.backward(cache, r)
+    params = [v for _, v in layer.param_entries()]
+    return _worst(lambda: float((forward()[0] * r).sum()), [grad_x, *grads], [x, *params])
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +83,9 @@ def _check_conv(rng: SplitRng, kernel=3, stride=None, pad=None) -> float:
     stride = stride if stride is not None else int(rng.integers(1, 2)[0]) + 1
     pad = pad if pad is not None else int(rng.integers(1, 2)[0])
     x = rng.uniform((2, 3, 6, 6), -1, 1)
-    w = rng.uniform((4, 3, kernel, kernel), -1, 1)
-    b = rng.uniform(4, -1, 1)
-    r = _cot(rng, L.conv2d_forward(x, w, b, stride, pad).shape)
-    loss = _scalarized(lambda: L.conv2d_forward(x, w, b, stride, pad), r)
-    return _worst(loss, L.conv2d_backward(x, w, stride, pad, r), (x, w, b))
+    conv = L.Conv2d("conv", 3, 4, kernel, stride, pad)
+    conv.weight, conv.bias = rng.uniform((4, 3, kernel, kernel), -1, 1), rng.uniform(4, -1, 1)
+    return _check_layer(rng, conv, x)
 
 
 def _check_sconv(rng: SplitRng) -> float:
@@ -88,20 +94,16 @@ def _check_sconv(rng: SplitRng) -> float:
 
 def _check_dense(rng: SplitRng) -> float:
     x = rng.uniform((4, 7), -1, 1)
-    w = rng.uniform((7, 5), -1, 1)
-    b = rng.uniform(5, -1, 1)
-    r = _cot(rng, (4, 5))
-    loss = _scalarized(lambda: L.dense_forward(x, w, b), r)
-    return _worst(loss, L.dense_backward(x, w, r), (x, w, b))
+    dense = L.Dense("dense", 7, 5)
+    dense.weight, dense.bias = rng.uniform((7, 5), -1, 1), rng.uniform(5, -1, 1)
+    return _check_layer(rng, dense, x)
 
 
 def _check_relu(rng: SplitRng) -> float:
     # keep every input at least 0.05 away from the kink
     mag = rng.uniform((2, 3, 5, 5), 0.05, 1.0)
     sign = np.where(rng.coin(mag.shape, 0.5), 1.0, -1.0)
-    x = mag * sign
-    r = _cot(rng, x.shape)
-    return _worst(_scalarized(lambda: L.relu_forward(x), r), [L.relu_backward(x, r)], [x])
+    return _check_layer(rng, L.ReLU("relu"), mag * sign)
 
 
 def _distinct_image(rng: SplitRng, shape) -> np.ndarray:
@@ -111,28 +113,22 @@ def _distinct_image(rng: SplitRng, shape) -> np.ndarray:
 
 
 def _check_maxpool(rng: SplitRng) -> float:
-    x = _distinct_image(rng, (2, 3, 6, 6))
-    pooled, argmax = L.maxpool_forward(x)
-    r = _cot(rng, pooled.shape)
-    loss = _scalarized(lambda: L.maxpool_forward(x)[0], r)
-    return _worst(loss, [L.maxpool_backward(argmax, r, x.shape)], [x])
+    # archdsl's maxpool is a SafPool with p = 0; the safpool case checks that it is plain max-pooling
+    return _check_layer(rng, L.SafPool("maxpool", 2, 0.0), _distinct_image(rng, (2, 3, 6, 6)))
 
 
 def _check_safpool(rng: SplitRng) -> float:
     x = _distinct_image(rng, (2, 3, 6, 6))
     mask_key = int(rng.integers(1, 2**31)[0])
-    pool = L.SafPool("safpool", 2, 0.5)
-    y, cache = pool.forward(x, L.TRAIN, SplitRng(mask_key))
-    r = _cot(rng, y.shape)
-    loss = _scalarized(lambda: pool.forward(x, L.TRAIN, SplitRng(mask_key))[0], r)
-    err = _worst(loss, [pool.backward(cache, r)[0]], [x])
+    err = _check_layer(rng, L.SafPool("safpool", 2, 0.5), x, mask_key)
 
-    # p = 0 must reduce to plain max-pool in both directions
+    # p = 0 must reduce to plain max-pool in both directions; the pooled
+    # values, all distinct, serve as the cotangent
     pool0 = L.SafPool("safpool", 2, 0.0)
     y0, cache0 = pool0.forward(x, L.TRAIN, SplitRng(mask_key))
     pooled, argmax_mp = L.maxpool_forward(x)
-    g0 = pool0.backward(cache0, r)[0]
-    gmp = L.maxpool_backward(argmax_mp, r, x.shape)
+    g0 = pool0.backward(cache0, pooled)[0]
+    gmp = L.maxpool_backward(argmax_mp, pooled, x.shape)
     if not (np.array_equal(y0, pooled) and np.array_equal(g0, gmp)):
         return float("inf")
     return err
@@ -140,30 +136,19 @@ def _check_safpool(rng: SplitRng) -> float:
 
 def _check_dropout(rng: SplitRng) -> float:
     x = rng.uniform((2, 3, 5, 5), -1, 1)
-    mask_key = int(rng.integers(1, 2**31)[0])
-    p = 0.3
-    _, mask = L.dropout_forward(x, p, L.TRAIN, SplitRng(mask_key))
-    r = _cot(rng, x.shape)
-    loss = _scalarized(lambda: L.dropout_forward(x, p, L.TRAIN, SplitRng(mask_key))[0], r)
-    return _worst(loss, [L.dropout_backward(r, mask, p)], [x])
+    return _check_layer(rng, L.Dropout("dropout", 0.3), x, int(rng.integers(1, 2**31)[0]))
 
 
 def _check_batchnorm(rng: SplitRng) -> float:
     x = rng.uniform((4, 3, 5, 5), -1, 1)
-    gamma, beta = rng.uniform(3, 0.5, 1.5), rng.uniform(3, -0.5, 0.5)
-    r = _cot(rng, x.shape)
-
-    def forward():  # fresh running stats, so probing leaves no trace
-        return L.batchnorm_forward(x, L.BatchNormParams(gamma, beta, np.zeros(3), np.ones(3)), L.TRAIN)
-
-    return _worst(_scalarized(lambda: forward()[0], r), L.batchnorm_backward(r, forward()[1]), (x, gamma, beta))
+    bn = L.BatchNorm("bn", 3)
+    # gamma, then beta; train mode reads no running stats
+    bn.p = L.BatchNormParams(rng.uniform(3, 0.5, 1.5), rng.uniform(3, -0.5, 0.5), np.zeros(3), np.ones(3))
+    return _check_layer(rng, bn, x)
 
 
 def _check_gap(rng: SplitRng) -> float:
-    x = rng.uniform((2, 3, 4, 4), -1, 1)
-    r = _cot(rng, (2, 3, 1, 1))
-    loss = _scalarized(lambda: L.global_avgpool_forward(x), r)
-    return _worst(loss, [L.global_avgpool_backward(r, x.shape)], [x])
+    return _check_layer(rng, L.GlobalAvgPool("gap"), rng.uniform((2, 3, 4, 4), -1, 1))
 
 
 def _check_softmax(rng: SplitRng) -> float:
@@ -178,6 +163,7 @@ def _toy_model(rng: SplitRng) -> Model:
             L.Conv2d("conv1", 3, 4, 3, 1, 1),
             L.BatchNorm("bn1", 4),
             L.ReLU("relu1"),
+            L.Dropout("drop1", 0.3),
             L.SafPool("safpool1", 2, 0.0),
             L.Flatten("flatten1"),
             L.Dense("dense1", 4 * 3 * 3, 10),
@@ -191,11 +177,12 @@ def _check_model(rng: SplitRng) -> float:
     model = _toy_model(rng.split(0))
     x = rng.uniform((2, 3, 6, 6), -1, 1)
     labels = rng.integers(2, 10)
+    mask_key = int(rng.integers(1, 2**31)[0])
 
     def loss():
-        return L.softmax_xent(model.forward(x), labels)[0]
+        return L.softmax_xent(model.forward(x, SplitRng(mask_key)), labels)[0]
 
-    _, grad_logits = L.softmax_xent(model.forward(x), labels)
+    _, grad_logits = L.softmax_xent(model.forward(x, SplitRng(mask_key)), labels)
     grad_x, params = model.backward(grad_logits)
     return _worst(loss, [grad_x] + [g for _, _, g in params], [x] + [v for _, v, _ in params])
 

@@ -1,13 +1,14 @@
 """Forward and backward passes for every operator the architectures use.
 
 Two surfaces live here. The module-level functions are pure and carry
-the numerical contracts (they are what the oracle tests check). The
-layer classes wrap them with parameter storage so a sequential model can
-run them in order. A layer holds only its parameters (and batch norm its
-running stats): forward returns (output, cache), backward takes that
-cache back and returns the input gradient and the parameter gradients
-as values, and network.Model holds the caches of its last train-mode
-forward. network.plan decides which layers run together as one unit.
+the numerical contracts; the oracle tests check them. The layer classes
+wrap them with parameter storage so a sequential model can run them in
+order; gradcheck checks them. A layer holds only its parameters (and
+batch norm its running stats): forward returns (output, cache),
+backward takes that cache back and returns the input gradient and the
+parameter gradients as values, and network.Model holds the caches of
+its last train-mode forward. network.plan decides which layers run
+together as one unit.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
@@ -29,10 +30,9 @@ of the gradient then need no transposing copy.
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
 SAF-pooling: maxpool_forward then dropout_forward on the pooled units,
-so it has no module functions of its own and is checked through the
-layer. ReLU uses subgradient 0 at exactly 0. Batch norm's running-average
-momentum and variance epsilon are the module constants BN_MOMENTUM and
-BN_EPS.
+so it has no module functions of its own. ReLU uses subgradient 0 at
+exactly 0. Batch norm's running-average momentum and variance epsilon
+are the module constants BN_MOMENTUM and BN_EPS.
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ def _conv2d_forward(x, weight, bias, stride, pad):
 
 
 def _conv2d_backward(xp, weight, stride, pad, grad_out, input_grad=True):
+    """Gradients of sum(grad_out * forward) wrt (x, weight, bias), from the padded NHWC input xp."""
     n, hp, wp, c = xp.shape
     c_out, _, k, _ = weight.shape
     oh, ow = conv_out_hw(hp, wp, k, stride, 0)
@@ -153,11 +154,6 @@ def _conv2d_backward(xp, weight, stride, pad, grad_out, input_grad=True):
 def conv2d_forward(x, weight, bias, stride=1, pad=0):
     """Cross-correlation + bias. weight is (c_out, c_in, k, k), bias (c_out,)."""
     return _conv2d_forward(x, weight, bias, stride, pad)[0]
-
-
-def conv2d_backward(x, weight, stride, pad, grad_out):
-    """Gradients of sum(grad_out * forward) wrt (x, weight, bias)."""
-    return _conv2d_backward(_pad_nhwc(x, pad), weight, stride, pad, grad_out)
 
 
 # ---------------------------------------------------------------------------

@@ -252,10 +252,10 @@ class Model:
         return shapes
 
 
-def count_macs(model: Model, input_shape=None) -> ParamLedger:
+def count_macs(model: Model) -> ParamLedger:
     """Per-layer parameter counts and multiply-accumulate counts for one
     sample; pooling and pointwise layers count 0 MACs by convention."""
-    shape = (1,) + tuple(input_shape if input_shape is not None else model.input_shape)
+    shape = (1,) + model.input_shape
     ledger = ParamLedger()
     for layer in model.layers:
         out = layer.out_shape(shape)

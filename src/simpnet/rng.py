@@ -77,18 +77,18 @@ class SplitRng:
         with np.errstate(over="ignore"):
             return _mix64(self.key + counters * _GOLDEN)
 
-    def uniform(self, shape, lo: float = 0.0, hi: float = 1.0, dtype=np.float64) -> np.ndarray:
-        """Uniform draws in [lo, hi). Scalar shape means a flat vector."""
+    def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """Uniform float64 draws in [lo, hi). Scalar shape means a flat vector."""
         if not lo < hi:
             raise ValueError(f"uniform requires lo < hi, got [{lo}, {hi})")
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
         u01 = (self._next_u64(n) >> _U64(11)) * (1.0 / (1 << 53))
         out = lo + (hi - lo) * u01
-        return out.reshape(shape).astype(dtype, copy=False)
+        return out.reshape(shape)
 
-    def normal(self, shape, dtype=np.float64) -> np.ndarray:
-        """Standard normal draws via Box-Muller."""
+    def normal(self, shape) -> np.ndarray:
+        """Standard normal float64 draws via Box-Muller."""
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
         m = (n + 1) // 2
@@ -98,7 +98,7 @@ class SplitRng:
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.reshape(shape).astype(dtype, copy=False)
+        return z.reshape(shape)
 
     def keep_mask(self, shape, drop_p: float) -> np.ndarray:
         """Boolean mask with P(False) = drop_p per element, in C order of shape.

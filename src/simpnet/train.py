@@ -28,7 +28,7 @@ from .rng import SplitRng
 
 # split labels off the root seed
 INIT, SHUFFLE, STEP = 0, 1, 2
-EVAL_BATCH = 256  # eval keeps no backward caches, so its batch can exceed the training batch
+EVAL_BATCH = 256  # a multiple of network.EVAL_SLICE, so eval batches split into whole slices
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def train_loop(
                 break
         emit(epoch, "train", loss_sum / seen, correct / seen, lr)
         if test_ds is not None:
-            test_loss, test_top1 = evaluate(model, test_ds, max(cfg.batch_size, EVAL_BATCH))
+            test_loss, test_top1 = evaluate(model, test_ds)
             emit(epoch, "test", test_loss, test_top1, lr)
         if ckpt_path is not None:
             save_checkpoint(model, ckpt_path)
@@ -313,7 +313,7 @@ def ablate(
             if log:
                 log(f"[{preset_name}] arm {arm_name} seed {seed}: training")
             train_loop(model, train_ds, run_cfg, test_ds=None)
-            _, top1 = evaluate(model, test_ds, max(cfg.batch_size, EVAL_BATCH))
+            _, top1 = evaluate(model, test_ds)
             result.seed_top1.append((seed, top1))
             dead.append(relu_dead_fraction(model, probe))
             if log:

@@ -290,5 +290,5 @@ def test_c9_loader_bit_exactness(tmp_path):
     odd_cifar = tmp_path / "odd.bin"
     odd_cifar.write_bytes(bytes(3073 + 1))
     with pytest.raises(FormatError):
-        D.load_cifar10(odd_cifar)
+        D.load_cifar10([odd_cifar])
     report("C9 loader bit-exactness", "IDX round trip byte-equal; malformed inputs raise format errors")

@@ -8,18 +8,20 @@ once on a few synthetic images and must report no failure.
 """
 
 import dataclasses
+import json
 import os
 import sys
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "bench"))
 
 import roofline  # noqa: E402
 import tracing  # noqa: E402
 import workload as W  # noqa: E402
-from simpnet import archdsl, data  # noqa: E402
+from simpnet import archdsl, data, gradcheck  # noqa: E402
 
 N_IMAGES = 24
 BATCH = 8
@@ -54,6 +56,14 @@ def test_workload_phases_run_clean(name):
 def test_gradcheck_phase_runs_clean():
     res, times = W.gradcheck_phase(1)
     assert (res.failed, res.errors) == (0, []) and res.attempted == len(times)
+
+
+def test_gradcheck_metrics_name_every_case():
+    # the benchmark times each case under its name, so a renamed or dropped case fails here, not in a run
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        names = {m["name"] for m in json.load(f)["per_layer"]}
+    listed = {n for n in names if n.startswith("gradcheck.") and n.endswith("_ms")}
+    assert listed == {f"gradcheck.{case}_ms" for case in gradcheck.CASES}
 
 
 # spans the benchmark's per-layer metrics read, each from a function or a layer method

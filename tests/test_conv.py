@@ -16,6 +16,11 @@ from simpnet.errors import ShapeError
 from simpnet.rng import SplitRng
 
 
+def conv2d_backward(x, w, stride, pad, g):
+    """Gradients wrt (x, w, b) from the kernel Conv2d.backward calls, on an unpadded input."""
+    return L._conv2d_backward(L._pad_nhwc(x, pad), w, stride, pad, g)
+
+
 def naive_conv2d(x, w, b, stride=1, pad=0):
     n, c, h, wd = x.shape
     co, ci, k, _ = w.shape
@@ -131,7 +136,7 @@ class TestStridedDown:
         def loss():
             return float((L.conv2d_forward(x, w, b, stride=2, pad=0) * r).sum())
 
-        gx, gw, gb = L.conv2d_backward(x, w, 2, 0, r)
+        gx, gw, gb = conv2d_backward(x, w, 2, 0, r)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-6
         assert rel_err(gw, fd_grad(loss, w)) < 1e-6
         assert rel_err(gb, fd_grad(loss, b)) < 1e-6
@@ -142,21 +147,21 @@ class TestBackward:
         x = np.arange(1, 10, dtype=np.float64).reshape(1, 1, 3, 3)
         w = np.ones((1, 1, 2, 2))
         g = np.ones((1, 1, 2, 2))
-        _, _, gb = L.conv2d_backward(x, w, 1, 0, g)
+        _, _, gb = conv2d_backward(x, w, 1, 0, g)
         assert gb.tolist() == [4.0]
 
     def test_grad_weight_hand_case(self):
         x = np.arange(1, 10, dtype=np.float64).reshape(1, 1, 3, 3)
         w = np.ones((1, 1, 2, 2))
         g = np.ones((1, 1, 2, 2))
-        _, gw, _ = L.conv2d_backward(x, w, 1, 0, g)
+        _, gw, _ = conv2d_backward(x, w, 1, 0, g)
         assert np.array_equal(gw[0, 0], [[12, 16], [24, 28]])
 
     def test_grad_out_shape_checked(self):
         x = np.zeros((1, 1, 4, 4))
         w = np.zeros((1, 1, 2, 2))
         with pytest.raises(ShapeError):
-            L.conv2d_backward(x, w, 1, 0, np.zeros((1, 1, 2, 2)))
+            conv2d_backward(x, w, 1, 0, np.zeros((1, 1, 2, 2)))
 
     def test_finite_differences_random(self):
         rng = SplitRng(99)
@@ -172,7 +177,7 @@ class TestBackward:
             def loss():
                 return float((L.conv2d_forward(x, w, b, stride, pad) * g).sum())
 
-            gx, gw, gb = L.conv2d_backward(x, w, stride, pad, g)
+            gx, gw, gb = conv2d_backward(x, w, stride, pad, g)
             assert rel_err(gx, fd_grad(loss, x)) < 1e-6
             assert rel_err(gw, fd_grad(loss, w)) < 1e-6
             assert rel_err(gb, fd_grad(loss, b)) < 1e-6
@@ -195,7 +200,7 @@ class TestBackwardOracle:
     @pytest.mark.parametrize("k,stride,pad", CASES)
     def test_function_matches_naive(self, k, stride, pad):
         x, w, _, g = self.instance(k, stride, pad)
-        got = L.conv2d_backward(x, w, stride, pad, g)
+        got = conv2d_backward(x, w, stride, pad, g)
         want = naive_conv2d_backward(x, w, stride, pad, g)
         for a, e in zip(got, want):
             assert a.shape == e.shape
@@ -245,7 +250,7 @@ class TestChunkedOracle:
     def test_function_matches_naive(self, name):
         x, w, b, g, stride, pad = self.instance(name)
         assert np.abs(L.conv2d_forward(x, w, b, stride, pad) - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
-        for a, e in zip(L.conv2d_backward(x, w, stride, pad, g), naive_conv2d_backward(x, w, stride, pad, g)):
+        for a, e in zip(conv2d_backward(x, w, stride, pad, g), naive_conv2d_backward(x, w, stride, pad, g)):
             assert a.shape == e.shape
             assert np.abs(a - e).max() <= 1e-12
 
@@ -275,13 +280,13 @@ class TestChunkedOracle:
         monkeypatch.setattr(L, "_lower", spy)
         x, w, b, g, stride, pad = self.instance("multi-image chunks")
         L.conv2d_forward(x, w, b, stride, pad)
-        L.conv2d_backward(x, w, stride, pad, g)
+        conv2d_backward(x, w, stride, pad, g)
         assert any(m > 1 for m, _ in chunks)
         assert any(m < cap for m, cap in chunks)
 
     def test_uncovered_rows_and_columns_get_no_gradient(self):
         x, w, _, g, stride, pad = self.instance("stride 2, odd span")
-        gx = L.conv2d_backward(x, w, stride, pad, g)[0]
+        gx = conv2d_backward(x, w, stride, pad, g)[0]
         assert not gx[:, :, -1].any() and not gx[:, :, :, -1].any()
         assert gx[:, :, -2, :-1].all() and gx[:, :, :-1, -2].all()
 

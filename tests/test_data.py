@@ -6,6 +6,7 @@ the same files with nothing but struct and frombuffer.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestCifarLoader:
     def test_loads_and_layout(self, tmp_path):
         path = tmp_path / "data_batch_1.bin"
         labels, pixels = write_cifar_batch(path, 16, seed=7)
-        ds = D.load_cifar10(path)
+        ds = D.load_cifar10([path])
         assert ds.images.shape == (16, 3, 32, 32)
         assert np.array_equal(ds.labels, labels.astype(np.int64))
         # record 0, channel R pixel (0,0) is byte offset 1 of the record
@@ -133,14 +134,14 @@ class TestCifarLoader:
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(3073 * 2 + 17))
         with pytest.raises(FormatError, match="multiple"):
-            D.load_cifar10(path)
+            D.load_cifar10([path])
 
     def test_label_byte_out_of_range(self, tmp_path):
         path = tmp_path / "bad.bin"
         record = bytes([12]) + bytes(3072)
         path.write_bytes(record)
         with pytest.raises(FormatError, match="range"):
-            D.load_cifar10(path)
+            D.load_cifar10([path])
 
 
 class TestNormalize:
@@ -162,16 +163,43 @@ class TestNormalize:
     def test_per_channel_statistics_on_cifar(self, tmp_path):
         path = tmp_path / "data_batch_1.bin"
         write_cifar_batch(path, 128, seed=4)
-        ds = D.normalize(D.load_cifar10(path))
+        ds = D.normalize(D.load_cifar10([path]))
         x = ds.images.astype(np.float64)
         for ch in range(3):
             assert abs(x[:, ch].mean()) < 1e-6
             assert abs(x[:, ch].std() - 1.0) < 1e-6
 
 
+    @pytest.mark.parametrize("shape", [(3, 32, 32), (1, 28, 28)])
+    def test_bytes_match_statistics_of_a_float64_copy(self, shape):
+        n = 300
+        pixels = SplitRng(9).integers(n * shape[0] * shape[1] * shape[2], 256).reshape(n, *shape)
+        images = pixels.astype(np.float32) / np.float32(255.0)
+        ds = D.normalize(D.Dataset(images, np.zeros(n, np.int64), name="t", num_classes=10))
+        x64 = images.astype(np.float64)
+        mean, std = x64.mean(axis=(0, 2, 3)), x64.std(axis=(0, 2, 3))
+        want = (images - mean[None, :, None, None].astype(np.float32)) / std[None, :, None, None].astype(np.float32)
+        assert ds.mean.tobytes() == mean.tobytes() and ds.std.tobytes() == std.tobytes()
+        assert ds.images.dtype == np.float32 and ds.images.tobytes() == want.tobytes()
+
+    def test_scratch_memory_is_one_float64_temporary(self):
+        # np.std's float64 temporary is twice the float32 images; a float64
+        # copy of the images on top of it made 4x (48 MiB here). The bound
+        # leaves 25% over the 2x (24.1 MiB) measured.
+        images = SplitRng(10).uniform((1024, 3, 32, 32)).astype(np.float32)
+        ds = D.Dataset(images, np.zeros(1024, np.int64), name="t", num_classes=10)
+        tracemalloc.start()
+        try:
+            D.normalize(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * images.nbytes
+
+
 class TestAugment:
     def test_identity_policy(self):
-        x = SplitRng(0).uniform((4, 1, 8, 8), dtype=np.float64)
+        x = SplitRng(0).uniform((4, 1, 8, 8))
         out = D.augment(x, D.AugmentPolicy(), SplitRng(1))
         assert np.array_equal(out, x)
 
@@ -181,7 +209,7 @@ class TestAugment:
         assert np.array_equal(out[0, 0], [[2, 1], [4, 3]])
 
     def test_mirror_twice_recovers_image(self):
-        x = SplitRng(2).uniform((4, 3, 8, 8), dtype=np.float32)
+        x = SplitRng(2).uniform((4, 3, 8, 8)).astype(np.float32)
         once = D.augment(x, D.AugmentPolicy(mirror_p=1.0), SplitRng(3))
         twice = D.augment(once, D.AugmentPolicy(mirror_p=1.0), SplitRng(4))
         assert np.array_equal(twice, x)
@@ -200,7 +228,7 @@ class TestAugment:
                 assert np.array_equal(out[i], x[i])
 
     def test_shape_and_labels_preserved(self):
-        x = SplitRng(6).uniform((8, 3, 32, 32), dtype=np.float32)
+        x = SplitRng(6).uniform((8, 3, 32, 32)).astype(np.float32)
         out = D.augment(x, D.AugmentPolicy(pad=4, crop=32, mirror_p=0.5), SplitRng(7))
         assert out.shape == x.shape
 

@@ -3,6 +3,7 @@ import pytest
 
 from simpnet import gradcheck as gc
 from simpnet import layers as L
+from simpnet.rng import SplitRng
 
 
 class TestSuite:
@@ -32,6 +33,10 @@ class TestSuite:
         assert r.layer == "broken_layer"
         assert r.failed_seed == 0
         assert "FAIL" in gc.render_results(results)
+
+    def test_toy_model_trains_through_a_relu_dropout_unit(self):
+        model = gc._toy_model(SplitRng(0))
+        assert ["relu1", "drop1"] in [[l.name for l in layers] for _, layers, _ in model.units[L.TRAIN]]
 
     def test_render_table_lists_every_layer(self):
         results = gc.run_suite(seed=5, instances=1)
@@ -78,7 +83,7 @@ def _scaled(fn, index):
 
 # (case, simpnet.layers backward function the case reaches, returned gradient)
 MUTANTS = (
-    [(case, "conv2d_backward", i) for case in ("conv", "sconv") for i in range(3)]
+    [(case, "_conv2d_backward", i) for case in ("conv", "sconv") for i in range(3)]
     + [("dense", "dense_backward", i) for i in range(3)]
     + [("batchnorm", "batchnorm_backward", i) for i in range(3)]
     + [
@@ -91,8 +96,8 @@ MUTANTS = (
         ("gap", "global_avgpool_backward", None),
         ("softmax_xent", "softmax_xent", 1),
         ("model", "dense_backward", 1),
-        # Conv2d.backward calls the private kernel, not conv2d_backward
         ("model", "_conv2d_backward", 1),
+        ("model", "dropout_backward", None),
     ]
 )
 

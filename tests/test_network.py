@@ -772,9 +772,8 @@ class TestMacCounting:
         assert count_macs(m).total_macs == 0
 
     def test_scales_linearly_in_spatial_output(self):
-        m = Model([L.Conv2d("conv1", 3, 8, 3, 1, 1)], (3, 16, 16))
-        small = count_macs(m, (3, 16, 16)).total_macs
-        big = count_macs(m, (3, 32, 32)).total_macs
+        small = count_macs(Model([L.Conv2d("conv1", 3, 8, 3, 1, 1)], (3, 16, 16))).total_macs
+        big = count_macs(Model([L.Conv2d("conv1", 3, 8, 3, 1, 1)], (3, 32, 32))).total_macs
         assert big == 4 * small
 
     def test_dense_macs(self):
@@ -794,7 +793,7 @@ class TestCheckpoint:
 
     def test_round_trip_preserves_eval_outputs(self, tmp_path):
         m = toy_model(np.float32, seed=3)
-        x = SplitRng(1).uniform((2, 3, 6, 6), -1, 1, dtype=np.float32)
+        x = SplitRng(1).uniform((2, 3, 6, 6), -1, 1).astype(np.float32)
         before = m.forward(x, mode=L.EVAL)
         path = tmp_path / "m.snpk"
         save_checkpoint(m, path)
@@ -805,7 +804,7 @@ class TestCheckpoint:
 
     def test_running_stats_round_trip(self, tmp_path):
         m = toy_model(np.float32, seed=3)
-        x = SplitRng(2).uniform((4, 3, 6, 6), -1, 1, dtype=np.float32)
+        x = SplitRng(2).uniform((4, 3, 6, 6), -1, 1).astype(np.float32)
         m.forward(x, SplitRng(0))  # moves BN running stats
         path = tmp_path / "m.snpk"
         save_checkpoint(m, path)

@@ -178,6 +178,14 @@ class TestTrainLoop:
         assert fields[6] == "0"  # deterministic mode zeroes wall seconds
         float(fields[3])
 
+    def test_eval_rows_ignore_the_training_batch_size(self):
+        # a training batch of 300 must not make eval run slices of 300 - 9 * 32 = 12 images
+        model = toy_model(seed=11)
+        test = memory_dataset(n=512, seed=12)
+        cfg = T.TrainConfig(epochs=1, batch_size=300, seed=11, lr=0.05, max_steps=1)
+        row = T.train_loop(model, memory_dataset(n=300, seed=11), cfg, test_ds=test)[-1]
+        assert row.split == "test" and (row.loss, row.top1) == T.evaluate(model, test)
+
     def test_max_steps_stops_early(self):
         ds = memory_dataset(n=64, seed=9)
         model = toy_model(seed=9)
