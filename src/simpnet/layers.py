@@ -13,11 +13,14 @@ together as one unit.
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
 channels-last (NHWC) copy of the input go into one reused
-(rows, k*k*c_in) buffer, about half the larger of the padded input and
-the output, and one GEMM per chunk writes the output; dW sums
-g_chunk.T @ chunk. grad_x lowers the gradient, dilated by the stride
-and padded by k-1, at stride 1 against the flipped kernel (Dumoulin &
-Visin, 2016). A conv layer's cache is only the padded input.
+(rows, k*k*c_in) buffer of at most LOWERING_BYTES (1 MiB, but at least
+one image), and one GEMM per chunk writes the output; dW sums
+g_chunk.T @ chunk, and db is ones @ g by BLAS. network.Model runs a
+batch as slices of a few dozen images, one slice per thread at one BLAS
+thread, so each thread lowers into a buffer of its own. grad_x lowers
+the gradient, dilated by the stride and padded by k-1, at stride 1
+against the flipped kernel (Dumoulin & Visin, 2016). A conv layer's
+cache is only the padded input.
 
 Arrays are indexed NCHW at every layer boundary, but conv outputs are
 NHWC in memory, and batch norm, ReLU, dropout and the pools keep that
@@ -29,16 +32,19 @@ of the gradient then need no transposing copy.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
-SAF-pooling: maxpool_forward then dropout_forward on the pooled units,
-so it has no module functions of its own. ReLU uses subgradient 0 at
-exactly 0. Batch norm's running-average momentum and variance epsilon
-are the module constants BN_MOMENTUM and BN_EPS.
+SAF-pooling: maxpool_forward then dropout_apply on the pooled units, so
+it has no module functions of its own. Dropout and SafPool also run by a
+keep mask drawn beforehand (forward_kept), as network.Model does when it
+draws one mask for a batch and gives each slice its rows. ReLU uses
+subgradient 0 at exactly 0. Batch norm's running-average momentum and
+variance epsilon are the module constants BN_MOMENTUM and BN_EPS.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,6 +55,7 @@ TRAIN = "train"
 EVAL = "eval"
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+LOWERING_BYTES = 1 << 20  # a conv's reused lowering buffer, from a sweep with network.TRAIN_SLICE (CHANGES.md)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +94,9 @@ def _windows(a, k, stride, oh, ow):
     return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=False)
 
 
-def _lowering_buffer(n, image_shape, budget, dtype):
-    """Reused buffer of whole images (<= budget/2 elements, >= 1 image) and the (lo, hi) chunks of n."""
-    m = max(1, min(n, budget // (2 * math.prod(image_shape))))
+def _lowering_buffer(n, image_shape, dtype):
+    """Reused buffer of whole images (<= LOWERING_BYTES, >= 1 image) and the (lo, hi) chunks of n."""
+    m = max(1, min(n, LOWERING_BYTES // (math.prod(image_shape) * dtype.itemsize)))
     return np.empty((m, *image_shape), dtype=dtype), [(lo, min(n, lo + m)) for lo in range(0, n, m)]
 
 
@@ -111,7 +118,7 @@ def _conv2d_forward(x, weight, bias, stride, pad):
     windows = _windows(xp, k, stride, oh, ow)
     w_mat = weight.transpose(2, 3, 1, 0).reshape(k * k * c, c_out)  # rows in (dy, dx, c) order, as lowered
     y = np.empty((n, oh, ow, c_out), dtype=np.result_type(x, weight))
-    buf, chunks = _lowering_buffer(n, windows.shape[1:], max(xp.size, y.size), xp.dtype)
+    buf, chunks = _lowering_buffer(n, windows.shape[1:], xp.dtype)
     for lo, hi in chunks:
         np.matmul(_lower(windows[lo:hi], buf), w_mat, out=y[lo:hi].reshape(-1, c_out))
     y += bias
@@ -126,20 +133,20 @@ def _conv2d_backward(xp, weight, stride, pad, grad_out, input_grad=True):
     if grad_out.shape != (n, c_out, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output {(n, c_out, oh, ow)}")
     g = grad_out.transpose(0, 2, 3, 1)  # its chunks are (rows, c_out) views when grad_out is NHWC in memory
-    budget = max(xp.size, g.size)
     windows = _windows(xp, k, stride, oh, ow)
-    buf, chunks = _lowering_buffer(n, windows.shape[1:], budget, xp.dtype)
+    buf, chunks = _lowering_buffer(n, windows.shape[1:], xp.dtype)
     grad_w = np.zeros((c_out, k * k * c), dtype=np.result_type(g, xp))
     for lo, hi in chunks:
         grad_w += g[lo:hi].reshape(-1, c_out).T @ _lower(windows[lo:hi], buf)
-    grad_w, grad_b = grad_w.reshape(c_out, k, k, c).transpose(0, 3, 1, 2), g.sum(axis=(0, 1, 2))
+    grad_b = np.ones(n * oh * ow, grad_out.dtype) @ _rows(grad_out)  # by BLAS, as batch norm's grad_beta
+    grad_w = grad_w.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)
     if not input_grad:
         return None, grad_w, grad_b
     del buf  # freed before the input-gradient buffers are allocated
     # grad_x correlates the flipped kernel at stride 1 with the gradient dilated by
     # stride and zero-padded by k-1; chunks rewrite only the dilated spots
     h, w = hp - 2 * pad, wp - 2 * pad
-    buf, chunks = _lowering_buffer(n, (h, w, k, k, c_out), budget, grad_w.dtype)
+    buf, chunks = _lowering_buffer(n, (h, w, k, k, c_out), grad_w.dtype)
     dilated = np.zeros((len(buf), hp + k - 1, wp + k - 1, c_out), dtype=grad_w.dtype)
     spots = dilated[:, k - 1 : k - 1 + stride * oh : stride, k - 1 : k - 1 + stride * ow : stride]
     windows = _windows(dilated[:, pad:, pad:], k, 1, h, w)
@@ -239,66 +246,112 @@ def bn_eval_affine(p: BatchNormParams, dtype):
     return scale, p.beta - p.running_mean.astype(dtype) * scale
 
 
+def serial_map(fn, *parts):
+    """[fn(*slice) for each slice of the equally long lists parts], in order, on the calling thread."""
+    return [fn(*args) for args in zip(*parts, strict=True)]
+
+
+def sum_in_order(arrays):
+    """arrays[0] + arrays[1] + ..., left to right, so the bytes depend only on the order of the list."""
+    return reduce(np.add, arrays)
+
+
 def batchnorm_forward(x, p: BatchNormParams, mode: str):
     """Per-channel batch normalization over (n, h, w), on the (n*h*w, c) matrix of x.
 
-    Train mode sums by BLAS and einsum, normalizes by the biased variance of
-    the centred matrix (two passes, not E[x^2] - E[x]^2) and folds the
-    unbiased variance into the running stats in place; eval mode is one
+    Train mode is batchnorm_train on the one slice x. Eval mode is one
     affine map per channel (bn_eval_affine). y is NHWC in memory. Returns
     (y, cache): the cache (xhat, gamma / std) feeds backward in train mode
     and is None in eval mode.
     """
-    rows = _rows(x)
-    m, eps = len(rows), x.dtype.type(BN_EPS)
-    if mode != TRAIN:
-        scale, shift = bn_eval_affine(p, x.dtype)
-        y = rows * scale
-        y += shift
-        return _nchw(y, x.shape), None
+    if mode == TRAIN:
+        (y,), (cache,) = batchnorm_train([x], p)
+        return y, cache
+    scale, shift = bn_eval_affine(p, x.dtype)
+    y = _rows(x) * scale
+    y += shift
+    return _nchw(y, x.shape), None
+
+
+def batchnorm_train(parts, p: BatchNormParams, smap=serial_map):
+    """Train-mode batch norm of a batch given as slices along n: ([y], [cache]) per slice.
+
+    Each slice sums its (rows, c) matrix by BLAS for the mean, then its
+    centred rows by einsum for the biased variance (two passes, not
+    E[x^2] - E[x]^2); the slices' sums are added in slice order. The
+    unbiased variance goes into the running stats in place, and each slice
+    normalizes its own rows. smap(fn, *lists) runs the per-slice steps, on
+    threads or not; the bytes depend only on the slice boundaries.
+    """
+    rows = [_rows(x) for x in parts]
+    dt, m = rows[0].dtype, sum(map(len, rows))
     if m < 2:
         raise ValueError(f"batchnorm train mode needs n*h*w >= 2 per channel, got {m}")
-    mean = np.ones(m, x.dtype) @ rows / x.dtype.type(m)
-    xhat = rows - mean
-    var = np.einsum("ij,ij->j", xhat, xhat) / x.dtype.type(m)  # biased
+    mean = sum_in_order(smap(lambda r: np.ones(len(r), dt) @ r, rows)) / dt.type(m)
+
+    def centre(r):
+        xhat = r - mean
+        return xhat, np.einsum("ij,ij->j", xhat, xhat)
+
+    xhats, sums = zip(*smap(centre, rows))
+    var = sum_in_order(sums) / dt.type(m)  # biased
     for stat, batch in ((p.running_mean, mean), (p.running_var, var * (m / (m - 1)))):
         stat *= 1.0 - BN_MOMENTUM
         stat += BN_MOMENTUM * batch.astype(stat.dtype)
-    std = np.sqrt(var + eps)
-    xhat *= 1.0 / std
-    y = xhat * p.gamma
-    y += p.beta
-    return _nchw(y, x.shape), (_nchw(xhat, x.shape), p.gamma / std)
+    std = np.sqrt(var + dt.type(BN_EPS))
+    inv_std, scale = 1.0 / std, p.gamma / std
+
+    def normalize(xhat):
+        xhat *= inv_std
+        y = xhat * p.gamma
+        y += p.beta
+        return y
+
+    ys = smap(normalize, xhats)
+    return [_nchw(y, x.shape) for y, x in zip(ys, parts)], [(_nchw(xh, x.shape), scale) for xh, x in zip(xhats, parts)]
 
 
 def batchnorm_backward(grad_out, cache):
-    """Train-mode gradient through the batch mean and variance.
+    """batchnorm_train_backward of one slice: (grad_x, grad_gamma, grad_beta)."""
+    (grad_x,), grad_gamma, grad_beta = batchnorm_train_backward([grad_out], [cache])
+    return grad_x, grad_gamma, grad_beta
 
-    Closed form per channel (Ioffe & Szegedy, 2015) on (n*h*w, c) matrices:
+
+def batchnorm_train_backward(grads, caches, smap=serial_map):
+    """Train-mode gradient through the batch mean and variance, of a batch given as slices.
+
+    Closed form per channel (Ioffe & Szegedy, 2015) on (rows, c) matrices:
     grad_x = (gamma / std) * (g - xhat * grad_gamma / m - grad_beta / m), with
-    grad_beta = sum(g) and grad_gamma = sum(g * xhat), built in place in one
-    buffer. grad_x is NHWC in memory. Returns (grad_x, grad_gamma, grad_beta).
+    grad_beta = sum(g) and grad_gamma = sum(g * xhat) summed per slice and
+    added in slice order; each slice then builds its grad_x in place in one
+    buffer, NHWC in memory. Returns ([grad_x], grad_gamma, grad_beta).
     """
-    xhat, scale = cache
-    g, xhat = _rows(grad_out), _rows(xhat)
-    m = len(g)
-    grad_beta = np.ones(m, g.dtype) @ g
-    grad_gamma = np.einsum("ij,ij->j", g, xhat)
-    grad_x = xhat * (-grad_gamma / m)
-    grad_x += g
-    grad_x -= grad_beta / m
-    grad_x *= scale
-    return _nchw(grad_x, grad_out.shape), grad_gamma, grad_beta
+    g_rows, xhats = [_rows(g) for g in grads], [_rows(xhat) for xhat, _ in caches]
+    scale, m = caches[0][1], sum(map(len, g_rows))
+    sums = smap(lambda g, xhat: (np.ones(len(g), g.dtype) @ g, np.einsum("ij,ij->j", g, xhat)), g_rows, xhats)
+    grad_beta, grad_gamma = (sum_in_order(s) for s in zip(*sums))
+    per_xhat, shift = -grad_gamma / m, grad_beta / m
+
+    def grad_x(g, xhat):
+        gx = xhat * per_xhat
+        gx += g
+        gx -= shift
+        gx *= scale
+        return gx
+
+    gxs = smap(grad_x, g_rows, xhats)
+    return [_nchw(gx, g.shape) for gx, g in zip(gxs, grads)], grad_gamma, grad_beta
 
 
-def _keep_mask(x, p, rng):
-    """rng's keep mask for x; a 4-D one is drawn channels-last, to match the NHWC memory of conv outputs."""
+def keep_mask(shape, p, rng):
+    """rng's keep mask for an array of shape; a 4-D one is drawn channels-last, to match the NHWC
+    memory of conv outputs, so its slices along n are contiguous."""
     if rng is None:
         raise ValueError("dropout with p > 0 requires an rng in train mode")
-    if x.ndim == 4:
-        n, c, h, w = x.shape
+    if len(shape) == 4:
+        n, c, h, w = shape
         return rng.keep_mask((n, h, w, c), p).transpose(0, 3, 1, 2)
-    return rng.keep_mask(x.shape, p)
+    return rng.keep_mask(shape, p)
 
 
 def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
@@ -307,10 +360,15 @@ def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
     if mode != TRAIN or p == 0.0:
         return x, None
-    mask = _keep_mask(x, p, rng)
-    y = np.multiply(x, mask)
+    mask = keep_mask(x.shape, p, rng)
+    return dropout_apply(x, mask, p), mask
+
+
+def dropout_apply(x, keep, p: float):
+    """Inverted dropout of x by a drawn keep mask."""
+    y = np.multiply(x, keep)
     y /= x.dtype.type(1.0 - p)
-    return y, mask
+    return y
 
 
 def dropout_backward(grad_out, mask, p: float):
@@ -322,8 +380,8 @@ def dropout_backward(grad_out, mask, p: float):
     return grad_x
 
 
-def relu_dropout_forward(x, p: float, rng: SplitRng | None):
-    """relu_forward then train-mode dropout_forward (p > 0, mask from rng), in one buffer: (y, keep).
+def relu_dropout_forward(x, p: float, mask):
+    """relu_forward then dropout_apply by a drawn mask (p > 0), in one buffer: (y, keep).
 
     y has the bytes of the two in turn. keep = y > 0 is the pair's whole
     backward cache: as 1 - p <= 1, y > 0 exactly where x > 0 and the mask
@@ -331,7 +389,6 @@ def relu_dropout_forward(x, p: float, rng: SplitRng | None):
     then relu_backward bit for bit, signed zeros included, and the ReLU's
     input is not held.
     """
-    mask = _keep_mask(x, p, rng)
     y = relu_forward(x)
     y *= mask
     y /= x.dtype.type(1.0 - p)
@@ -477,9 +534,13 @@ class SafPool(Layer):
         self.p = p
 
     def forward(self, x, mode, rng):
+        keep = keep_mask(self.out_shape(x.shape), self.p, rng) if mode == TRAIN and self.p > 0 else None
+        return self.forward_kept(x, keep)
+
+    def forward_kept(self, x, keep):
+        """Train forward by a drawn keep mask of the pooled shape (None: no dropout)."""
         pooled, argmax = maxpool_forward(x, self.window, self.stride)
-        y, mask = dropout_forward(pooled, self.p, mode, rng)
-        return y, (x.shape, mask, argmax)
+        return (pooled if keep is None else dropout_apply(pooled, keep, self.p)), (x.shape, keep, argmax)
 
     def backward(self, cache, grad_out):
         x_shape, mask, argmax = cache
@@ -520,9 +581,17 @@ class BatchNorm(Layer):
         self._alloc(dtype)
 
     def forward(self, x, mode, rng):
+        self._check(x)
+        return batchnorm_forward(x, self.p, mode)
+
+    def forward_slices(self, parts, smap):
+        """Train forward of a batch given as slices along n (batchnorm_train)."""
+        self._check(parts[0])
+        return batchnorm_train(parts, self.p, smap)
+
+    def _check(self, x):
         if x.shape[1] != self.channels:
             raise ShapeError(f"{self.name}: expects {self.channels} channels, got {x.shape[1]}")
-        return batchnorm_forward(x, self.p, mode)
 
     def backward(self, cache, grad_out):
         gx, gg, gb = batchnorm_backward(grad_out, cache)
@@ -550,6 +619,10 @@ class Dropout(Layer):
 
     def forward(self, x, mode, rng):
         return dropout_forward(x, self.p, mode, rng)
+
+    def forward_kept(self, x, keep):
+        """Train forward by a drawn keep mask of x's shape."""
+        return dropout_apply(x, keep, self.p), keep
 
     def backward(self, mask, grad_out):
         return dropout_backward(grad_out, mask, self.p), ()

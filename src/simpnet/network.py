@@ -9,6 +9,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -16,8 +17,9 @@ import numpy as np
 
 from .data import read_exact
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
-from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
-from .layers import bn_eval_affine, conv2d_forward, maxpool_values, relu_dropout_forward
+from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool, batchnorm_train
+from .layers import batchnorm_train_backward, bn_eval_affine, conv2d_forward, keep_mask, maxpool_values
+from .layers import relu_dropout_forward, sum_in_order
 from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"SNPK"
@@ -25,6 +27,7 @@ CHECKPOINT_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 EVAL_SLICE = 32  # images per eval slice, from a sweep of 32, 64 and 128 (CHANGES.md)
+TRAIN_SLICE = 64  # images per train slice, from a sweep with layers.LOWERING_BYTES (CHANGES.md)
 
 
 def _openblas_thread_calls(libdir=os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")):
@@ -45,8 +48,67 @@ def _openblas_thread_calls(libdir=os.path.join(os.path.dirname(np.__file__), os.
 
 
 _BLAS_THREADS = _openblas_thread_calls()
-EVAL_WORKERS = _BLAS_THREADS[0]() if _BLAS_THREADS else 1  # threads an eval forward runs slices on
-_eval_pool = None  # EVAL_WORKERS - 1 threads, started by the first sliced eval forward
+WORKERS = _BLAS_THREADS[0]() if _BLAS_THREADS else 1  # threads a forward or backward runs slices on
+_pool = None  # WORKERS - 1 threads, started by the first forward with more than one slice
+
+
+@contextmanager
+def _one_blas_thread():
+    """The BLAS at one thread, process-wide, until the block ends; restored on return or raise."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+def _slices(x, size):
+    """Views of x along n, size images each (the last may be shorter); one slice of the whole
+    batch where the BLAS thread calls are not found."""
+    if _BLAS_THREADS is None or len(x) <= size:
+        return [x]
+    return [x[lo : lo + size] for lo in range(0, len(x), size)]
+
+
+def _map_slices(fn, *parts):
+    """[fn(*slice) for each slice of the equally long lists parts], run on up to WORKERS threads.
+
+    Thread t runs slice t first; after that each thread takes the next
+    slice that no thread has taken, so a thread whose core the host slows
+    down runs fewer slices instead of holding up the batch. Thread 0 is the
+    caller, so it allocates the intermediates of its slices in its own
+    malloc arena: when pool threads ran every slice and the caller only
+    waited, their fresh glibc arenas raised peak RSS by 17% on simpnet-tiny.
+    Every slice's result lands at its own index, so the result does not
+    depend on which thread ran it. Waits for every slice, then raises the
+    caller's first error, or else the first of a pool thread's.
+    """
+    global _pool
+    args = list(zip(*parts, strict=True))
+    out, k = [None] * len(args), min(WORKERS, len(args))
+    take = itertools.count(k).__next__  # atomic under the GIL
+
+    def run_slices(j):
+        while j < len(args):
+            out[j] = fn(*args[j])
+            j = take()
+
+    if k > 1 and _pool is None:
+        _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="simpnet")
+    futures = [_pool.submit(run_slices, t) for t in range(1, k)]
+    try:
+        run_slices(0)
+    finally:
+        if futures:  # wait() costs about 10 us even for no futures, and one-slice calls are many
+            wait(futures)
+    for f in futures:
+        f.result()
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,44 +146,77 @@ def _folded_conv(conv, bn, relu, x, rng):
     return (np.maximum(y, 0, out=y) if relu else y), None
 
 
+def _unzip(pairs):
+    """([first of each pair], [second of each pair])."""
+    return tuple(map(list, zip(*pairs)))
+
+
+def _dropping(step, layer, j, parts, rng):
+    """step(x, keep) on each slice, keep being its rows of the one mask that rng.split(j) draws for
+    the output of `layer` over the whole batch, on the caller; ([y], [cache]) per slice."""
+    keep = keep_mask(layer.out_shape((sum(map(len, parts)), *parts[0].shape[1:])), layer.p, rng and rng.split(j))
+    return _unzip(_map_slices(step, parts, _slices(keep, len(parts[0]))))
+
+
+def _each(layer, parts):
+    """layer's train forward on each slice, drawing nothing: ([y], [cache]) per slice."""
+    return _unzip(_map_slices(lambda x: layer.forward(x, TRAIN, None), parts))
+
+
 def plan(layers: list[Layer], mode: str) -> list[tuple]:
     """The units a forward in `mode` runs, in order: (index of the first
-    layer, the layers, run(x, rng) -> (y, cache)), each layer in one unit.
+    layer, the layers, run), each layer in one unit.
 
-    Train mode runs a relu directly followed by a dropout with p > 0 as
+    An eval unit's run(x, rng) -> (y, None) runs one slice: Model runs
+    each eval slice through every unit in turn. Eval mode runs a conv
+    directly followed by a batch norm of its width (and a relu after that)
+    as one conv with bn_eval_affine folded in, into new arrays per call,
+    and a SafPool as maxpool_values; eval units cache nothing.
+
+    A train unit's run(parts, rng) -> ([y], [cache]) runs the whole batch,
+    given as slices along n, on the slice threads (_map_slices). Train
+    mode runs a relu directly followed by a dropout with p > 0 as
     relu_dropout_forward, caching only the bool keep = y > 0, on which
-    the dropout's backward is the pair's gradient bit for bit. Eval mode
-    runs a conv directly followed by a batch norm of its width (and a
-    relu after that) as one conv with bn_eval_affine folded in, into new
-    arrays per call, and a SafPool as maxpool_values; eval units cache
-    nothing. Other layers run alone, drawing from rng.split(i) for layer
-    index i. Units read layer attributes and call methods and kernels by
-    name when they run, so replaced parameters and wrapped functions are
-    seen. Train mode caches: a conv's padded NHWC input, batch norm's
-    xhat and per-channel scale, a pair's keep mask, a SafPool's keep mask
-    and winners' offsets, a dense layer's input, an unpaired relu's input.
+    the dropout's backward is the pair's gradient bit for bit. The pair,
+    a dropout and a SafPool with p > 0 draw one keep mask for the batch
+    from rng.split(i), i the index of the dropping layer, and give each
+    slice its rows; no other unit splits the rng. Batch norm adds the
+    slices' sums in slice order (batchnorm_train). Other layers run their
+    own forward per slice. Train caches, per slice: a conv's padded NHWC
+    input, batch norm's xhat and per-channel scale, a pair's keep mask, a
+    SafPool's keep mask and winners' offsets, a dense layer's input, an
+    unpaired relu's input.
+
+    Units read layer attributes and call methods and kernels by name when
+    they run, so replaced parameters and wrapped functions are seen.
     """
     units, i = [], 0
     while i < len(layers):
         layer, nxt, after = (*layers[i : i + 3], None, None)[:3]
         if mode == TRAIN and isinstance(layer, ReLU) and isinstance(nxt, Dropout) and nxt.p > 0:
-            group, run = (layer, nxt), lambda x, rng, d=nxt, j=i + 1: relu_dropout_forward(x, d.p, rng and rng.split(j))
-        elif mode == EVAL and isinstance(layer, Conv2d) and isinstance(nxt, BatchNorm) and nxt.channels == layer.c_out:
+            group = (layer, nxt)
+            run = partial(_dropping, lambda x, keep, d=nxt: relu_dropout_forward(x, d.p, keep), nxt, i + 1)
+        elif mode == TRAIN and isinstance(layer, (Dropout, SafPool)) and layer.p > 0:
+            group, run = (layer,), partial(_dropping, lambda x, keep, layer=layer: layer.forward_kept(x, keep), layer, i)
+        elif mode == TRAIN and isinstance(layer, BatchNorm):
+            group, run = (layer,), lambda parts, rng, bn=layer: bn.forward_slices(parts, _map_slices)
+        elif mode == TRAIN:
+            group, run = (layer,), lambda parts, rng, layer=layer: _each(layer, parts)
+        elif isinstance(layer, Conv2d) and isinstance(nxt, BatchNorm) and nxt.channels == layer.c_out:
             group = (layer, nxt, after)[: 2 + isinstance(after, ReLU)]
             run = partial(_folded_conv, layer, nxt, len(group) == 3)
-        elif mode == EVAL and isinstance(layer, SafPool):  # eval dropout is the identity
+        elif isinstance(layer, SafPool):  # eval dropout is the identity
             group, run = (layer,), lambda x, rng, pool=layer: (maxpool_values(x, pool.window, pool.stride), None)
-        elif mode == EVAL:
-            group, run = (layer,), lambda x, rng, layer=layer: (layer.forward(x, EVAL, None)[0], None)
         else:
-            group, run = (layer,), lambda x, rng, layer=layer, j=i: layer.forward(x, TRAIN, rng and rng.split(j))
+            group, run = (layer,), lambda x, rng, layer=layer: (layer.forward(x, EVAL, None)[0], None)
         units.append((i, group, run))
         i += len(group)
     return units
 
 
 def _run_units(units, x, rng):
-    """(output, [cache per unit]) of running `units` in order; a ShapeError names its unit's first layer."""
+    """(output, [cache per unit]) of running `units` in order, on one eval slice or on a train batch's
+    list of slices; a ShapeError names its unit's first layer."""
     caches = []
     for _, layers, run in units:
         try:
@@ -136,13 +231,14 @@ class Model:
     """Ordered layer stack with named parameters; `units` holds plan(layers, mode) per mode.
 
     The model is the one owner of per-batch state: `caches` holds each
-    train unit's backward cache from the last train-mode forward (None
-    after an eval-mode forward). Layers keep no state, so an eval-mode
-    forward is a pure function of (input, parameters), and backward
-    returns the gradients and keeps none, so calling it again after the
-    same forward gives the same values. A model is single-owner while
-    training. An eval forward sets the process-wide BLAS thread count
-    until it returns, so two eval forwards must not run at the same time.
+    train unit's backward caches, one per slice, from the last train-mode
+    forward (None after an eval-mode forward). Layers keep no state, so an
+    eval-mode forward is a pure function of (input, parameters), and
+    backward returns the gradients and keeps none, so calling it again
+    after the same forward gives the same values. A model is single-owner
+    while training. Forward and backward, in either mode, set the
+    process-wide BLAS thread count until they return, so no two of them
+    may run at the same time, on one model or on two.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int]):
@@ -160,83 +256,59 @@ class Model:
         return self
 
     def forward(self, x: np.ndarray, rng: SplitRng | None = None, mode: str = TRAIN) -> np.ndarray:
-        """Run the units of `mode` in order, keeping their caches in train mode only.
+        """Run the units of `mode` over slices of the batch, keeping their caches in train mode only.
 
-        The previous forward's caches are dropped first, so their memory
-        is free before this forward allocates. Where the OpenBLAS thread
-        calls are found, an eval forward runs as slices (see _eval_slices).
+        Slices are EVAL_SLICE or TRAIN_SLICE images, run on WORKERS threads
+        (_map_slices) with the BLAS at one thread until the forward returns;
+        where the OpenBLAS thread calls are not found, the batch is one
+        slice on the caller. An eval slice runs through every unit in turn.
+        A train forward runs one unit at a time over every slice; between
+        units the activations stay a list of slices, joined only at the
+        logits. Every worker count runs the same slices at one BLAS thread,
+        so the outputs do not depend on the thread count. They can differ
+        in their last bits from the same images run as one slice, since
+        sums over slices are added in slice order and OpenBLAS rounds some
+        GEMMs by their row count (float32 ones with M*N*K <= 10**6, one-row
+        products, more in float64); in float32, four full eval slices give
+        the whole batch's bytes. The previous forward's caches are dropped
+        first, so their memory is free before this forward allocates.
         """
         self.caches = None
-        if mode == EVAL and _BLAS_THREADS is not None:
-            return self._eval_slices(x)
-        x, caches = _run_units(self.units[mode], x, rng)
-        self.caches = caches if mode == TRAIN else None
-        return x
-
-    def _eval_slices(self, x: np.ndarray) -> np.ndarray:
-        """Eval forward of EVAL_SLICE images at a time on EVAL_WORKERS threads,
-        with the BLAS at one thread until every slice is done.
-
-        Thread t runs slice t first; after that each thread takes the next
-        slice that no thread has taken, so a thread whose core the host
-        slows down runs fewer slices instead of holding up the batch.
-        Thread 0 is the caller, so it allocates the intermediates of its
-        slices in its own malloc arena. When pool threads ran every slice
-        and the caller only waited, their fresh glibc arenas raised peak
-        RSS by 17% on simpnet-tiny. Every worker count runs the same slices
-        at one BLAS thread, so the logits do not depend on the thread
-        count. They can differ in their last bits from the same images run
-        as one batch, since OpenBLAS rounds some GEMMs by their row count
-        (float32 ones with M*N*K <= 10**6, one-row products, more in
-        float64); in float32, four full slices give the whole batch's bytes.
-        """
-        global _eval_pool
-        units, k = self.units[EVAL], EVAL_WORKERS
-        parts = [x[i : i + EVAL_SLICE] for i in range(0, len(x), EVAL_SLICE)] or [x]
-        out = [None] * len(parts)
-
-        take = itertools.count(k).__next__  # atomic under the GIL
-
-        def run_slices(j):
-            while j < len(parts):
-                out[j] = _run_units(units, parts[j], None)[0]
-                j = take()
-
-        get, put = _BLAS_THREADS
-        threads = get()
-        put(1)  # process-wide, so the pool threads' GEMMs run at one thread too
-        try:
-            if k > 1 and len(parts) > 1 and _eval_pool is None:
-                _eval_pool = ThreadPoolExecutor(k - 1, thread_name_prefix="simpnet-eval")
-            futures = [_eval_pool.submit(run_slices, t) for t in range(1, min(k, len(parts)))]
-            try:
-                run_slices(0)
-            finally:
-                wait(futures)
-            for f in futures:  # the first error of a pool slice, if the caller's slices raised none
-                f.result()
-        finally:
-            put(threads)
-        return np.concatenate(out)
+        parts = _slices(x, EVAL_SLICE if mode == EVAL else TRAIN_SLICE)
+        with _one_blas_thread():
+            if mode == EVAL:
+                units = self.units[EVAL]
+                return np.concatenate(_map_slices(lambda part: _run_units(units, part, None)[0], parts))
+            parts, caches = _run_units(self.units[TRAIN], parts, rng)
+        self.caches = caches
+        return np.concatenate(parts)
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
         """Gradients from the last train-mode forward's caches: (grad wrt the input,
         [(name, value, grad)] of every parameter in layer order).
 
-        With input_grad=False the input gradient comes back as None, and a
-        first conv does not compute it; the parameter gradients are the same.
+        Each unit's last layer runs its backward per slice of the forward's
+        slices, and the slices' parameter gradients are added in slice order;
+        batch norm adds its per-slice sums before any slice's input gradient
+        (batchnorm_train_backward). With input_grad=False the input gradient
+        comes back as None, and a first conv does not compute it; the
+        parameter gradients are the same.
         """
         if self.caches is None:
             raise NoForwardCacheError("backward needs a train-mode forward first")
-        grads = []
-        for (start, layers, _), cache in zip(reversed(self.units[TRAIN]), reversed(self.caches)):
-            layer = layers[-1]
-            if start == 0 and not input_grad and isinstance(layer, Conv2d):
-                grad_out, layer_grads = layer.backward(cache, grad_out, input_grad=False)
-            else:
-                grad_out, layer_grads = layer.backward(cache, grad_out)
-            grads[:0] = [(n, v, g) for (n, v), g in zip(layer.param_entries(), layer_grads, strict=True)]
-        return (grad_out if input_grad else None), grads
+        grads, parts = [], _slices(grad_out, TRAIN_SLICE)
+        with _one_blas_thread():
+            for (start, layers, _), caches in zip(reversed(self.units[TRAIN]), reversed(self.caches)):
+                layer = layers[-1]
+                if isinstance(layer, BatchNorm):
+                    parts, *layer_grads = batchnorm_train_backward(parts, caches, _map_slices)
+                else:
+                    flags = {"input_grad": False} if start == 0 and not input_grad and isinstance(layer, Conv2d) else {}
+                    outs = _map_slices(lambda cache, g: layer.backward(cache, g, **flags), caches, parts)
+                    parts = [gx for gx, _ in outs]
+                    layer_grads = [sum_in_order(g) for g in zip(*(slice_grads for _, slice_grads in outs))]
+                grads[:0] = [(n, v, g) for (n, v), g in zip(layer.param_entries(), layer_grads, strict=True)]
+        return (np.concatenate(parts) if input_grad else None), grads
 
     def state_tensors(self):
         """Params plus persistent buffers (BN running stats), layer order."""

@@ -27,6 +27,7 @@ _SPLIT_SALT = np.uint64(0xD6E8FEB86659FD93)
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_INT, _MIX1_INT, _MIX2_INT, _SPLIT_SALT_INT = map(int, (_GOLDEN, _MIX1, _MIX2, _SPLIT_SALT))
 
 # bump whenever keep_mask returns other masks for the same key, counter and arguments
 MASK_STREAM_VERSION = 2
@@ -49,6 +50,13 @@ def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def _mix64_int(z: int) -> int:
+    """_mix64 of one 64-bit value held as a Python int."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitRng:
     """Deterministic stream of random numbers identified by a 64-bit key.
 
@@ -64,12 +72,12 @@ class SplitRng:
         self.counter = 0
 
     def split(self, *labels: int) -> "SplitRng":
-        key = self.key
-        with np.errstate(over="ignore"):
-            for label in labels:
-                salted = _U64((int(label) & _MASK64)) * _SPLIT_SALT + _GOLDEN
-                key = _mix64(np.asarray(key ^ _mix64(np.asarray(salted, dtype=np.uint64))))
-        return SplitRng(int(key))
+        """Child stream keyed mix64(key ^ mix64(label * salt + golden)), once per label,
+        in Python integers: the values of _mix64 on uint64, without numpy's per-call cost."""
+        key = int(self.key)
+        for label in labels:
+            key = _mix64_int(key ^ _mix64_int(((int(label) & _MASK64) * _SPLIT_SALT_INT + _GOLDEN_INT) & _MASK64))
+        return SplitRng(key)
 
     def _next_u64(self, n: int) -> np.ndarray:
         counters = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)

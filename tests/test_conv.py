@@ -236,6 +236,12 @@ class TestChunkedOracle:
         "stride 2, odd span": (2, 3, 8, 10, 4, 3, 2, 0),
     }
 
+    @pytest.fixture(autouse=True)
+    def small_lowering_buffer(self, monkeypatch):
+        # three images of the first case's forward windows (5*5 windows of 3*3*4 float64s),
+        # so these small batches split into chunks as a training batch does
+        monkeypatch.setattr(L, "LOWERING_BYTES", 3 * 5 * 5 * 3 * 3 * 4 * 8)
+
     @staticmethod
     def instance(name):
         n, c_in, h, wd, c_out, k, stride, pad = TestChunkedOracle.CASES[name]

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from simpnet import layers as L
+from simpnet import network as N
 from simpnet import train as T
 from simpnet.errors import ShapeError
 from simpnet.network import Model
@@ -217,7 +218,7 @@ class TestDropout:
         g.flat[::5], g.flat[1::9] = -0.0, 0.0
         if x.ndim == 4:  # NHWC in memory, as conv outputs are
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        y, keep = L.relu_dropout_forward(x, 0.3, SplitRng(4))
+        y, keep = L.relu_dropout_forward(x, 0.3, L.keep_mask(x.shape, 0.3, SplitRng(4)))
         ref, mask = L.dropout_forward(L.relu_forward(x), 0.3, L.TRAIN, SplitRng(4))
         assert y.dtype == dtype and y.tobytes() == ref.tobytes()
         assert keep.dtype == bool and np.array_equal(keep, (x > 0) & mask)
@@ -245,7 +246,7 @@ class TestChannelsLast:
             y, _ = layer.forward(y, L.TRAIN, rng.split(100 + i))
             assert y.transpose(0, 2, 3, 1).flags.c_contiguous, layer.name
 
-    def test_conv_block_input_gradients_stay_channels_last(self):
+    def test_conv_block_input_gradients_stay_channels_last(self, monkeypatch):
         # a pool gradient in NCHW memory would make dropout, ReLU and BN
         # backward mix layouts and conv backward copy its gradient; the
         # relu -> dropout pair runs as one unit, whose backward is the dropout's
@@ -269,6 +270,13 @@ class TestChannelsLast:
                 return out
 
             layer.backward = spy
+
+        def bn_spy(grad_outs, caches, smap, backward=N.batchnorm_train_backward):
+            out = backward(grad_outs, caches, smap)
+            (grads["bn1"],) = out[0]  # batch norm runs its slices' backward together, one slice here
+            return out
+
+        monkeypatch.setattr(N, "batchnorm_train_backward", bn_spy)
         y = model.forward(rng.uniform((2, 3, 6, 8)).astype(np.float32), rng.split(1))
         model.backward(rng.uniform(y.shape, -1, 1).astype(np.float32))  # NCHW, as a dense layer returns it
         assert list(grads) == ["safpool1", "dropout1", "bn1", "conv1"]

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, rel_err, write_idx_pair
 from simpnet import layers as L
 from simpnet import network as N
 from simpnet.archdsl import build, builder_presets, parse, simpnet
@@ -109,8 +109,9 @@ class TestForward:
         g = SplitRng(4).uniform((2, 10))
         m.forward(x, SplitRng(3))
         assert len(m.caches) == len(m.units[L.TRAIN])
+        assert [len(c) for c in m.caches] == [1] * len(m.caches)  # one slice of 2 images
         # keyed by each unit's last layer, so the relu -> dropout pair's cache is under "dropout"
-        caches = {layers[-1].kind: c for (_, layers, _), c in zip(m.units[L.TRAIN], m.caches)}
+        caches = {layers[-1].kind: c for (_, layers, _), (c,) in zip(m.units[L.TRAIN], m.caches)}
         # backward reads boolean keep masks, and BN keeps only xhat and a per-channel scale
         assert caches["dropout"].dtype == bool and caches["safpool"][1].dtype == bool
         assert sorted(np.shape(a) for a in caches["bn"]) == [(2, 4, 6, 6), (4,)]
@@ -348,20 +349,33 @@ needs_blas_calls = pytest.mark.skipif(N._BLAS_THREADS is None, reason="no OpenBL
 
 
 @pytest.fixture
-def two_workers(monkeypatch):
-    """Eval forwards take the sliced path on two threads, whatever the BLAS thread count is,
-    with a pool of their own that is shut down afterwards."""
-    monkeypatch.setattr(N, "EVAL_WORKERS", 2)
-    monkeypatch.setattr(N, "_eval_pool", None)
-    yield
-    if N._eval_pool is not None:
-        N._eval_pool.shutdown()
+def workers(monkeypatch):
+    """set_workers(k): forwards and backwards run their slices on k threads, whatever the BLAS
+    thread count is, with pools of their own that are shut down after the test."""
+    original, pools = N._pool, []
+
+    def set_workers(k):
+        if N._pool not in (None, original):
+            pools.append(N._pool)
+        monkeypatch.setattr(N, "WORKERS", k)
+        monkeypatch.setattr(N, "_pool", None)
+
+    yield set_workers
+    if N._pool not in (None, original):
+        pools.append(N._pool)
+    for pool in pools:
+        pool.shutdown()
+
+
+@pytest.fixture
+def two_workers(workers):
+    workers(2)
 
 
 def one_worker(m, x, monkeypatch):
     """Eval logits with every slice run on the calling thread."""
     with monkeypatch.context() as mp:
-        mp.setattr(N, "EVAL_WORKERS", 1)
+        mp.setattr(N, "WORKERS", 1)
         return m.forward(x, mode=L.EVAL)
 
 
@@ -375,7 +389,7 @@ from simpnet.rng import SplitRng
 for name in ("simpnet-tiny", "simpnet-300k"):
     m = train.init_model(archdsl.build(archdsl.builder_presets()[name]), 7)
     x = SplitRng(8).normal((256, *m.input_shape)).astype(np.float32)
-    print(name, network.EVAL_WORKERS, hashlib.sha256(m.forward(x, mode=EVAL).tobytes()).hexdigest())
+    print(name, network.WORKERS, hashlib.sha256(m.forward(x, mode=EVAL).tobytes()).hexdigest())
 """
 
 
@@ -408,7 +422,7 @@ class TestSlicedEval:
         assert m.forward(x, mode=L.EVAL).tobytes() == whole.tobytes()
 
     def test_many_workers_and_small_slices_under_fast_thread_switching(self, monkeypatch):
-        monkeypatch.setattr(N, "EVAL_WORKERS", 4)  # more threads than cores on a host of 2 or 3
+        monkeypatch.setattr(N, "WORKERS", 4)  # more threads than cores on a host of 2 or 3
         monkeypatch.setattr(N, "EVAL_SLICE", 2)
         m = fusion_model("simpnet-tiny", np.float32)
         x = model_input(m, 41, np.float32)
@@ -479,12 +493,15 @@ def test_without_blas_calls_eval_starts_no_thread(tmp_path, monkeypatch):
     (tmp_path / "libopenblas_broken.so").write_bytes(b"not a shared library")
     assert N._openblas_thread_calls(str(tmp_path)) is None
     monkeypatch.setattr(N, "_BLAS_THREADS", None)
-    monkeypatch.setattr(N, "EVAL_WORKERS", 1)
-    monkeypatch.setattr(N, "_eval_pool", None)
+    monkeypatch.setattr(N, "WORKERS", 1)
+    monkeypatch.setattr(N, "_pool", None)
     m = fusion_model("simpnet-tiny", np.float32)
     before = threading.active_count()
     m.forward(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32), mode=L.EVAL)
-    assert threading.active_count() == before and N._eval_pool is None
+    logits = m.forward(model_input(m, 2 * N.TRAIN_SLICE + 1, np.float32), SplitRng(3))
+    m.backward(np.ones_like(logits))
+    assert threading.active_count() == before and N._pool is None
+    assert [len(caches) for caches in m.caches] == [1] * len(m.caches)  # the train batch ran as one slice
 
 
 def test_import_build_and_analyze_start_no_thread():
@@ -513,7 +530,7 @@ def test_eval_logits_do_not_depend_on_the_blas_thread_count():
         outputs.append([line.split() for line in proc.stdout.splitlines()])
     (tiny1, big1), (tiny2, big2) = outputs
     assert tiny1[1] == big1[1] == "1"
-    assert N.EVAL_WORKERS == 1 or tiny2[1] == big2[1] == "2"  # the sliced path ran where it can
+    assert N.WORKERS == 1 or tiny2[1] == big2[1] == "2"  # the sliced path ran where it can
     assert (tiny1[::2], big1[::2]) == (tiny2[::2], big2[::2])
 
 
@@ -560,16 +577,18 @@ def train_units_model(name, dtype, seed=0):
 
 
 def layer_by_layer_train_step(m, x, rng, labels):
-    """Logits, input gradient and [(name, value, grad)] from each layer's own forward and backward."""
+    """Logits, input gradient and [(name, value, grad)] from each layer's own forward and backward,
+    on the whole batch at one BLAS thread, as Model runs its slices."""
     caches = []
-    for i, layer in enumerate(m.layers):
-        x, cache = layer.forward(x, L.TRAIN, rng.split(i))
-        caches.append(cache)
-    g = L.softmax_xent(x, labels)[1]
-    grads = []
-    for layer, cache in zip(reversed(m.layers), reversed(caches)):
-        g, layer_grads = layer.backward(cache, g)
-        grads[:0] = [(n, v, gr) for (n, v), gr in zip(layer.param_entries(), layer_grads)]
+    with N._one_blas_thread():
+        for i, layer in enumerate(m.layers):
+            x, cache = layer.forward(x, L.TRAIN, rng.split(i))
+            caches.append(cache)
+        g = L.softmax_xent(x, labels)[1]
+        grads = []
+        for layer, cache in zip(reversed(m.layers), reversed(caches)):
+            g, layer_grads = layer.backward(cache, g)
+            grads[:0] = [(n, v, gr) for (n, v), gr in zip(layer.param_entries(), layer_grads)]
     return x, g, grads
 
 
@@ -627,7 +646,7 @@ class TestFusedTrain:
         m = train_units_model("simpnet-tiny", np.float32)
         y = m.forward(model_input(m, 2, np.float32), SplitRng(3))
         assert calls == []
-        for (_, layers, _), cache in zip(m.units[L.TRAIN], m.caches):
+        for (_, layers, _), (cache,) in zip(m.units[L.TRAIN], m.caches):
             if any(isinstance(layer, L.ReLU) for layer in layers):
                 # every relu is in a pair, whose one cache is the keep mask: no relu float input is held
                 assert [type(layer) for layer in layers] == [L.ReLU, L.Dropout]
@@ -661,7 +680,7 @@ class TestFusedTrain:
         logits = m.forward(x, SplitRng(7))
         # the pair ran as one unit, caching only its keep mask
         assert [len(layers) for _, layers, _ in m.units[L.TRAIN]] == [1, 1, 2, 1, 1]
-        assert m.caches[2].dtype == bool
+        assert m.caches[2][0].dtype == bool
         gx, grads = m.backward(L.softmax_xent(logits, labels)[1])
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
         for name, value, grad in grads:
@@ -718,6 +737,223 @@ class TestFusedTrain:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
+def train_step(m, x, rng, labels):
+    """(loss, input gradient, [(name, grad)], [(name, state)]) of one train step without SGD,
+    the state (BN running stats included) copied after it."""
+    logits = m.forward(x, rng)
+    loss, g = L.softmax_xent(logits, labels)
+    gx, grads = m.backward(g)
+    return loss, gx, [(n, gr) for n, _, gr in grads], [(n, v.copy()) for n, v in m.state_tensors()]
+
+
+def step_bytes(step):
+    loss, gx, grads, state = step
+    return loss, gx.tobytes(), [(n, g.tobytes()) for n, g in grads], [(n, v.tobytes()) for n, v in state]
+
+
+def sliced_train_step(name, n, dtype=np.float32):
+    m = train_units_model(name, dtype)
+    x = model_input(m, n, dtype)
+    return train_step(m, x, SplitRng(3), SplitRng(4).integers(n, 10))
+
+
+@needs_blas_calls
+class TestSlicedTrain:
+    # sums over two slices are the same either way round, so 3 * TRAIN_SLICE - 1 (three slices,
+    # the last short) is the batch that would show a sum order that depends on the threads
+    @pytest.mark.parametrize(
+        "name,n",
+        [("simpnet-tiny", n) for n in (1, N.TRAIN_SLICE - 1, N.TRAIN_SLICE + 1, 128, 3 * N.TRAIN_SLICE - 1)]
+        + [("simpnet-300k", 3 * N.TRAIN_SLICE - 1)],
+    )
+    def test_step_does_not_depend_on_the_worker_count(self, name, n, workers):
+        steps = []
+        for k in (1, 2, 4):
+            workers(k)
+            steps.append(step_bytes(sliced_train_step(name, n)))
+        assert steps[1] == steps[0] and steps[2] == steps[0]
+
+    def test_many_workers_and_small_slices_under_fast_thread_switching(self, workers, monkeypatch):
+        monkeypatch.setattr(N, "TRAIN_SLICE", 2)
+        workers(1)
+        ref = step_bytes(sliced_train_step("simpnet-tiny", 41))
+        workers(4)  # more threads than cores on a host of 2 or 3
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sliced = [step_bytes(sliced_train_step("simpnet-tiny", 41)) for _ in range(2)]
+        finally:
+            sys.setswitchinterval(switch)
+        assert sliced == [ref, ref]
+
+    @pytest.mark.usefixtures("two_workers")
+    def test_shape_error_in_a_pool_slice_names_its_layer(self, monkeypatch):
+        def fails_off_the_caller(x, *args, pool=L.maxpool_forward):
+            if threading.current_thread() is not threading.main_thread():
+                raise ShapeError("raised in a pool slice")
+            return pool(x, *args)
+
+        monkeypatch.setattr(L, "maxpool_forward", fails_off_the_caller)
+        m = train_units_model("simpnet-tiny", np.float32)
+        pool = next(layer.name for layer in m.layers if isinstance(layer, L.SafPool))
+        with pytest.raises(ShapeError, match=f"at layer {pool!r}: raised in a pool slice"):
+            m.forward(model_input(m, 2 * N.TRAIN_SLICE, np.float32), SplitRng(3))
+
+    @pytest.mark.usefixtures("two_workers")
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_waits_for_every_slice_and_restores_blas_threads(self, phase, fail, monkeypatch):
+        # pool slices are slowed down, and in the failing case the caller's slice of a conv raises,
+        # so a forward or backward that returned before its slices ended would leave one running
+        running, threads_seen, lock = [0], set(), threading.Lock()
+        name = {"forward": "_conv2d_forward", "backward": "_conv2d_backward"}[phase]
+        conv = getattr(L, name)
+
+        def spy(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                threads_seen.add(threading.get_ident())
+            try:
+                if threading.current_thread() is threading.main_thread():
+                    if fail:
+                        raise ShapeError("caller slice fails")
+                else:
+                    time.sleep(0.01)
+                return conv(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        m = train_units_model("simpnet-tiny", np.float32)
+        x = model_input(m, 2 * N.TRAIN_SLICE, np.float32)
+        get, put = N._BLAS_THREADS
+        initial = get()
+        try:
+            for threads in sorted({1, initial}):
+                logits = m.forward(x, SplitRng(3))
+                put(threads)
+                with monkeypatch.context() as mp:
+                    mp.setattr(L, name, spy)
+                    run = (lambda: m.forward(x, SplitRng(3))) if phase == "forward" else (lambda: m.backward(logits))
+                    if fail:
+                        with pytest.raises(ShapeError, match="caller slice fails"):
+                            run()
+                    else:
+                        run()
+                assert running[0] == 0
+                assert get() == threads
+        finally:
+            put(initial)
+        assert len(threads_seen) == 2
+
+
+TRAIN_CLI_ARCH = """\
+input 1 28 28
+group g1
+conv 3 6 s1 p1
+bn
+relu
+dropout p0.2
+conv 3 8 s1 p1
+bn
+relu
+safpool 2 p0.2
+group head
+gap
+flatten
+dense 10
+"""
+
+
+@needs_blas_calls
+def test_cli_training_does_not_depend_on_the_blas_thread_count(tmp_path):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    write_idx_pair(data_dir, "train", 400, seed=77)
+    write_idx_pair(data_dir, "t10k", 64, seed=78)
+    arch = tmp_path / "det.arch"
+    arch.write_text(TRAIN_CLI_ARCH)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        cmd = [sys.executable, "-m", "simpnet.cli", "train", "--arch", str(arch), "--dataset", "mnist"]
+        cmd += ["--data-dir", str(data_dir), "--deterministic", "--seed", "7", "--epochs", "2"]
+        cmd += ["--batch-size", str(3 * N.TRAIN_SLICE - 7), "--out-metrics", str(out / "metrics.csv")]
+        cmd += ["--out-ckpt", str(out / "model.snpk")]
+        env = dict(os.environ, PYTHONPATH=ENGINE_SRC, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(((out / "metrics.csv").read_bytes(), (out / "model.snpk").read_bytes()))
+    assert outputs[0][0] == outputs[1][0], "metrics CSVs differ between BLAS thread counts"
+    assert outputs[0][1] == outputs[1][1], "checkpoints differ between BLAS thread counts"
+
+
+def conv_bias(name):
+    return name.startswith("conv") and name.endswith(".bias")
+
+
+class TestWholeStepNumerics:
+    """One train step of a packaged preset against exact references.
+
+    In float64, the sliced step through Model against a plain walk of each
+    layer's own forward and backward on the whole batch: they differ only in
+    the order of sums, so they agree to 1e-12 of each tensor's largest value.
+    A conv bias that a batch norm follows has an exact gradient of 0, so its
+    float64 gradient is roundoff; it is held to 1e-12 of its conv weight's
+    largest gradient instead.
+
+    In float32, the step and one eval batch against float64 from the same
+    float32-rounded weights and inputs, at batch 128 (conv biases left out).
+    """
+
+    @pytest.mark.parametrize("name", ["simpnet-tiny", "simpnet-300k"])
+    def test_sliced_step_matches_the_layer_walk_in_float64(self, name, workers):
+        n = N.TRAIN_SLICE + 5  # a full slice and a short one where the BLAS thread calls are found
+        ref = train_units_model(name, np.float64)
+        x, labels = model_input(ref, n, np.float64), SplitRng(4).integers(n, 10)
+        logits, ref_gx, ref_grads = layer_by_layer_train_step(ref, x, SplitRng(3), labels)
+        ref_loss, ref_grads = L.softmax_xent(logits, labels)[0], {nm: g for nm, _, g in ref_grads}
+        for k in (1, 2):
+            workers(k)
+            loss, gx, grads, state = sliced_train_step(name, n, np.float64)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert rel_max(gx, ref_gx) <= 1e-12
+            assert [nm for nm, _ in grads] == list(ref_grads)
+            for name_, g in grads:
+                scale = np.abs(ref_grads[name_.replace(".bias", ".weight") if conv_bias(name_) else name_]).max()
+                assert np.abs(g - ref_grads[name_]).max() <= 1e-12 * scale, (k, name_)
+            for (name_, v), (_, ref_v) in zip(state, ref.state_tensors(), strict=True):  # running stats, and params
+                assert np.abs(v - ref_v).max() <= 1e-12 * np.abs(ref_v).max(), (k, name_)
+
+    # Max abs error over the max abs float64 value, per tensor, with numpy 2.4 and OpenBLAS 0.3.31.
+    # Sliced step, slices of 64 at one BLAS thread: gradients worst 3.2e-2 on simpnet-tiny and 3.5e-2
+    # on simpnet-300k (medians 1.1e-2 and 8.2e-3), eval logits 6.6e-7 and 8.4e-7, loss 6.0e-8 and
+    # 8.5e-8. The whole-batch step at two BLAS threads it replaced: 4.0e-2 and 3.7e-2, 1.5e-6 and
+    # 3.0e-6, 3.4e-8 and 2.7e-7. The bounds are about 1.75x, 2x and 1.9x the worst of these.
+    GRAD_BOUND, EVAL_BOUND, LOSS_BOUND = 7e-2, 6e-6, 5e-7
+
+    @pytest.mark.parametrize("name", ["simpnet-tiny", "simpnet-300k"])
+    def test_float32_step_and_eval_stay_near_float64(self, name):
+        m32, m64 = train_units_model(name, np.float32), train_units_model(name, np.float64)
+        for (_, v32), (_, v64) in zip(m32.state_tensors(), m64.state_tensors()):
+            v64[...] = v32
+        x, labels = model_input(m32, 128, np.float32), SplitRng(4).integers(128, 10)
+        steps = [train_step(m, x.astype(m_dtype), SplitRng(3), labels) for m, m_dtype in ((m32, np.float32), (m64, np.float64))]
+        (loss32, _, grads32, _), (loss64, _, grads64, _) = steps
+        errors = {n: rel_max(g32, g64) for (n, g32), (_, g64) in zip(grads32, grads64) if not conv_bias(n)}
+        x_eval = model_input(m32, 256, np.float32, seed=6)
+        eval_error = rel_max(m32.forward(x_eval, mode=L.EVAL), m64.forward(x_eval.astype(np.float64), mode=L.EVAL))
+        loss_error = abs(loss32 - loss64) / abs(loss64)
+        worst = max(errors, key=errors.get)
+        print(
+            f"{name} float32 drift: gradients median {np.median(list(errors.values())):.2e}, "
+            f"worst {errors[worst]:.2e} ({worst}); eval logits {eval_error:.2e}; loss {loss_error:.2e}"
+        )
+        assert errors[worst] <= self.GRAD_BOUND, worst
+        assert eval_error <= self.EVAL_BOUND
+        assert loss_error <= self.LOSS_BOUND
 
 
 class TestParamCounting:

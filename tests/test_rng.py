@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simpnet import layers as L
-from simpnet.rng import _MASK_BLOCK, MASK_STREAM_VERSION, SplitRng
+from simpnet.rng import _GOLDEN, _MASK_BLOCK, _SPLIT_SALT, MASK_STREAM_VERSION, SplitRng, _mix64
 
 # sha256 of np.packbits(SplitRng(2024).keep_mask((2, 3, 5, 7), 0.3)) under mask
 # stream v2 (MASK_STREAM_VERSION). Dropout and SAF-pool masks come from this
@@ -55,6 +55,23 @@ def test_split_labels_distinguish():
     r = SplitRng(5)
     assert not np.array_equal(r.split(1).uniform(8), r.split(2).uniform(8))
     assert not np.array_equal(r.split(1, 2).uniform(8), r.split(2, 1).uniform(8))
+
+
+def test_split_keys_match_the_uint64_formula():
+    # a child key is mix64(key ^ mix64(label * salt + golden)) per label, in uint64 arithmetic
+    def reference(seed, labels):
+        key = np.uint64(seed)
+        with np.errstate(over="ignore"):
+            for label in labels:
+                salted = np.array([int(label) & 0xFFFFFFFFFFFFFFFF], np.uint64) * _SPLIT_SALT + _GOLDEN
+                key = _mix64(np.array([key]) ^ _mix64(salted))[0]
+        return int(key)
+
+    for seed in (0, 123, 2**63 + 11, 2**64 - 1):
+        for labels in [(0,), (2**40,), (-1,), (1, 2, 3), (7, -3), (2**64 + 5,)]:
+            assert int(SplitRng(seed).split(*labels).key) == reference(seed, labels), (seed, labels)
+    keys = [int(SplitRng(123).split(label).key) for label in (0, 2**40, -1)]
+    assert keys == [3253677160263379629, 10322150769254337609, 11095791246661193373]
 
 
 def test_uniform_bounds_and_mean():
