@@ -16,8 +16,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import archdsl, data, gradcheck as gc, train as T
 from .analyzer import audit
 from .errors import ArchParseError, ArchValidationError, CompatibilityError, FormatError, NumericsError

@@ -2,17 +2,19 @@
 
 Each per-layer case builds the layer object that network.Model runs,
 with small random float64 parameters and input, and hands it to one
-driver, _check_layer: it scalarizes the layer's train-mode output
-against a random cotangent and compares layer.backward's gradients with
-(f(x+h) - f(x-h)) / 2h elementwise. softmax_xent checks the loss and
-model a whole toy Model. The reported error is
-||a - n||_inf / max(||a||_inf, ||n||_inf): a global relative error that
-is insensitive to individual near-zero partials.
+driver, _check_layer: it runs the layer's forward_slices on one slice,
+as a train step does, scalarizes the output against a random cotangent
+and compares backward_slices' gradients with (f(x+h) - f(x-h)) / 2h
+elementwise. softmax_xent checks the loss and model a whole toy Model.
+The reported error is ||a - n||_inf / max(||a||_inf, ||n||_inf): a
+global relative error that is insensitive to individual near-zero
+partials.
 
-Stochastic layers are checked with their mask held fixed (same RNG key
-on every evaluation); ReLU instances are sampled away from 0 and pool
-instances with all-distinct window values so the subgradient choice and
-argmax routing cannot flip under the probe step.
+Stochastic layers are checked with their mask held fixed: keep_mask
+draws it once from the case's key, and every evaluation applies it.
+ReLU instances are sampled away from 0 and pool instances with
+all-distinct window values so the subgradient choice and argmax routing
+cannot flip under the probe step.
 """
 
 from __future__ import annotations
@@ -60,19 +62,21 @@ def _worst(loss, grads, inputs) -> float:
 
 
 def _check_layer(rng: SplitRng, layer: L.Layer, x: np.ndarray, mask_key=None) -> float:
-    """Worst error of layer.backward, wrt x and each param_entries() value,
-    for the loss sum(y * r) of the train-mode output y and a cotangent r
-    drawn from rng after the first forward. Every forward draws its masks
-    from a fresh SplitRng(mask_key), so all of them drop the same units."""
+    """Worst error of layer.backward_slices, wrt x and each param_entries()
+    value, for the loss sum(y * r) of the output y of layer.forward_slices
+    on the one slice x and a cotangent r drawn from rng after the first
+    forward. With a mask_key, the keep mask of y is drawn once from
+    SplitRng(mask_key), and every forward applies it."""
+    keep = None if mask_key is None else L.keep_mask(layer.out_shape(x.shape), layer.p, SplitRng(mask_key))
 
     def forward():
-        return layer.forward(x, L.TRAIN, None if mask_key is None else SplitRng(mask_key))
+        return layer.forward_slices([x], [keep], L.serial_map)
 
-    y, cache = forward()
+    (y,), (cache,) = forward()
     r = rng.uniform(y.shape, -1.0, 1.0)  # random, so the whole Jacobian is exercised
-    grad_x, grads = layer.backward(cache, r)
+    (grad_x,), grads = layer.backward_slices([cache], [r], L.serial_map)
     params = [v for _, v in layer.param_entries()]
-    return _worst(lambda: float((forward()[0] * r).sum()), [grad_x, *grads], [x, *params])
+    return _worst(lambda: float((forward()[0][0] * r).sum()), [grad_x, *grads], [x, *params])
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,7 @@ def _check_safpool(rng: SplitRng) -> float:
     # p = 0 must reduce to plain max-pool in both directions; the pooled
     # values, all distinct, serve as the cotangent
     pool0 = L.SafPool("safpool", 2, 0.0)
-    y0, cache0 = pool0.forward(x, L.TRAIN, SplitRng(mask_key))
+    y0, cache0 = pool0.forward(x, L.TRAIN)
     pooled, argmax_mp = L.maxpool_forward(x)
     g0 = pool0.backward(cache0, pooled)[0]
     gmp = L.maxpool_backward(argmax_mp, pooled, x.shape)

@@ -33,9 +33,9 @@ of the gradient then need no transposing copy.
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
 SAF-pooling: maxpool_forward then dropout_apply on the pooled units, so
-it has no module functions of its own. Dropout and SafPool also run by a
-keep mask drawn beforehand (forward_kept), as network.Model does when it
-draws one mask for a batch and gives each slice its rows. ReLU uses
+it has no module functions of its own. Dropout and SafPool take their
+keep mask already drawn (keep_mask), so network.Model can draw one mask
+for a batch and give each slice its rows. ReLU uses
 subgradient 0 at exactly 0. Batch norm's running-average momentum and
 variance epsilon are the module constants BN_MOMENTUM and BN_EPS.
 """
@@ -354,14 +354,13 @@ def keep_mask(shape, p, rng):
     return rng.keep_mask(shape, p)
 
 
-def dropout_forward(x, p: float, mode: str, rng: SplitRng | None = None):
-    """Inverted dropout. Returns (y, boolean keep mask), or (x, None) in eval mode and at p = 0."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout p must be in [0, 1), got {p}")
+def _train_keep(mode, p: float, keep):
+    """The keep mask a forward in `mode` applies: keep in train mode at p > 0, where it is required; else None."""
     if mode != TRAIN or p == 0.0:
-        return x, None
-    mask = keep_mask(x.shape, p, rng)
-    return dropout_apply(x, mask, p), mask
+        return None
+    if keep is None:
+        raise ValueError("dropout with p > 0 requires a keep mask in train mode")
+    return keep
 
 
 def dropout_apply(x, keep, p: float):
@@ -436,10 +435,14 @@ def softmax_xent(logits, labels):
 class Layer:
     """Base of the layer objects a Model runs in order.
 
-    forward(x, mode, rng) returns (y, cache) with what backward needs;
-    backward(cache, grad_out) returns (grad_x, grads), with one gradient
-    per param_entries() entry in that order. Layers keep no per-batch
-    state: Model keeps the caches, and only in train mode.
+    forward(x, mode, keep) returns (y, cache) with what backward needs,
+    keep being the drawn keep mask (keep_mask) of a dropping layer's
+    output in train mode; backward(cache, grad_out) returns (grad_x,
+    grads), one gradient per param_entries() entry in that order. A train
+    step runs forward_slices and backward_slices on a batch given as
+    slices along n; only batch norm, whose statistics span the whole
+    batch, overrides them. Layers keep no per-batch state: Model keeps
+    the caches, and only in train mode.
     """
 
     kind = "layer"
@@ -450,11 +453,21 @@ class Layer:
     def init_params(self, rng: SplitRng, dtype):
         pass
 
-    def forward(self, x, mode: str, rng: SplitRng | None):
+    def forward(self, x, mode: str, keep=None):
         raise NotImplementedError
 
     def backward(self, cache, grad_out):
         raise NotImplementedError
+
+    def forward_slices(self, parts, keeps, smap):
+        """Train forward of the slices parts, each with its rows keeps[j] of the keep mask:
+        ([y], [cache]) per slice. smap(fn, *lists) runs the slices, on threads or not."""
+        return tuple(zip(*smap(lambda x, keep: self.forward(x, TRAIN, keep), parts, keeps)))
+
+    def backward_slices(self, caches, grads, smap, **flags):
+        """backward(cache, grad, **flags) per slice: ([grad_x], parameter gradients added in slice order)."""
+        outs = smap(lambda cache, g: self.backward(cache, g, **flags), caches, grads)
+        return [gx for gx, _ in outs], [sum_in_order(g) for g in zip(*(slice_grads for _, slice_grads in outs))]
 
     def param_entries(self):
         """(name, value) of each trainable parameter."""
@@ -494,7 +507,7 @@ class Conv2d(Layer):
         self.weight = (rng.normal((self.c_out, self.c_in, self.k, self.k)) * scale).astype(dtype)
         self.bias = np.zeros(self.c_out, dtype=dtype)
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, mode, keep=None):
         return _conv2d_forward(x, self.weight, self.bias, self.stride, self.pad)
 
     def backward(self, xp, grad_out, input_grad=True):
@@ -533,12 +546,8 @@ class SafPool(Layer):
             raise ValueError("SAF-pool requires window, stride >= 1")
         self.p = p
 
-    def forward(self, x, mode, rng):
-        keep = keep_mask(self.out_shape(x.shape), self.p, rng) if mode == TRAIN and self.p > 0 else None
-        return self.forward_kept(x, keep)
-
-    def forward_kept(self, x, keep):
-        """Train forward by a drawn keep mask of the pooled shape (None: no dropout)."""
+    def forward(self, x, mode, keep=None):
+        keep = _train_keep(mode, self.p, keep)
         pooled, argmax = maxpool_forward(x, self.window, self.stride)
         return (pooled if keep is None else dropout_apply(pooled, keep, self.p)), (x.shape, keep, argmax)
 
@@ -554,7 +563,7 @@ class SafPool(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, mode, keep=None):
         return relu_forward(x), x
 
     def backward(self, x, grad_out):
@@ -580,14 +589,19 @@ class BatchNorm(Layer):
     def init_params(self, rng, dtype):
         self._alloc(dtype)
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, mode, keep=None):
         self._check(x)
         return batchnorm_forward(x, self.p, mode)
 
-    def forward_slices(self, parts, smap):
-        """Train forward of a batch given as slices along n (batchnorm_train)."""
+    def forward_slices(self, parts, keeps, smap):
+        """Train forward over the whole batch's statistics (batchnorm_train)."""
         self._check(parts[0])
         return batchnorm_train(parts, self.p, smap)
+
+    def backward_slices(self, caches, grads, smap):
+        """Train gradient through the whole batch's statistics (batchnorm_train_backward)."""
+        gxs, gg, gb = batchnorm_train_backward(grads, caches, smap)
+        return gxs, (gg, gb)
 
     def _check(self, x):
         if x.shape[1] != self.channels:
@@ -617,12 +631,10 @@ class Dropout(Layer):
             raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
 
-    def forward(self, x, mode, rng):
-        return dropout_forward(x, self.p, mode, rng)
-
-    def forward_kept(self, x, keep):
-        """Train forward by a drawn keep mask of x's shape."""
-        return dropout_apply(x, keep, self.p), keep
+    def forward(self, x, mode, keep=None):
+        """Inverted dropout by keep, the drawn keep mask of x's shape; the identity in eval mode and at p = 0."""
+        keep = _train_keep(mode, self.p, keep)
+        return (x if keep is None else dropout_apply(x, keep, self.p)), keep
 
     def backward(self, mask, grad_out):
         return dropout_backward(grad_out, mask, self.p), ()
@@ -631,7 +643,7 @@ class Dropout(Layer):
 class GlobalAvgPool(Layer):
     kind = "gap"
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, mode, keep=None):
         return global_avgpool_forward(x), x.shape
 
     def backward(self, x_shape, grad_out):
@@ -644,7 +656,7 @@ class GlobalAvgPool(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, mode, keep=None):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, x_shape, grad_out):
@@ -670,7 +682,7 @@ class Dense(Layer):
         self.weight = (rng.normal((self.d, self.m)) * scale).astype(dtype)
         self.bias = np.zeros(self.m, dtype=dtype)
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, mode, keep=None):
         return dense_forward(x, self.weight, self.bias), x
 
     def backward(self, x, grad_out):

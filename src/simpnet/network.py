@@ -17,9 +17,8 @@ import numpy as np
 
 from .data import read_exact
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
-from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool, batchnorm_train
-from .layers import batchnorm_train_backward, bn_eval_affine, conv2d_forward, keep_mask, maxpool_values
-from .layers import relu_dropout_forward, sum_in_order
+from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
+from .layers import bn_eval_affine, conv2d_forward, keep_mask, maxpool_values, relu_dropout_forward
 from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"SNPK"
@@ -146,21 +145,17 @@ def _folded_conv(conv, bn, relu, x, rng):
     return (np.maximum(y, 0, out=y) if relu else y), None
 
 
-def _unzip(pairs):
-    """([first of each pair], [second of each pair])."""
-    return tuple(map(list, zip(*pairs)))
-
-
-def _dropping(step, layer, j, parts, rng):
-    """step(x, keep) on each slice, keep being its rows of the one mask that rng.split(j) draws for
-    the output of `layer` over the whole batch, on the caller; ([y], [cache]) per slice."""
-    keep = keep_mask(layer.out_shape((sum(map(len, parts)), *parts[0].shape[1:])), layer.p, rng and rng.split(j))
-    return _unzip(_map_slices(step, parts, _slices(keep, len(parts[0]))))
-
-
-def _each(layer, parts):
-    """layer's train forward on each slice, drawing nothing: ([y], [cache]) per slice."""
-    return _unzip(_map_slices(lambda x: layer.forward(x, TRAIN, None), parts))
+def _train_unit(layer, j, paired, parts, rng):
+    """Run of a train unit ending in layer j: its forward_slices, or relu_dropout_forward per slice if
+    paired. A Dropout or SafPool with p > 0 gives each slice its rows of the one keep mask that
+    rng.split(j) draws for its output over the whole batch, on the caller; other layers get None."""
+    keeps = [None] * len(parts)
+    if isinstance(layer, (Dropout, SafPool)) and layer.p > 0:  # by type: BatchNorm.p holds its parameters
+        shape = layer.out_shape((sum(map(len, parts)), *parts[0].shape[1:]))
+        keeps = _slices(keep_mask(shape, layer.p, rng and rng.split(j)), len(parts[0]))
+    if paired:
+        return tuple(zip(*_map_slices(lambda x, keep: relu_dropout_forward(x, layer.p, keep), parts, keeps)))
+    return layer.forward_slices(parts, keeps, _map_slices)
 
 
 def plan(layers: list[Layer], mode: str) -> list[tuple]:
@@ -177,15 +172,15 @@ def plan(layers: list[Layer], mode: str) -> list[tuple]:
     given as slices along n, on the slice threads (_map_slices). Train
     mode runs a relu directly followed by a dropout with p > 0 as
     relu_dropout_forward, caching only the bool keep = y > 0, on which
-    the dropout's backward is the pair's gradient bit for bit. The pair,
-    a dropout and a SafPool with p > 0 draw one keep mask for the batch
-    from rng.split(i), i the index of the dropping layer, and give each
-    slice its rows; no other unit splits the rng. Batch norm adds the
-    slices' sums in slice order (batchnorm_train). Other layers run their
-    own forward per slice. Train caches, per slice: a conv's padded NHWC
-    input, batch norm's xhat and per-channel scale, a pair's keep mask, a
-    SafPool's keep mask and winners' offsets, a dense layer's input, an
-    unpaired relu's input.
+    the dropout's backward is the pair's gradient bit for bit. Every
+    other layer is a unit of its own that runs its forward_slices. The
+    pair, a dropout and a SafPool with p > 0 draw one keep mask for the
+    batch from rng.split(i), i the index of the dropping layer, on the
+    caller, and give each slice its rows; no other unit splits the rng.
+    Train caches, per slice: a conv's padded NHWC input, batch norm's
+    xhat and per-channel scale, a pair's keep mask, a SafPool's keep
+    mask and winners' offsets, a dense layer's input, an unpaired relu's
+    input.
 
     Units read layer attributes and call methods and kernels by name when
     they run, so replaced parameters and wrapped functions are seen.
@@ -194,14 +189,9 @@ def plan(layers: list[Layer], mode: str) -> list[tuple]:
     while i < len(layers):
         layer, nxt, after = (*layers[i : i + 3], None, None)[:3]
         if mode == TRAIN and isinstance(layer, ReLU) and isinstance(nxt, Dropout) and nxt.p > 0:
-            group = (layer, nxt)
-            run = partial(_dropping, lambda x, keep, d=nxt: relu_dropout_forward(x, d.p, keep), nxt, i + 1)
-        elif mode == TRAIN and isinstance(layer, (Dropout, SafPool)) and layer.p > 0:
-            group, run = (layer,), partial(_dropping, lambda x, keep, layer=layer: layer.forward_kept(x, keep), layer, i)
-        elif mode == TRAIN and isinstance(layer, BatchNorm):
-            group, run = (layer,), lambda parts, rng, bn=layer: bn.forward_slices(parts, _map_slices)
+            group, run = (layer, nxt), partial(_train_unit, nxt, i + 1, True)
         elif mode == TRAIN:
-            group, run = (layer,), lambda parts, rng, layer=layer: _each(layer, parts)
+            group, run = (layer,), partial(_train_unit, layer, i, False)
         elif isinstance(layer, Conv2d) and isinstance(nxt, BatchNorm) and nxt.channels == layer.c_out:
             group = (layer, nxt, after)[: 2 + isinstance(after, ReLU)]
             run = partial(_folded_conv, layer, nxt, len(group) == 3)
@@ -287,12 +277,12 @@ class Model:
         """Gradients from the last train-mode forward's caches: (grad wrt the input,
         [(name, value, grad)] of every parameter in layer order).
 
-        Each unit's last layer runs its backward per slice of the forward's
-        slices, and the slices' parameter gradients are added in slice order;
-        batch norm adds its per-slice sums before any slice's input gradient
-        (batchnorm_train_backward). With input_grad=False the input gradient
-        comes back as None, and a first conv does not compute it; the
-        parameter gradients are the same.
+        Each unit's last layer runs its backward_slices on the forward's
+        slices: the slices' parameter gradients are added in slice order,
+        and batch norm adds its per-slice sums before any slice's input
+        gradient. With input_grad=False the input gradient comes back as
+        None, and a first conv does not compute it; the parameter
+        gradients are the same.
         """
         if self.caches is None:
             raise NoForwardCacheError("backward needs a train-mode forward first")
@@ -300,13 +290,8 @@ class Model:
         with _one_blas_thread():
             for (start, layers, _), caches in zip(reversed(self.units[TRAIN]), reversed(self.caches)):
                 layer = layers[-1]
-                if isinstance(layer, BatchNorm):
-                    parts, *layer_grads = batchnorm_train_backward(parts, caches, _map_slices)
-                else:
-                    flags = {"input_grad": False} if start == 0 and not input_grad and isinstance(layer, Conv2d) else {}
-                    outs = _map_slices(lambda cache, g: layer.backward(cache, g, **flags), caches, parts)
-                    parts = [gx for gx, _ in outs]
-                    layer_grads = [sum_in_order(g) for g in zip(*(slice_grads for _, slice_grads in outs))]
+                flags = {"input_grad": False} if start == 0 and not input_grad and isinstance(layer, Conv2d) else {}
+                parts, layer_grads = layer.backward_slices(caches, parts, _map_slices, **flags)
                 grads[:0] = [(n, v, g) for (n, v), g in zip(layer.param_entries(), layer_grads, strict=True)]
         return (np.concatenate(parts) if input_grad else None), grads
 

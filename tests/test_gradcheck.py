@@ -68,14 +68,17 @@ class TestNumericHelpers:
 
 def _scaled(fn, index):
     """fn with one returned gradient (the whole result when index is None)
-    multiplied by 1.5."""
+    multiplied by 1.5; a gradient given as a list of slices is scaled in each slice."""
+
+    def scale(grad):
+        return [g * 1.5 for g in grad] if isinstance(grad, list) else grad * 1.5
 
     def mutant(*args, **kwargs):
         out = fn(*args, **kwargs)
         if index is None:
-            return out * 1.5
+            return scale(out)
         out = list(out)
-        out[index] = out[index] * 1.5
+        out[index] = scale(out[index])
         return tuple(out)
 
     return mutant
@@ -85,7 +88,7 @@ def _scaled(fn, index):
 MUTANTS = (
     [(case, "_conv2d_backward", i) for case in ("conv", "sconv") for i in range(3)]
     + [("dense", "dense_backward", i) for i in range(3)]
-    + [("batchnorm", "batchnorm_backward", i) for i in range(3)]
+    + [("batchnorm", "batchnorm_train_backward", i) for i in range(3)]
     + [
         ("relu", "relu_backward", None),
         ("maxpool", "maxpool_backward", None),
@@ -98,6 +101,7 @@ MUTANTS = (
         ("model", "dense_backward", 1),
         ("model", "_conv2d_backward", 1),
         ("model", "dropout_backward", None),
+        ("model", "batchnorm_train_backward", 0),
     ]
 )
 

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from simpnet import layers as L
-from simpnet import network as N
 from simpnet import train as T
 from simpnet.errors import ShapeError
 from simpnet.network import Model
@@ -180,29 +179,34 @@ class TestDropout:
     def test_p_zero_identity_both_modes(self):
         x = SplitRng(1).uniform((2, 3, 4, 4), -1, 1)
         for mode in (L.TRAIN, L.EVAL):
-            y, mask = L.dropout_forward(x, 0.0, mode, SplitRng(0))
+            y, mask = L.Dropout("dropout1", 0.0).forward(x, mode)
             assert np.array_equal(y, x)
             assert mask is None
             assert L.dropout_backward(x, mask, 0.0) is x
 
     def test_eval_identity_any_p(self):
         x = SplitRng(2).uniform((2, 3, 4, 4), -1, 1)
-        y, _ = L.dropout_forward(x, 0.7, L.EVAL, SplitRng(0))
+        y, _ = L.Dropout("dropout1", 0.7).forward(x, L.EVAL)
         assert np.array_equal(y, x)
 
     def test_inverted_scaling_preserves_mean(self):
         x = np.ones((1, 1, 100, 1000))  # 1e5 unit inputs
         for p in (0.25, 0.5):
-            y, _ = L.dropout_forward(x, p, L.TRAIN, SplitRng(33))
+            y, _ = L.Dropout("dropout1", p).forward(x, L.TRAIN, L.keep_mask(x.shape, p, SplitRng(33)))
             assert abs(y.mean() - 1.0) < 0.02
 
     def test_p_validated(self):
         with pytest.raises(ValueError):
-            L.dropout_forward(np.zeros((1, 1, 1, 1)), 1.0, L.TRAIN, SplitRng(0))
+            L.Dropout("dropout1", 1.0)
+
+    @pytest.mark.parametrize("layer", [L.Dropout("dropout1", 0.3), L.SafPool("safpool1", 2, 0.3)], ids=["dropout", "safpool"])
+    def test_train_forward_without_a_mask_raises(self, layer):
+        with pytest.raises(ValueError, match="requires a keep mask"):
+            layer.forward(np.ones((2, 3, 4, 4)), L.TRAIN)
 
     def test_backward_uses_same_mask(self):
         x = SplitRng(3).uniform((2, 2, 3, 3), -1, 1)
-        y, mask = L.dropout_forward(x, 0.4, L.TRAIN, SplitRng(9))
+        y, mask = L.Dropout("dropout1", 0.4).forward(x, L.TRAIN, L.keep_mask(x.shape, 0.4, SplitRng(9)))
         g = np.ones_like(x)
         gx = L.dropout_backward(g, mask, 0.4)
         assert np.array_equal(gx != 0, y != 0)
@@ -219,7 +223,7 @@ class TestDropout:
         if x.ndim == 4:  # NHWC in memory, as conv outputs are
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         y, keep = L.relu_dropout_forward(x, 0.3, L.keep_mask(x.shape, 0.3, SplitRng(4)))
-        ref, mask = L.dropout_forward(L.relu_forward(x), 0.3, L.TRAIN, SplitRng(4))
+        ref, mask = L.Dropout("dropout1", 0.3).forward(L.relu_forward(x), L.TRAIN, L.keep_mask(x.shape, 0.3, SplitRng(4)))
         assert y.dtype == dtype and y.tobytes() == ref.tobytes()
         assert keep.dtype == bool and np.array_equal(keep, (x > 0) & mask)
         # signed zeros included: every dropped or clipped element gets g's sign
@@ -243,7 +247,9 @@ class TestChannelsLast:
         y = rng.uniform((2, 3, 6, 8)).astype(np.float32)
         for i, layer in enumerate(layers):
             layer.init_params(rng.split(i), np.float32)
-            y, _ = layer.forward(y, L.TRAIN, rng.split(100 + i))
+            dropping = isinstance(layer, (L.Dropout, L.SafPool))
+            keep = L.keep_mask(layer.out_shape(y.shape), layer.p, rng.split(100 + i)) if dropping else None
+            y, _ = layer.forward(y, L.TRAIN, keep)
             assert y.transpose(0, 2, 3, 1).flags.c_contiguous, layer.name
 
     def test_conv_block_input_gradients_stay_channels_last(self, monkeypatch):
@@ -271,12 +277,12 @@ class TestChannelsLast:
 
             layer.backward = spy
 
-        def bn_spy(grad_outs, caches, smap, backward=N.batchnorm_train_backward):
+        def bn_spy(grad_outs, caches, smap, backward=L.batchnorm_train_backward):
             out = backward(grad_outs, caches, smap)
             (grads["bn1"],) = out[0]  # batch norm runs its slices' backward together, one slice here
             return out
 
-        monkeypatch.setattr(N, "batchnorm_train_backward", bn_spy)
+        monkeypatch.setattr(L, "batchnorm_train_backward", bn_spy)
         y = model.forward(rng.uniform((2, 3, 6, 8)).astype(np.float32), rng.split(1))
         model.backward(rng.uniform(y.shape, -1, 1).astype(np.float32))  # NCHW, as a dense layer returns it
         assert list(grads) == ["safpool1", "dropout1", "bn1", "conv1"]

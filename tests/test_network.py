@@ -582,7 +582,9 @@ def layer_by_layer_train_step(m, x, rng, labels):
     caches = []
     with N._one_blas_thread():
         for i, layer in enumerate(m.layers):
-            x, cache = layer.forward(x, L.TRAIN, rng.split(i))
+            dropping = isinstance(layer, (L.Dropout, L.SafPool)) and layer.p > 0
+            keep = L.keep_mask(layer.out_shape(x.shape), layer.p, rng.split(i)) if dropping else None
+            x, cache = layer.forward(x, L.TRAIN, keep)
             caches.append(cache)
         g = L.softmax_xent(x, labels)[1]
         grads = []
@@ -653,6 +655,50 @@ class TestFusedTrain:
                 assert cache.dtype == bool and cache.transpose(0, 2, 3, 1).flags.c_contiguous
         m.backward(np.ones_like(y))
         assert set(calls) == {"dropout.backward"}
+
+    def test_units_run_forward_slices_and_each_slice_gets_its_rows_of_the_mask(self, workers, monkeypatch):
+        workers(1)  # slices run in order on the caller
+        monkeypatch.setattr(N, "TRAIN_SLICE", 2)
+        m = Model(
+            [
+                L.Conv2d("conv1", 3, 4, 3, 1, 1),
+                L.BatchNorm("bn1", 4),
+                L.ReLU("relu1"),
+                L.Dropout("drop1", 0.3),
+                L.SafPool("safpool1", 2, 0.25),
+                L.Dropout("drop2", 0.2),
+                L.Flatten("flatten1"),
+                L.Dense("dense1", 4 * 3 * 3, 5),
+            ],
+            (3, 6, 6),
+        ).init_params(SplitRng(0), np.float64)
+        unit_calls, forward_calls = [], []
+        for cls in (L.Layer, L.BatchNorm):
+            def spy_slices(self, parts, keeps, smap, fn=cls.forward_slices):
+                unit_calls.append(self.name)
+                return fn(self, parts, keeps, smap)
+            monkeypatch.setattr(cls, "forward_slices", spy_slices)
+        for cls in {type(layer) for layer in m.layers}:
+            def spy_forward(self, x, mode, keep=None, fn=cls.forward):
+                forward_calls.append((self.name, len(x), keep))
+                return fn(self, x, mode, keep)
+            monkeypatch.setattr(cls, "forward", spy_forward)
+        n, rng = 5, SplitRng(3)
+        m.forward(model_input(m, n, np.float64), rng)
+        units = [layers for _, layers, _ in m.units[L.TRAIN]]
+        assert [[layer.name for layer in layers] for layers in units if len(layers) > 1] == [["relu1", "drop1"]]
+        assert unit_calls == [layers[0].name for layers in units if len(layers) == 1]
+        bounds = [(lo, min(n, lo + 2)) for lo in range(0, n, 2)] if N._BLAS_THREADS else [(0, n)]
+        expected = []
+        for i, (layer, shape) in enumerate(zip(m.layers, m.symbolic_shapes(n))):
+            if isinstance(layer, L.BatchNorm) or layer.name in ("relu1", "drop1"):
+                continue
+            dropping = isinstance(layer, (L.Dropout, L.SafPool))
+            whole = L.keep_mask(shape, layer.p, rng.split(i)) if dropping else None
+            expected += [(layer.name, hi - lo, None if whole is None else whole[lo:hi]) for lo, hi in bounds]
+        assert [call[:2] for call in forward_calls] == [want[:2] for want in expected]
+        for (name, _, keep), (_, _, want) in zip(forward_calls, expected):
+            assert np.array_equal(keep, want), name  # None equals only None
 
     def test_pair_without_rng_raises_like_dropout(self):
         m = Model([L.ReLU("relu1"), L.Dropout("drop1", 0.3)], (1, 2, 2))

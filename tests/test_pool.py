@@ -164,7 +164,7 @@ class TestSafPool:
         x = rng.uniform((2, 3, 6, 6), -1, 1)
         pooled, argmax = L.maxpool_forward(x)
         for mode in (L.TRAIN, L.EVAL):
-            y, (_, mask, am) = L.SafPool("pool1", 2, 0.0).forward(x, mode, SplitRng(0))
+            y, (_, mask, am) = L.SafPool("pool1", 2, 0.0).forward(x, mode)
             assert np.array_equal(y, pooled)
             assert mask is None
             assert np.array_equal(am, argmax)
@@ -173,7 +173,7 @@ class TestSafPool:
         rng = SplitRng(22)
         x = rng.uniform((2, 3, 6, 6), -1, 1)
         pooled, _ = L.maxpool_forward(x)
-        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.EVAL, SplitRng(0))
+        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.EVAL)
         assert np.array_equal(y, pooled)
         assert mask is None
 
@@ -181,7 +181,7 @@ class TestSafPool:
         rng = SplitRng(23)
         x = rng.uniform((4, 25, 20, 20), 0.5, 1.5)  # 10,000 pooled units
         pooled, _ = L.maxpool_forward(x)
-        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.TRAIN, SplitRng(99))
+        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.TRAIN, L.keep_mask(pooled.shape, 0.5, SplitRng(99)))
         assert y.size == 10_000
         zero_fraction = (mask == 0).mean()
         assert 0.48 <= zero_fraction <= 0.52
@@ -206,7 +206,7 @@ class TestSafPool:
         rng = SplitRng(24)
         x = rng.uniform((1, 2, 4, 4), -1, 1)
         pool = L.SafPool("pool1", 2, 0.0)
-        _, cache = pool.forward(x, L.TRAIN, SplitRng(0))
+        _, cache = pool.forward(x, L.TRAIN)
         g = rng.uniform((1, 2, 2, 2), -1, 1)
         assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(cache[2], g, x.shape))
 
@@ -223,11 +223,12 @@ class TestSafPool:
         x = (rng.permutation(size).astype(np.float64) / size).reshape(1, 2, 6, 6)
         key = 4242
         pool = L.SafPool("safpool1", 2, 0.5)
-        _, cache = pool.forward(x, L.TRAIN, SplitRng(key))
+        keep = L.keep_mask(pool.out_shape(x.shape), 0.5, SplitRng(key))
+        _, cache = pool.forward(x, L.TRAIN, keep)
         r = rng.uniform((1, 2, 3, 3), -1, 1)
 
         def loss():
-            y, _ = pool.forward(x, L.TRAIN, SplitRng(key))
+            y, _ = pool.forward(x, L.TRAIN, keep)
             return float((y * r).sum())
 
         gx, _ = pool.backward(cache, r)
