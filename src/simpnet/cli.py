@@ -70,10 +70,10 @@ def _resolve_arch(args) -> archdsl.ArchSpec:
     return presets[args.preset]
 
 
-def _load_data(args):
+def _load_data(args, train=True):
     if not args.data_dir:
         raise ValueError("no --data-dir given and SIMPNET_DATA_DIR is unset")
-    train_ds = data.load_split(args.dataset, args.data_dir, "train")
+    train_ds = data.load_split(args.dataset, args.data_dir, "train") if train else None
     test_ds = data.load_split(args.dataset, args.data_dir, "test")
     if not getattr(args, "no_normalize", False):
         train_ds = data.normalize(train_ds)
@@ -133,7 +133,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = _resolve_arch(args)
-    train_ds, test_ds = _load_data(args)
+    _, test_ds = _load_data(args, train=not args.no_normalize)  # the train split only gives statistics
     _check_input_shape(spec, test_ds)
     model = archdsl.build(spec)
     T.init_model(model, 0)

@@ -70,7 +70,7 @@ def _check_layer(rng: SplitRng, layer: L.Layer, x: np.ndarray, mask_key=None) ->
     keep = None if mask_key is None else L.keep_mask(layer.out_shape(x.shape), layer.p, SplitRng(mask_key))
 
     def forward():
-        return layer.forward_slices([x], [keep], L.serial_map)
+        return layer.forward_slices([x], [lambda: keep], L.serial_map)
 
     (y,), (cache,) = forward()
     r = rng.uniform(y.shape, -1.0, 1.0)  # random, so the whole Jacobian is exercised

@@ -24,18 +24,19 @@ cache is only the padded input.
 
 Arrays are indexed NCHW at every layer boundary, but conv outputs are
 NHWC in memory, and batch norm, ReLU, dropout and the pools keep that
-layout in both passes: batch norm works on its (n*h*w, c) matrix view;
-dropout draws 4-D masks in (n, h, w, c) order; max-pool gathers its
-windows channels-last, and its winners' offsets index channels-last
-memory. The next conv's padded copy and its backward's (n*h*w, c) view
-of the gradient then need no transposing copy.
+layout in both passes: batch norm sums its (n*h*w, c) matrix view, and
+per-channel ops run on the (n, h*w*c) image rows (_per_pixel); dropout
+draws 4-D masks in (n, h, w, c) order; max-pool copies its taps
+channels-last, and its winners' offsets index channels-last memory. The
+next conv's padded copy and its backward's (n*h*w, c) view of the
+gradient then need no transposing copy.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
 SAF-pooling: maxpool_forward then dropout_apply on the pooled units, so
 it has no module functions of its own. Dropout and SafPool take their
-keep mask already drawn (keep_mask), so network.Model can draw one mask
-for a batch and give each slice its rows. ReLU uses
+keep mask already drawn (keep_mask), so each slice of a network.Model
+batch can draw its own rows of the batch's one mask. ReLU uses
 subgradient 0 at exactly 0. Batch norm's running-average momentum and
 variance epsilon are the module constants BN_MOMENTUM and BN_EPS.
 """
@@ -81,6 +82,12 @@ def _rows(a):
     return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
 
 
+def _per_pixel(v, shape):
+    """Per-channel v tiled once per pixel of an NCHW shape: an op with it on the (n, h*w*c) image rows of NHWC
+    memory gives the bytes of the op with v on the (n*h*w, c) matrix, in inner loops h*w*c long, not c."""
+    return np.tile(v, shape[2] * shape[3])
+
+
 def _nchw(a, shape):
     """NCHW-indexed view, of the given shape, of channels-last data (an (n*h*w, c) matrix or flat)."""
     n, c, h, w = shape
@@ -117,12 +124,12 @@ def _conv2d_forward(x, weight, bias, stride, pad):
     xp = _pad_nhwc(x, pad)
     windows = _windows(xp, k, stride, oh, ow)
     w_mat = weight.transpose(2, 3, 1, 0).reshape(k * k * c, c_out)  # rows in (dy, dx, c) order, as lowered
-    y = np.empty((n, oh, ow, c_out), dtype=np.result_type(x, weight))
+    y = np.empty((n, oh * ow * c_out), dtype=np.result_type(x, weight))
     buf, chunks = _lowering_buffer(n, windows.shape[1:], xp.dtype)
     for lo, hi in chunks:
         np.matmul(_lower(windows[lo:hi], buf), w_mat, out=y[lo:hi].reshape(-1, c_out))
-    y += bias
-    return y.transpose(0, 3, 1, 2), xp
+    y += _per_pixel(bias, (n, c_out, oh, ow))
+    return _nchw(y, (n, c_out, oh, ow)), xp
 
 
 def _conv2d_backward(xp, weight, stride, pad, grad_out, input_grad=True):
@@ -170,20 +177,28 @@ def conv2d_forward(x, weight, bias, stride=1, pad=0):
 def maxpool_forward(x, window=2, stride=2):
     """Max over each window; returns (pooled, winners' offsets into the input's channels-last memory).
 
-    Ties go to the first element in row-major scan order. The windows are
-    gathered channels-last, so both results are NHWC-strided views, like
-    conv outputs. A winner's offset into the flat (n, h, w, c) input is its
-    window's origin plus its position in the window, from a window*window table.
+    Ties go to the first element in row-major scan order, and a NaN beats a
+    number, as with argmax: the taps are copied channels-last into one slab,
+    and the winner so far takes tap t where ~(tap <= winner) & (winner ==
+    winner), by an xor mask on integer views (argmax over the slab and masked
+    copies run several times slower). Both results are NHWC-strided views,
+    like conv outputs. A winner's offset into the flat (n, h, w, c) input is
+    its window's origin plus its position in the window, from a table.
     """
     n, c, h, w = x.shape
     oh, ow = conv_out_hw(h, w, window, stride, 0)
     windows = _windows(x.transpose(0, 2, 3, 1), window, stride, oh, ow)
     slabs = windows.transpose(3, 4, 0, 1, 2, 5).reshape(window * window, n, oh, ow, c)
-    which = slabs.argmax(axis=0)  # first max in scan order
-    pooled = np.take_along_axis(slabs, which[None], axis=0)[0]
+    pooled = slabs[0].copy()  # slabs is a view of x when window is 1
+    which = np.zeros(pooled.shape, np.min_scalar_type(window * window - 1))
+    bits, taps = pooled.view(f"u{x.itemsize}"), slabs.view(f"u{x.itemsize}")
+    for t in range(1, window * window):
+        better = ~(slabs[t] <= pooled) & (pooled == pooled)  # argmax's rule, NaN included
+        np.maximum(which, better * which.dtype.type(t), out=which)  # t exceeds every earlier tap
+        bits ^= (bits ^ taps[t]) & (better * ~bits.dtype.type(0))  # the winning tap's bytes
     table = (np.arange(window).reshape(-1, 1) * w + np.arange(window)).ravel() * c  # (dy*w + dx)*c of each tap
     origin = (np.arange(oh).reshape(oh, 1, 1) * (stride * w) + np.arange(ow).reshape(ow, 1) * stride) * c + np.arange(c)
-    argmax = table[which]
+    argmax = table.take(which)
     argmax += origin
     argmax += np.arange(n).reshape(n, 1, 1, 1) * (c * h * w)
     return pooled.transpose(0, 3, 1, 2), argmax.transpose(0, 3, 1, 2)
@@ -268,8 +283,8 @@ def batchnorm_forward(x, p: BatchNormParams, mode: str):
         (y,), (cache,) = batchnorm_train([x], p)
         return y, cache
     scale, shift = bn_eval_affine(p, x.dtype)
-    y = _rows(x) * scale
-    y += shift
+    y = _rows(x).reshape(len(x), -1) * _per_pixel(scale, x.shape)
+    y += _per_pixel(shift, x.shape)
     return _nchw(y, x.shape), None
 
 
@@ -280,7 +295,7 @@ def batchnorm_train(parts, p: BatchNormParams, smap=serial_map):
     centred rows by einsum for the biased variance (two passes, not
     E[x^2] - E[x]^2); the slices' sums are added in slice order. The
     unbiased variance goes into the running stats in place, and each slice
-    normalizes its own rows. smap(fn, *lists) runs the per-slice steps, on
+    normalizes its own image rows. smap(fn, *lists) runs the per-slice steps, on
     threads or not; the bytes depend only on the slice boundaries.
     """
     rows = [_rows(x) for x in parts]
@@ -288,10 +303,12 @@ def batchnorm_train(parts, p: BatchNormParams, smap=serial_map):
     if m < 2:
         raise ValueError(f"batchnorm train mode needs n*h*w >= 2 per channel, got {m}")
     mean = sum_in_order(smap(lambda r: np.ones(len(r), dt) @ r, rows)) / dt.type(m)
+    mean_px = _per_pixel(mean, parts[0].shape)
 
     def centre(r):
-        xhat = r - mean
-        return xhat, np.einsum("ij,ij->j", xhat, xhat)
+        xhat = r.reshape(-1, len(mean_px)) - mean_px  # image rows; einsum sums the (rows, c) view
+        sq = xhat.reshape(r.shape)
+        return xhat, np.einsum("ij,ij->j", sq, sq)
 
     xhats, sums = zip(*smap(centre, rows))
     var = sum_in_order(sums) / dt.type(m)  # biased
@@ -299,12 +316,13 @@ def batchnorm_train(parts, p: BatchNormParams, smap=serial_map):
         stat *= 1.0 - BN_MOMENTUM
         stat += BN_MOMENTUM * batch.astype(stat.dtype)
     std = np.sqrt(var + dt.type(BN_EPS))
-    inv_std, scale = 1.0 / std, p.gamma / std
+    scale = p.gamma / std
+    inv_std, gamma, beta = (_per_pixel(v, parts[0].shape) for v in (1.0 / std, p.gamma, p.beta))
 
     def normalize(xhat):
         xhat *= inv_std
-        y = xhat * p.gamma
-        y += p.beta
+        y = xhat * gamma
+        y += beta
         return y
 
     ys = smap(normalize, xhats)
@@ -330,11 +348,11 @@ def batchnorm_train_backward(grads, caches, smap=serial_map):
     scale, m = caches[0][1], sum(map(len, g_rows))
     sums = smap(lambda g, xhat: (np.ones(len(g), g.dtype) @ g, np.einsum("ij,ij->j", g, xhat)), g_rows, xhats)
     grad_beta, grad_gamma = (sum_in_order(s) for s in zip(*sums))
-    per_xhat, shift = -grad_gamma / m, grad_beta / m
+    per_xhat, shift, scale = (_per_pixel(v, grads[0].shape) for v in (-grad_gamma / m, grad_beta / m, scale))
 
     def grad_x(g, xhat):
-        gx = xhat * per_xhat
-        gx += g
+        gx = xhat.reshape(-1, len(scale)) * per_xhat
+        gx += g.reshape(gx.shape)
         gx -= shift
         gx *= scale
         return gx
@@ -343,15 +361,16 @@ def batchnorm_train_backward(grads, caches, smap=serial_map):
     return [_nchw(gx, g.shape) for gx, g in zip(gxs, grads)], grad_gamma, grad_beta
 
 
-def keep_mask(shape, p, rng):
-    """rng's keep mask for an array of shape; a 4-D one is drawn channels-last, to match the NHWC
-    memory of conv outputs, so its slices along n are contiguous."""
+def keep_mask(shape, p, rng, rows=None):
+    """rng's keep mask for an array of shape, or its rows lo:hi along n with rows=(lo, hi)
+    (SplitRng.keep_mask); a 4-D one is drawn channels-last, to match the NHWC memory of conv
+    outputs, so its rows along n are contiguous."""
     if rng is None:
         raise ValueError("dropout with p > 0 requires an rng in train mode")
     if len(shape) == 4:
         n, c, h, w = shape
-        return rng.keep_mask((n, h, w, c), p).transpose(0, 3, 1, 2)
-    return rng.keep_mask(shape, p)
+        return rng.keep_mask((n, h, w, c), p, rows).transpose(0, 3, 1, 2)
+    return rng.keep_mask(shape, p, rows)
 
 
 def _train_keep(mode, p: float, keep):
@@ -459,10 +478,10 @@ class Layer:
     def backward(self, cache, grad_out):
         raise NotImplementedError
 
-    def forward_slices(self, parts, keeps, smap):
-        """Train forward of the slices parts, each with its rows keeps[j] of the keep mask:
-        ([y], [cache]) per slice. smap(fn, *lists) runs the slices, on threads or not."""
-        return tuple(zip(*smap(lambda x, keep: self.forward(x, TRAIN, keep), parts, keeps)))
+    def forward_slices(self, parts, draws, smap):
+        """Train forward of the slices parts, slice j with its rows draws[j]() of the keep mask, drawn on
+        its own thread: ([y], [cache]) per slice. smap(fn, *lists) runs the slices, on threads or not."""
+        return tuple(zip(*smap(lambda x, draw: self.forward(x, TRAIN, draw()), parts, draws)))
 
     def backward_slices(self, caches, grads, smap, **flags):
         """backward(cache, grad, **flags) per slice: ([grad_x], parameter gradients added in slice order)."""
@@ -593,7 +612,7 @@ class BatchNorm(Layer):
         self._check(x)
         return batchnorm_forward(x, self.p, mode)
 
-    def forward_slices(self, parts, keeps, smap):
+    def forward_slices(self, parts, draws, smap):
         """Train forward over the whole batch's statistics (batchnorm_train)."""
         self._check(parts[0])
         return batchnorm_train(parts, self.p, smap)

@@ -147,15 +147,16 @@ def _folded_conv(conv, bn, relu, x, rng):
 
 def _train_unit(layer, j, paired, parts, rng):
     """Run of a train unit ending in layer j: its forward_slices, or relu_dropout_forward per slice if
-    paired. A Dropout or SafPool with p > 0 gives each slice its rows of the one keep mask that
-    rng.split(j) draws for its output over the whole batch, on the caller; other layers get None."""
-    keeps = [None] * len(parts)
+    paired. A Dropout or SafPool with p > 0 has one keep mask for its output over the whole batch, from
+    rng.split(j) split on the caller, and each slice draws its own rows of it on its thread; others None."""
+    draws = [lambda: None] * len(parts)
     if isinstance(layer, (Dropout, SafPool)) and layer.p > 0:  # by type: BatchNorm.p holds its parameters
-        shape = layer.out_shape((sum(map(len, parts)), *parts[0].shape[1:]))
-        keeps = _slices(keep_mask(shape, layer.p, rng and rng.split(j)), len(parts[0]))
+        shape, stream = layer.out_shape((sum(map(len, parts)), *parts[0].shape[1:])), rng and rng.split(j)
+        ends = itertools.accumulate(map(len, parts))
+        draws = [partial(keep_mask, shape, layer.p, stream, (hi - len(x), hi)) for x, hi in zip(parts, ends)]
     if paired:
-        return tuple(zip(*_map_slices(lambda x, keep: relu_dropout_forward(x, layer.p, keep), parts, keeps)))
-    return layer.forward_slices(parts, keeps, _map_slices)
+        return tuple(zip(*_map_slices(lambda x, draw: relu_dropout_forward(x, layer.p, draw()), parts, draws)))
+    return layer.forward_slices(parts, draws, _map_slices)
 
 
 def plan(layers: list[Layer], mode: str) -> list[tuple]:
@@ -174,9 +175,9 @@ def plan(layers: list[Layer], mode: str) -> list[tuple]:
     relu_dropout_forward, caching only the bool keep = y > 0, on which
     the dropout's backward is the pair's gradient bit for bit. Every
     other layer is a unit of its own that runs its forward_slices. The
-    pair, a dropout and a SafPool with p > 0 draw one keep mask for the
-    batch from rng.split(i), i the index of the dropping layer, on the
-    caller, and give each slice its rows; no other unit splits the rng.
+    pair, a dropout and a SafPool with p > 0 have one keep mask for the
+    batch from rng.split(i), i the index of the dropping layer, and each
+    slice draws its rows on its own thread; no other unit splits the rng.
     Train caches, per slice: a conv's padded NHWC input, batch norm's
     xhat and per-channel scale, a pair's keep mask, a SafPool's keep
     mask and winners' offsets, a dense layer's input, an unpaired relu's

@@ -108,8 +108,8 @@ class SplitRng:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return z.reshape(shape)
 
-    def keep_mask(self, shape, drop_p: float) -> np.ndarray:
-        """Boolean mask with P(False) = drop_p per element, in C order of shape.
+    def keep_mask(self, shape, drop_p: float, rows=None) -> np.ndarray:
+        """Boolean mask with P(False) = drop_p per element, in C order of shape, or with rows=(lo, hi) its rows lo:hi.
 
         Mask stream v2: each splitmix64 draw yields four 16-bit lanes, so
         ceil(n/4) draws cover n elements and element 4i+j is lane j
@@ -118,29 +118,38 @@ class SplitRng:
         lanes are read through a little-endian view of the draws (a
         byte-swapped copy on big-endian hosts), so the stream does not
         depend on byte order. Draws are made and compared in place a block
-        of _MASK_BLOCK at a time, straight into the one bool output.
+        of _MASK_BLOCK at a time, straight into the one bool output. A range
+        of rows makes only the draws that hold it, with the bytes of those
+        rows of the whole mask, and leaves the counter as it is, so threads
+        can draw the rows of one mask from one stream at once.
         """
         if not 0.0 <= drop_p < 1.0:
             raise ValueError(f"drop probability must be in [0, 1), got {drop_p}")
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
-        n_draws = (n + _LANES - 1) // _LANES
+        first, count = 0, int(np.prod(shape))
+        if rows is not None:  # elements first .. first+count-1 of the whole mask
+            (lo, hi), row = rows, int(np.prod(shape[1:]))
+            if not 0 <= lo <= hi <= shape[0]:
+                raise ValueError(f"rows {lo}:{hi} outside the mask's {shape[0]} rows")
+            first, count, shape = lo * row, (hi - lo) * row, (hi - lo, *shape[1:])
+        d0, skip = divmod(first, _LANES)  # the first draw that holds the elements, and its lanes before them
+        n_draws = (skip + count + _LANES - 1) // _LANES
         keep = np.empty((n_draws, _LANES), dtype=bool)
         threshold = np.uint16(int(drop_p * (1 << 16)))
         block = max(1, min(n_draws, _MASK_BLOCK))
         steps = np.arange(1, block + 1, dtype=np.uint64)
         z, tmp = np.empty(block, np.uint64), np.empty(block, np.uint64)
-        for lo in range(0, n_draws, block):
-            zb = z[: min(block, n_draws - lo)]
+        for at in range(0, n_draws, block):
+            zb = z[: min(block, n_draws - at)]
             with np.errstate(over="ignore"):  # draw i is mix64(key + (counter + i) * golden)
-                np.add(steps[: len(zb)], _U64(self.counter + lo), out=zb)
+                np.add(steps[: len(zb)], _U64(self.counter + d0 + at), out=zb)
                 zb *= _GOLDEN
                 zb += self.key
             # little-endian uint16 lanes: lane j is bits 16j..16j+15 on any host
             lanes = _mix64(zb, tmp[: len(zb)]).astype("<u8", copy=False).view("<u2")
-            np.greater_equal(lanes, threshold, out=keep[lo : lo + len(zb)].reshape(-1))
-        self.counter += n_draws
-        return keep.reshape(-1)[:n].reshape(shape)
+            np.greater_equal(lanes, threshold, out=keep[at : at + len(zb)].reshape(-1))
+        self.counter += n_draws if rows is None else 0
+        return keep.reshape(-1)[skip : skip + count].reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (argsort of random keys)."""

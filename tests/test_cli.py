@@ -157,6 +157,17 @@ class TestEvalCommand:
         assert code == 0
         assert "top1" in capsys.readouterr().out
 
+    def test_eval_without_normalization_reads_no_train_split(self, toy_arch_file, mnist_dir, tmp_path, capsys):
+        assert main(train_args(toy_arch_file, mnist_dir, tmp_path, "--no-normalize")) == 0
+        for path in mnist_dir.glob("train-*"):
+            path.unlink()
+        args = ["eval", "--arch", toy_arch_file, "--ckpt", str(tmp_path / "model.snpk")]
+        args += ["--dataset", "mnist", "--data-dir", str(mnist_dir)]
+        assert main([*args, "--no-normalize"]) == 0
+        assert "top1" in capsys.readouterr().out
+        assert main(args) != 0  # normalized eval takes its statistics from the train split
+        assert "train-images-idx3-ubyte" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_default_preset_reports_totals(self, capsys):

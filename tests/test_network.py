@@ -833,6 +833,50 @@ class TestSlicedTrain:
             sys.setswitchinterval(switch)
         assert sliced == [ref, ref]
 
+    def test_each_slice_draws_its_rows_of_the_masks_on_its_own_thread(self, workers, monkeypatch):
+        workers(2)
+        monkeypatch.setattr(N, "TRAIN_SLICE", 2)  # slices 0:2, 2:4 and 4:5; the pool thread runs 2:4
+        m = Model(
+            [
+                L.Conv2d("conv1", 3, 4, 3, 1, 1),
+                L.ReLU("relu1"),
+                L.Dropout("drop1", 0.3),
+                L.SafPool("safpool1", 2, 0.25),
+                L.Dropout("drop2", 0.2),
+                L.Flatten("flatten1"),
+                L.Dense("dense1", 4 * 3 * 3, 5),
+            ],
+            (3, 6, 6),
+        ).init_params(SplitRng(0), np.float32)
+        draws, applied = [], []
+
+        def spy_draw(self, shape, p, rows=None, fn=SplitRng.keep_mask):
+            keep = fn(self, shape, p, rows)
+            draws.append((shape, p, rows, threading.get_ident(), keep))
+            return keep
+
+        def spy_pair(x, p, keep, fn=N.relu_dropout_forward):
+            applied.append((threading.get_ident(), keep))
+            return fn(x, p, keep)
+
+        monkeypatch.setattr(SplitRng, "keep_mask", spy_draw)
+        monkeypatch.setattr(N, "relu_dropout_forward", spy_pair)
+        for cls in (L.Dropout, L.SafPool):
+            def spy_forward(self, x, mode, keep=None, fn=cls.forward):
+                applied.append((threading.get_ident(), keep))
+                return fn(self, x, mode, keep)
+            monkeypatch.setattr(cls, "forward", spy_forward)
+        m.forward(model_input(m, 5, np.float32), SplitRng(3))
+        masks = [((5, 6, 6, 4), 0.3), ((5, 3, 3, 4), 0.25), ((5, 3, 3, 4), 0.2)]  # channels-last
+        slices = [(0, 2), (2, 4), (4, 5)]
+        assert sorted(draw[:3] for draw in draws) == sorted((*mask, rows) for mask in masks for rows in slices)
+        # every draw is one slice's rows, made on the thread that applies it to that slice
+        assert len(applied) == len(draws)
+        for thread, keep in applied:
+            (drawn_on,) = [t for *_, t, drawn in draws if np.shares_memory(keep, drawn)]
+            assert drawn_on == thread
+        assert len({thread for *_, thread, _ in draws}) == 2
+
     @pytest.mark.usefixtures("two_workers")
     def test_shape_error_in_a_pool_slice_names_its_layer(self, monkeypatch):
         def fails_off_the_caller(x, *args, pool=L.maxpool_forward):

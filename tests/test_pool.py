@@ -9,7 +9,66 @@ from simpnet.errors import ShapeError
 from simpnet.rng import SplitRng
 
 
+def argmax_maxpool_forward(x, window, stride):
+    """Oracle for maxpool_forward: the windows gathered channels-last, argmax over the window axis
+    (its first maximum; a NaN beats a number, the first NaN stays) and the winners' values gathered
+    by take_along_axis, with offsets into the input's channels-last memory."""
+    n, c, h, w = x.shape
+    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+    nhwc = x.transpose(0, 2, 3, 1)
+    slabs = np.stack([nhwc[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride]
+                      for dy in range(window) for dx in range(window)])
+    which = slabs.argmax(axis=0)
+    pooled = np.take_along_axis(slabs, which[None], axis=0)[0]
+    dy, dx = np.divmod(which, window)
+    hh = np.arange(oh).reshape(oh, 1, 1) * stride + dy
+    ww = np.arange(ow).reshape(ow, 1) * stride + dx
+    offsets = ((np.arange(n).reshape(n, 1, 1, 1) * h + hh) * w + ww) * c + np.arange(c)
+    return pooled.transpose(0, 3, 1, 2), offsets.transpose(0, 3, 1, 2)
+
+
+POOL_EDGE_KINDS = ["ties", "nan", "inf", "zeros", "all-nan", "mixed"]
+
+
+def pool_edge_input(kind, dtype, layout):
+    """A (2, 3, 7, 6) input of few distinct values, so most windows hold ties, with the
+    special values of `kind`: NaNs of several bit patterns, infinities, signed zeros,
+    or whole windows of NaN."""
+    r = SplitRng(POOL_EDGE_KINDS.index(kind))
+    x = (r.integers(2 * 3 * 7 * 6, 4) - 1.0).astype(dtype)
+    pick = r.integers(x.size, 3)
+    nans = np.array([np.nan, -np.nan], dtype)
+    nans = np.concatenate([nans, (nans.view(f"u{x.itemsize}") | 1).view(dtype)])  # other payloads
+    if kind in ("nan", "mixed"):
+        x[pick == 0] = nans[r.integers(int((pick == 0).sum()), 4)]
+    if kind in ("inf", "mixed"):
+        x[pick == 1] = np.where(r.coin(int((pick == 1).sum()), 0.5), np.inf, -np.inf)
+    if kind in ("zeros", "mixed"):
+        x[pick == 2] = np.where(r.coin(int((pick == 2).sum()), 0.5), 0.0, -0.0)
+    x = x.reshape(2, 3, 7, 6)
+    if kind == "all-nan":
+        x[:, :, :4, :4] = nans[2]
+        x[0, 1] = nans[1]
+    if layout == "nhwc":
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return x
+
+
 class TestMaxPoolForward:
+    @pytest.mark.parametrize("kind", POOL_EDGE_KINDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_bit_identical_to_the_argmax_oracle(self, window, stride, layout, dtype, kind):
+        x = pool_edge_input(kind, dtype, layout)
+        y, offsets = L.maxpool_forward(x, window, stride)
+        ref, ref_offsets = argmax_maxpool_forward(x, window, stride)
+        assert y.dtype == ref.dtype and y.shape == ref.shape
+        assert y.tobytes() == ref.tobytes()  # NaN payloads and signed zeros included
+        assert offsets.tobytes() == ref_offsets.tobytes()
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous and offsets.transpose(0, 2, 3, 1).flags.c_contiguous
+
     def test_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         y, argmax = L.maxpool_forward(x)

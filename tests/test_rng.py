@@ -142,6 +142,40 @@ def test_keep_mask_counter_advances_by_draws_of_four_lanes():
     assert r.counter == 55
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(5, 3, 3, 7), (9, 13), (3, 4 * _MASK_BLOCK + 5)],
+    ids=["4-d", "2-d", "rows-of-several-blocks"],
+)
+@pytest.mark.parametrize("before", [0, 5], ids=["counter-0", "counter-2"])
+def test_keep_mask_rows_join_to_the_whole_mask(shape, before):
+    # rows of 63, 13 and 4 * _MASK_BLOCK + 5 elements (none a multiple of 4), so ranges start at
+    # lanes 1-3 of a draw; row ranges of every length, the empty one included
+    whole_rng, rows_rng = SplitRng(606), SplitRng(606)
+    for r in (whole_rng, rows_rng):
+        r.keep_mask(before, 0.3)
+    counter = rows_rng.counter
+    whole = whole_rng.keep_mask(shape, 0.3)
+    n = shape[0]
+    for bounds in ([0, n], [0, 1, 2, n], [0, 0, n - 1, n], list(range(n + 1))):
+        parts = [rows_rng.keep_mask(shape, 0.3, (lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        assert [p.shape for p in parts] == [(hi - lo, *shape[1:]) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert rows_rng.counter == counter  # a range leaves a stream that threads share as it was
+    # the rows took nothing from the stream: a whole draw after them is the same mask, and it
+    # advances the counter as one whole draw does
+    assert rows_rng.keep_mask(shape, 0.3).tobytes() == whole.tobytes()
+    assert rows_rng.counter == whole_rng.counter == counter + -(-int(np.prod(shape)) // 4)
+
+
+def test_keep_mask_rows_outside_the_mask_rejected():
+    r = SplitRng(1)
+    for rows in ((0, 4), (-1, 2), (2, 1)):
+        with pytest.raises(ValueError, match="outside the mask"):
+            r.keep_mask((3, 5), 0.3, rows)
+    assert r.counter == 0
+
+
 def test_keep_mask_drop_p_quantized_to_16_bits():
     n = 1_000_000
     lanes = lane_reference(77, n)
