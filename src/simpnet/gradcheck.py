@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers as L
-from .network import Model
+from .network import Model, _map_slices
 from .rng import SplitRng
 
 H = 1e-5
@@ -70,11 +70,11 @@ def _check_layer(rng: SplitRng, layer: L.Layer, x: np.ndarray, mask_key=None) ->
     keep = None if mask_key is None else L.keep_mask(layer.out_shape(x.shape), layer.p, SplitRng(mask_key))
 
     def forward():
-        return layer.forward_slices([x], [lambda: keep], L.serial_map)
+        return layer.forward_slices([x], [lambda: keep], _map_slices)
 
     (y,), (cache,) = forward()
     r = rng.uniform(y.shape, -1.0, 1.0)  # random, so the whole Jacobian is exercised
-    (grad_x,), grads = layer.backward_slices([cache], [r], L.serial_map)
+    (grad_x,), grads = layer.backward_slices([cache], [r], _map_slices)
     params = [v for _, v in layer.param_entries()]
     return _worst(lambda: float((forward()[0][0] * r).sum()), [grad_x, *grads], [x, *params])
 
@@ -129,7 +129,7 @@ def _check_safpool(rng: SplitRng) -> float:
     # p = 0 must reduce to plain max-pool in both directions; the pooled
     # values, all distinct, serve as the cotangent
     pool0 = L.SafPool("safpool", 2, 0.0)
-    y0, cache0 = pool0.forward(x, L.TRAIN)
+    y0, cache0 = pool0.forward(x)
     pooled, argmax_mp = L.maxpool_forward(x)
     g0 = pool0.backward(cache0, pooled)[0]
     gmp = L.maxpool_backward(argmax_mp, pooled, x.shape)

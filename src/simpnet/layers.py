@@ -4,11 +4,12 @@ Two surfaces live here. The module-level functions are pure and carry
 the numerical contracts; the oracle tests check them. The layer classes
 wrap them with parameter storage so a sequential model can run them in
 order; gradcheck checks them. A layer holds only its parameters (and
-batch norm its running stats): forward returns (output, cache),
-backward takes that cache back and returns the input gradient and the
-parameter gradients as values, and network.Model holds the caches of
-its last train-mode forward. network.plan decides which layers run
-together as one unit.
+batch norm its running stats) and has one train entry and one eval
+entry: forward returns (output, cache) of a train slice, backward takes
+that cache back and returns the input gradient and the parameter
+gradients as values, and eval returns the output of an eval slice and
+caches nothing. network.Model holds the caches of its last train
+forward; network.plan decides which layers run together as one unit.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
@@ -33,12 +34,13 @@ gradient then need no transposing copy.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
 order so backward routing is deterministic. The SafPool layer is
-SAF-pooling: maxpool_forward then dropout_apply on the pooled units, so
-it has no module functions of its own. Dropout and SafPool take their
-keep mask already drawn (keep_mask), so each slice of a network.Model
-batch can draw its own rows of the batch's one mask. ReLU uses
-subgradient 0 at exactly 0. Batch norm's running-average momentum and
-variance epsilon are the module constants BN_MOMENTUM and BN_EPS.
+SAF-pooling: maxpool_forward then dropout_apply on the pooled units in
+training, maxpool_values at inference, so it has no module functions of
+its own. Dropout and SafPool take their keep mask already drawn
+(keep_mask), so each slice of a network.Model batch can draw its own
+rows of the batch's one mask. ReLU uses subgradient 0 at exactly 0.
+Batch norm's running-average momentum and variance epsilon are the
+module constants BN_MOMENTUM and BN_EPS.
 """
 
 from __future__ import annotations
@@ -261,34 +263,12 @@ def bn_eval_affine(p: BatchNormParams, dtype):
     return scale, p.beta - p.running_mean.astype(dtype) * scale
 
 
-def serial_map(fn, *parts):
-    """[fn(*slice) for each slice of the equally long lists parts], in order, on the calling thread."""
-    return [fn(*args) for args in zip(*parts, strict=True)]
-
-
 def sum_in_order(arrays):
     """arrays[0] + arrays[1] + ..., left to right, so the bytes depend only on the order of the list."""
     return reduce(np.add, arrays)
 
 
-def batchnorm_forward(x, p: BatchNormParams, mode: str):
-    """Per-channel batch normalization over (n, h, w), on the (n*h*w, c) matrix of x.
-
-    Train mode is batchnorm_train on the one slice x. Eval mode is one
-    affine map per channel (bn_eval_affine). y is NHWC in memory. Returns
-    (y, cache): the cache (xhat, gamma / std) feeds backward in train mode
-    and is None in eval mode.
-    """
-    if mode == TRAIN:
-        (y,), (cache,) = batchnorm_train([x], p)
-        return y, cache
-    scale, shift = bn_eval_affine(p, x.dtype)
-    y = _rows(x).reshape(len(x), -1) * _per_pixel(scale, x.shape)
-    y += _per_pixel(shift, x.shape)
-    return _nchw(y, x.shape), None
-
-
-def batchnorm_train(parts, p: BatchNormParams, smap=serial_map):
+def batchnorm_train(parts, p: BatchNormParams, smap):
     """Train-mode batch norm of a batch given as slices along n: ([y], [cache]) per slice.
 
     Each slice sums its (rows, c) matrix by BLAS for the mean, then its
@@ -329,13 +309,7 @@ def batchnorm_train(parts, p: BatchNormParams, smap=serial_map):
     return [_nchw(y, x.shape) for y, x in zip(ys, parts)], [(_nchw(xh, x.shape), scale) for xh, x in zip(xhats, parts)]
 
 
-def batchnorm_backward(grad_out, cache):
-    """batchnorm_train_backward of one slice: (grad_x, grad_gamma, grad_beta)."""
-    (grad_x,), grad_gamma, grad_beta = batchnorm_train_backward([grad_out], [cache])
-    return grad_x, grad_gamma, grad_beta
-
-
-def batchnorm_train_backward(grads, caches, smap=serial_map):
+def batchnorm_train_backward(grads, caches, smap):
     """Train-mode gradient through the batch mean and variance, of a batch given as slices.
 
     Closed form per channel (Ioffe & Szegedy, 2015) on (rows, c) matrices:
@@ -373,9 +347,9 @@ def keep_mask(shape, p, rng, rows=None):
     return rng.keep_mask(shape, p, rows)
 
 
-def _train_keep(mode, p: float, keep):
-    """The keep mask a forward in `mode` applies: keep in train mode at p > 0, where it is required; else None."""
-    if mode != TRAIN or p == 0.0:
+def _train_keep(p: float, keep):
+    """The keep mask a train forward applies: keep at p > 0, where it is required; else None."""
+    if p == 0.0:
         return None
     if keep is None:
         raise ValueError("dropout with p > 0 requires a keep mask in train mode")
@@ -454,14 +428,15 @@ def softmax_xent(logits, labels):
 class Layer:
     """Base of the layer objects a Model runs in order.
 
-    forward(x, mode, keep) returns (y, cache) with what backward needs,
-    keep being the drawn keep mask (keep_mask) of a dropping layer's
-    output in train mode; backward(cache, grad_out) returns (grad_x,
-    grads), one gradient per param_entries() entry in that order. A train
+    forward(x, keep) is the train forward of one slice: it returns (y,
+    cache) with what backward needs, keep being the slice's drawn keep
+    mask (keep_mask) of a dropping layer's output. backward(cache,
+    grad_out) returns (grad_x, grads), one gradient per param_entries()
+    entry in that order. eval(x) is the output of one eval slice. A train
     step runs forward_slices and backward_slices on a batch given as
     slices along n; only batch norm, whose statistics span the whole
-    batch, overrides them. Layers keep no per-batch state: Model keeps
-    the caches, and only in train mode.
+    batch, overrides them, and it has no forward or backward of its own.
+    Layers keep no per-batch state: Model keeps the train caches.
     """
 
     kind = "layer"
@@ -472,8 +447,12 @@ class Layer:
     def init_params(self, rng: SplitRng, dtype):
         pass
 
-    def forward(self, x, mode: str, keep=None):
+    def forward(self, x, keep=None):
         raise NotImplementedError
+
+    def eval(self, x):
+        """Output of one eval slice: the train forward's, for a layer that infers as it trains."""
+        return self.forward(x)[0]
 
     def backward(self, cache, grad_out):
         raise NotImplementedError
@@ -481,7 +460,7 @@ class Layer:
     def forward_slices(self, parts, draws, smap):
         """Train forward of the slices parts, slice j with its rows draws[j]() of the keep mask, drawn on
         its own thread: ([y], [cache]) per slice. smap(fn, *lists) runs the slices, on threads or not."""
-        return tuple(zip(*smap(lambda x, draw: self.forward(x, TRAIN, draw()), parts, draws)))
+        return tuple(zip(*smap(lambda x, draw: self.forward(x, draw()), parts, draws)))
 
     def backward_slices(self, caches, grads, smap, **flags):
         """backward(cache, grad, **flags) per slice: ([grad_x], parameter gradients added in slice order)."""
@@ -526,7 +505,7 @@ class Conv2d(Layer):
         self.weight = (rng.normal((self.c_out, self.c_in, self.k, self.k)) * scale).astype(dtype)
         self.bias = np.zeros(self.c_out, dtype=dtype)
 
-    def forward(self, x, mode, keep=None):
+    def forward(self, x, keep=None):
         return _conv2d_forward(x, self.weight, self.bias, self.stride, self.pad)
 
     def backward(self, xp, grad_out, input_grad=True):
@@ -565,10 +544,14 @@ class SafPool(Layer):
             raise ValueError("SAF-pool requires window, stride >= 1")
         self.p = p
 
-    def forward(self, x, mode, keep=None):
-        keep = _train_keep(mode, self.p, keep)
+    def forward(self, x, keep=None):
+        keep = _train_keep(self.p, keep)
         pooled, argmax = maxpool_forward(x, self.window, self.stride)
         return (pooled if keep is None else dropout_apply(pooled, keep, self.p)), (x.shape, keep, argmax)
+
+    def eval(self, x):
+        """Plain max-pooling: eval dropout is the identity."""
+        return maxpool_values(x, self.window, self.stride)
 
     def backward(self, cache, grad_out):
         x_shape, mask, argmax = cache
@@ -582,7 +565,7 @@ class SafPool(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x, mode, keep=None):
+    def forward(self, x, keep=None):
         return relu_forward(x), x
 
     def backward(self, x, grad_out):
@@ -608,10 +591,6 @@ class BatchNorm(Layer):
     def init_params(self, rng, dtype):
         self._alloc(dtype)
 
-    def forward(self, x, mode, keep=None):
-        self._check(x)
-        return batchnorm_forward(x, self.p, mode)
-
     def forward_slices(self, parts, draws, smap):
         """Train forward over the whole batch's statistics (batchnorm_train)."""
         self._check(parts[0])
@@ -626,9 +605,13 @@ class BatchNorm(Layer):
         if x.shape[1] != self.channels:
             raise ShapeError(f"{self.name}: expects {self.channels} channels, got {x.shape[1]}")
 
-    def backward(self, cache, grad_out):
-        gx, gg, gb = batchnorm_backward(grad_out, cache)
-        return gx, (gg, gb)
+    def eval(self, x):
+        """One affine map per channel by the running stats (bn_eval_affine); y is NHWC in memory."""
+        self._check(x)
+        scale, shift = bn_eval_affine(self.p, x.dtype)
+        y = _rows(x).reshape(len(x), -1) * _per_pixel(scale, x.shape)
+        y += _per_pixel(shift, x.shape)
+        return _nchw(y, x.shape)
 
     def param_entries(self):
         return ((f"{self.name}.gamma", self.p.gamma), (f"{self.name}.beta", self.p.beta))
@@ -650,10 +633,13 @@ class Dropout(Layer):
             raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
 
-    def forward(self, x, mode, keep=None):
-        """Inverted dropout by keep, the drawn keep mask of x's shape; the identity in eval mode and at p = 0."""
-        keep = _train_keep(mode, self.p, keep)
+    def forward(self, x, keep=None):
+        """Inverted dropout by keep, the drawn keep mask of x's shape; the identity at p = 0."""
+        keep = _train_keep(self.p, keep)
         return (x if keep is None else dropout_apply(x, keep, self.p)), keep
+
+    def eval(self, x):
+        return x
 
     def backward(self, mask, grad_out):
         return dropout_backward(grad_out, mask, self.p), ()
@@ -662,7 +648,7 @@ class Dropout(Layer):
 class GlobalAvgPool(Layer):
     kind = "gap"
 
-    def forward(self, x, mode, keep=None):
+    def forward(self, x, keep=None):
         return global_avgpool_forward(x), x.shape
 
     def backward(self, x_shape, grad_out):
@@ -675,7 +661,7 @@ class GlobalAvgPool(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x, mode, keep=None):
+    def forward(self, x, keep=None):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, x_shape, grad_out):
@@ -701,7 +687,7 @@ class Dense(Layer):
         self.weight = (rng.normal((self.d, self.m)) * scale).astype(dtype)
         self.bias = np.zeros(self.m, dtype=dtype)
 
-    def forward(self, x, mode, keep=None):
+    def forward(self, x, keep=None):
         return dense_forward(x, self.weight, self.bias), x
 
     def backward(self, x, grad_out):

@@ -18,7 +18,7 @@ import numpy as np
 from .data import read_exact
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
-from .layers import bn_eval_affine, conv2d_forward, keep_mask, maxpool_values, relu_dropout_forward
+from .layers import bn_eval_affine, conv2d_forward, keep_mask, relu_dropout_forward
 from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"SNPK"
@@ -167,7 +167,8 @@ def plan(layers: list[Layer], mode: str) -> list[tuple]:
     each eval slice through every unit in turn. Eval mode runs a conv
     directly followed by a batch norm of its width (and a relu after that)
     as one conv with bn_eval_affine folded in, into new arrays per call,
-    and a SafPool as maxpool_values; eval units cache nothing.
+    and every other layer as a unit of its own that runs its eval; eval
+    units cache nothing.
 
     A train unit's run(parts, rng) -> ([y], [cache]) runs the whole batch,
     given as slices along n, on the slice threads (_map_slices). Train
@@ -196,10 +197,8 @@ def plan(layers: list[Layer], mode: str) -> list[tuple]:
         elif isinstance(layer, Conv2d) and isinstance(nxt, BatchNorm) and nxt.channels == layer.c_out:
             group = (layer, nxt, after)[: 2 + isinstance(after, ReLU)]
             run = partial(_folded_conv, layer, nxt, len(group) == 3)
-        elif isinstance(layer, SafPool):  # eval dropout is the identity
-            group, run = (layer,), lambda x, rng, pool=layer: (maxpool_values(x, pool.window, pool.stride), None)
         else:
-            group, run = (layer,), lambda x, rng, layer=layer: (layer.forward(x, EVAL, None)[0], None)
+            group, run = (layer,), lambda x, rng, layer=layer: (layer.eval(x), None)
         units.append((i, group, run))
         i += len(group)
     return units
@@ -262,8 +261,11 @@ class Model:
         GEMMs by their row count (float32 ones with M*N*K <= 10**6, one-row
         products, more in float64); in float32, four full eval slices give
         the whole batch's bytes. The previous forward's caches are dropped
-        first, so their memory is free before this forward allocates.
+        first, so their memory is free before this forward allocates. A
+        mode other than TRAIN or EVAL raises ValueError.
         """
+        if mode not in (TRAIN, EVAL):
+            raise ValueError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
         self.caches = None
         parts = _slices(x, EVAL_SLICE if mode == EVAL else TRAIN_SLICE)
         with _one_blas_thread():

@@ -84,14 +84,13 @@ def test_c3_saf_pool_identity_and_statistics():
         pooled, argmax = L.maxpool_forward(x)
         g = r.uniform(pooled.shape, -1, 1)
         pool = L.SafPool("safpool1", 2, 0.0)
-        for mode in (L.TRAIN, L.EVAL):
-            y, cache = pool.forward(x, mode)
-            assert np.array_equal(y, pooled) and np.array_equal(cache[2], argmax)
-            assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(argmax, g, x.shape))
-        y, _ = L.SafPool("safpool1", 2, 0.5).forward(x, L.EVAL)
-        assert np.array_equal(y, pooled)
+        y, cache = pool.forward(x)
+        assert np.array_equal(y, pooled) and np.array_equal(cache[2], argmax)
+        assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(argmax, g, x.shape))
+        assert np.array_equal(pool.eval(x), pooled)
+        assert np.array_equal(L.SafPool("safpool1", 2, 0.5).eval(x), pooled)
     x = SplitRng(331).uniform((4, 25, 20, 20), 0.5, 1.5)  # 10,000 pooled units
-    _, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.TRAIN, L.keep_mask((4, 25, 10, 10), 0.5, SplitRng(332)))
+    _, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.keep_mask((4, 25, 10, 10), 0.5, SplitRng(332)))
     zero_fraction = float((mask == 0).mean())
     assert 0.48 <= zero_fraction <= 0.52
     report("C3 SAF-pool identity", f"drop0==maxpool fwd+bwd on 10 instances; zero fraction {zero_fraction:.4f}")

@@ -214,7 +214,7 @@ class TestBackwardOracle:
         conv.init_params(SplitRng(0), np.float64)
         conv.weight[...] = w
         conv.bias[...] = b
-        y, xp = conv.forward(x, L.TRAIN, None)
+        y, xp = conv.forward(x)
         assert np.abs(y - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
         gx, (gw, gb) = conv.backward(xp, g)
         want_gx, want_gw, want_gb = naive_conv2d_backward(x, w, stride, pad, g)
@@ -267,7 +267,7 @@ class TestChunkedOracle:
         conv.init_params(SplitRng(0), np.float64)
         conv.weight[...] = w
         conv.bias[...] = b
-        y, xp = conv.forward(x, L.TRAIN, None)
+        y, xp = conv.forward(x)
         assert np.abs(y - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
         gx, (gw, gb) = conv.backward(xp, g)
         want_gx, want_gw, want_gb = naive_conv2d_backward(x, w, stride, pad, g)
@@ -318,7 +318,7 @@ class TestScratchMemory:
         x = r.uniform((n, c_in, size, size), -1, 1).astype(np.float32)
         # NHWC in memory, as a conv receives its gradient
         g = r.uniform((n, size, size, c_out), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
-        (y, xp), peak = self.traced_peak(lambda: conv.forward(x, L.TRAIN, None))
+        (y, xp), peak = self.traced_peak(lambda: conv.forward(x))
         limit = max(xp.nbytes, y.nbytes)
         assert peak - y.nbytes - xp.nbytes <= limit
         (gx, _), peak = self.traced_peak(lambda: conv.backward(xp, g))

@@ -1,4 +1,4 @@
-"""Every name a simpnet module imports is used in that module.
+"""Every name a simpnet module, script or test imports is used in that file.
 
 The package's __init__.py is exempt: its imports are the public re-exports.
 `from __future__` imports are directives, not names, and are skipped.
@@ -9,8 +9,9 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "simpnet"
-MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted(path for path in (ROOT / "src" / "simpnet").glob("*.py") if path.name != "__init__.py")
+FILES = MODULES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree):
@@ -26,9 +27,10 @@ def imported_names(tree):
 
 def test_every_module_is_scanned():
     assert {"cli.py", "layers.py", "network.py"} <= {path.name for path in MODULES}
+    assert {"cli_hashes.py", "test_imports.py", "test_network.py"} <= {path.name for path in FILES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", FILES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}  # `np.zeros` reads the Name np

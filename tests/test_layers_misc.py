@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from simpnet import layers as L
+from simpnet import network as N
 from simpnet import train as T
 from simpnet.errors import ShapeError
 from simpnet.network import Model
@@ -34,6 +35,24 @@ class TestReLU:
         assert rel_err(L.relu_backward(x, r), fd_grad(loss, x)) < 1e-6
 
 
+def bn_layer(p):
+    bn = L.BatchNorm("bn1", len(p.gamma))
+    bn.p = p
+    return bn
+
+
+def bn_train(x, p):
+    """(y, cache) of batch norm's train forward of the one slice x, by the layer's slice method."""
+    (y,), (cache,) = bn_layer(p).forward_slices([x], [lambda: None], N._map_slices)
+    return y, cache
+
+
+def bn_backward(g, cache):
+    """(grad_x, grad_gamma, grad_beta) of the one slice g, by the layer's slice method."""
+    (gx,), (gg, gb) = L.BatchNorm("bn1", g.shape[1]).backward_slices([cache], [g], N._map_slices)
+    return gx, gg, gb
+
+
 class TestBatchNorm:
     def _params(self, c, gamma=None, beta=None):
         return L.BatchNormParams(
@@ -45,36 +64,36 @@ class TestBatchNorm:
 
     def test_two_point_normalization(self):
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
-        y, _ = L.batchnorm_forward(x, self._params(1), L.TRAIN)
+        y, _ = bn_train(x, self._params(1))
         expect = 1.0 / math.sqrt(1.0 + 1e-5)
         assert np.allclose(y.ravel(), [-expect, expect], atol=1e-12)
 
     def test_constant_channel_shifted_by_beta(self):
         x = np.full((2, 1, 2, 2), 5.0)
-        y, _ = L.batchnorm_forward(x, self._params(1, beta=[7.0]), L.TRAIN)
+        y, _ = bn_train(x, self._params(1, beta=[7.0]))
         assert np.allclose(y, 7.0, atol=1e-6)
 
     def test_train_requires_two_samples(self):
         x = np.zeros((1, 2, 1, 1))
         with pytest.raises(ValueError):
-            L.batchnorm_forward(x, self._params(2), L.TRAIN)
+            bn_train(x, self._params(2))
 
     def test_running_stats_updated_in_train_only(self):
         rng = SplitRng(41)
         x = rng.uniform((4, 2, 3, 3), 1.0, 3.0)
         p = self._params(2)
-        L.batchnorm_forward(x, p, L.TRAIN)
+        bn_train(x, p)
         assert not np.allclose(p.running_mean, 0.0)
         mean_after = p.running_mean.copy()
         var_after = p.running_var.copy()
-        L.batchnorm_forward(x, p, L.EVAL)
+        bn_layer(p).eval(x)
         assert np.array_equal(p.running_mean, mean_after)
         assert np.array_equal(p.running_var, var_after)
 
     def test_running_average_formula(self):
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
         p = self._params(1)
-        L.batchnorm_forward(x, p, L.TRAIN)
+        bn_train(x, p)
         # biased var = 1, unbiased = 2; momentum 0.1 from (0, 1) start
         assert np.allclose(p.running_mean, [0.2])
         assert np.allclose(p.running_var, [0.9 * 1.0 + 0.1 * 2.0])
@@ -84,7 +103,7 @@ class TestBatchNorm:
         p.running_mean[:] = 2.0
         p.running_var[:] = 4.0
         x = np.full((1, 1, 1, 2), 4.0)
-        y, _ = L.batchnorm_forward(x, p, L.EVAL)
+        y = bn_layer(p).eval(x)
         assert np.allclose(y, (4.0 - 2.0) / math.sqrt(4.0 + 1e-5))
 
     def test_gradcheck_x_gamma_beta(self):
@@ -96,12 +115,12 @@ class TestBatchNorm:
 
         def loss():
             p = L.BatchNormParams(gamma, beta, np.zeros(3), np.ones(3))
-            y, _ = L.batchnorm_forward(x, p, L.TRAIN)
+            y, _ = bn_train(x, p)
             return float((y * r).sum())
 
         p = L.BatchNormParams(gamma, beta, np.zeros(3), np.ones(3))
-        _, cache = L.batchnorm_forward(x, p, L.TRAIN)
-        gx, gg, gb = L.batchnorm_backward(r, cache)
+        _, cache = bn_train(x, p)
+        gx, gg, gb = bn_backward(r, cache)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
         assert rel_err(gg, fd_grad(loss, gamma)) < 1e-5
         assert rel_err(gb, fd_grad(loss, beta)) < 1e-5
@@ -128,14 +147,9 @@ class TestBatchNorm:
         x = rng.uniform(shape, -2, 2)
         gamma = rng.uniform(c, 0.5, 1.5)
         g = rng.uniform(shape, -1, 1)
-        _, cache = L.batchnorm_forward(x, L.BatchNormParams(gamma, np.zeros(c), np.zeros(c), np.ones(c)), L.TRAIN)
-        gx, _, _ = L.batchnorm_backward(g, cache)
+        _, cache = bn_train(x, L.BatchNormParams(gamma, np.zeros(c), np.zeros(c), np.ones(c)))
+        gx, _, _ = bn_backward(g, cache)
         assert rel_err(gx, self._expanded_grad_x(x, gamma, g)) <= 1e-12
-
-    def test_eval_returns_no_cache(self):
-        x = SplitRng(44).uniform((2, 3, 4, 4), -1, 1)
-        _, cache = L.batchnorm_forward(x, self._params(3), L.EVAL)
-        assert cache is None
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_results_independent_of_input_layout(self, dtype):
@@ -149,9 +163,9 @@ class TestBatchNorm:
 
         def run(x, g):
             p = L.BatchNormParams(gamma.copy(), beta.copy(), np.zeros(5, dtype), np.ones(5, dtype))
-            y, cache = L.batchnorm_forward(x, p, L.TRAIN)
-            y_eval, _ = L.batchnorm_forward(x, p, L.EVAL)
-            grads = L.batchnorm_backward(g, cache)
+            y, cache = bn_train(x, p)
+            y_eval = bn_layer(p).eval(x)
+            grads = bn_backward(g, cache)
             for a in (y, y_eval, grads[0]):
                 assert a.transpose(0, 2, 3, 1).flags.c_contiguous
             return (y, p.running_mean, p.running_var, y_eval, *grads)
@@ -168,7 +182,7 @@ class TestBatchNorm:
         x = (offsets + 0.5 * rng.normal((64, 8, 16, 16))).astype(np.float32)
         c = 8
         p = L.BatchNormParams(np.ones(c, np.float32), np.zeros(c, np.float32), np.zeros(c, np.float32), np.zeros(c, np.float32))
-        L.batchnorm_forward(x, p, L.TRAIN)
+        bn_train(x, p)
         x64 = x.astype(np.float64)
         m = x.size // c
         expect = L.BN_MOMENTUM * x64.var(axis=(0, 2, 3)) * (m / (m - 1))
@@ -178,21 +192,21 @@ class TestBatchNorm:
 class TestDropout:
     def test_p_zero_identity_both_modes(self):
         x = SplitRng(1).uniform((2, 3, 4, 4), -1, 1)
-        for mode in (L.TRAIN, L.EVAL):
-            y, mask = L.Dropout("dropout1", 0.0).forward(x, mode)
-            assert np.array_equal(y, x)
-            assert mask is None
-            assert L.dropout_backward(x, mask, 0.0) is x
+        layer = L.Dropout("dropout1", 0.0)
+        y, mask = layer.forward(x)
+        assert np.array_equal(y, x)
+        assert mask is None
+        assert L.dropout_backward(x, mask, 0.0) is x
+        assert np.array_equal(layer.eval(x), x)
 
     def test_eval_identity_any_p(self):
         x = SplitRng(2).uniform((2, 3, 4, 4), -1, 1)
-        y, _ = L.Dropout("dropout1", 0.7).forward(x, L.EVAL)
-        assert np.array_equal(y, x)
+        assert np.array_equal(L.Dropout("dropout1", 0.7).eval(x), x)
 
     def test_inverted_scaling_preserves_mean(self):
         x = np.ones((1, 1, 100, 1000))  # 1e5 unit inputs
         for p in (0.25, 0.5):
-            y, _ = L.Dropout("dropout1", p).forward(x, L.TRAIN, L.keep_mask(x.shape, p, SplitRng(33)))
+            y, _ = L.Dropout("dropout1", p).forward(x, L.keep_mask(x.shape, p, SplitRng(33)))
             assert abs(y.mean() - 1.0) < 0.02
 
     def test_p_validated(self):
@@ -202,11 +216,11 @@ class TestDropout:
     @pytest.mark.parametrize("layer", [L.Dropout("dropout1", 0.3), L.SafPool("safpool1", 2, 0.3)], ids=["dropout", "safpool"])
     def test_train_forward_without_a_mask_raises(self, layer):
         with pytest.raises(ValueError, match="requires a keep mask"):
-            layer.forward(np.ones((2, 3, 4, 4)), L.TRAIN)
+            layer.forward(np.ones((2, 3, 4, 4)))
 
     def test_backward_uses_same_mask(self):
         x = SplitRng(3).uniform((2, 2, 3, 3), -1, 1)
-        y, mask = L.Dropout("dropout1", 0.4).forward(x, L.TRAIN, L.keep_mask(x.shape, 0.4, SplitRng(9)))
+        y, mask = L.Dropout("dropout1", 0.4).forward(x, L.keep_mask(x.shape, 0.4, SplitRng(9)))
         g = np.ones_like(x)
         gx = L.dropout_backward(g, mask, 0.4)
         assert np.array_equal(gx != 0, y != 0)
@@ -223,7 +237,7 @@ class TestDropout:
         if x.ndim == 4:  # NHWC in memory, as conv outputs are
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         y, keep = L.relu_dropout_forward(x, 0.3, L.keep_mask(x.shape, 0.3, SplitRng(4)))
-        ref, mask = L.Dropout("dropout1", 0.3).forward(L.relu_forward(x), L.TRAIN, L.keep_mask(x.shape, 0.3, SplitRng(4)))
+        ref, mask = L.Dropout("dropout1", 0.3).forward(L.relu_forward(x), L.keep_mask(x.shape, 0.3, SplitRng(4)))
         assert y.dtype == dtype and y.tobytes() == ref.tobytes()
         assert keep.dtype == bool and np.array_equal(keep, (x > 0) & mask)
         # signed zeros included: every dropped or clipped element gets g's sign
@@ -249,7 +263,7 @@ class TestChannelsLast:
             layer.init_params(rng.split(i), np.float32)
             dropping = isinstance(layer, (L.Dropout, L.SafPool))
             keep = L.keep_mask(layer.out_shape(y.shape), layer.p, rng.split(100 + i)) if dropping else None
-            y, _ = layer.forward(y, L.TRAIN, keep)
+            (y,), _ = layer.forward_slices([y], [lambda: keep], N._map_slices)
             assert y.transpose(0, 2, 3, 1).flags.c_contiguous, layer.name
 
     def test_conv_block_input_gradients_stay_channels_last(self, monkeypatch):

@@ -63,6 +63,15 @@ class TestForward:
         with pytest.raises(ShapeError, match="dense2"):
             m.forward(np.zeros((2, 4), np.float32))
 
+    @pytest.mark.parametrize("mode,rng", [("test", SplitRng(3)), ("Eval", None)])
+    def test_unknown_mode_raises_and_changes_nothing(self, mode, rng):
+        m = build(builder_presets()["simpnet-tiny"]).init_params(SplitRng(0))
+        before = [(n, v.tobytes()) for n, v in m.state_tensors()]
+        with pytest.raises(ValueError, match=f"'train' or 'eval', got {mode!r}"):
+            m.forward(model_input(m, 2, np.float32), rng, mode)
+        assert m.caches is None
+        assert [(n, v.tobytes()) for n, v in m.state_tensors()] == before
+
     def test_eval_mode_deterministic(self):
         m = toy_model()
         x = SplitRng(2).uniform((2, 3, 6, 6))
@@ -234,7 +243,7 @@ def fusion_model(name, dtype, seed=0):
 
 def layer_by_layer_eval(m, x):
     for layer in m.layers:
-        x = layer.forward(x, L.EVAL, None)[0]
+        x = layer.eval(x)
     return x
 
 
@@ -280,18 +289,37 @@ class TestFusedEval:
         x = model_input(m, 2, np.float64)
         assert rel_max(m.forward(x, mode=L.EVAL), layer_by_layer_eval(m, x)) <= 1e-12
 
-    def test_fused_units_skip_the_layer_forwards(self, monkeypatch):
-        # in simpnet-tiny every bn follows a conv and every relu a bn, so only dropout, gap,
-        # flatten and dense run their own forward in eval mode
-        calls = []
-        for cls in (L.Conv2d, L.BatchNorm, L.ReLU, L.SafPool, L.Dropout):
-            def spy(self, x, mode, rng, forward=cls.forward):
-                calls.append(self.kind)
-                return forward(self, x, mode, rng)
-            monkeypatch.setattr(cls, "forward", spy)
-        m = fusion_model("simpnet-tiny", np.float32)
-        m.forward(model_input(m, 2, np.float32), mode=L.EVAL)
-        assert set(calls) == {"dropout"}
+    @pytest.mark.parametrize("name", ["fusion", "simpnet-tiny"])
+    def test_eval_runs_once_per_slice_outside_the_folds_and_no_forward(self, name, workers, monkeypatch):
+        # a layer's forward runs only inside the base Layer.eval, never from the model
+        workers(1)  # slices run in order on the caller
+        m = fusion_model(name, np.float32)
+        evals, forwards_outside_eval, depth = [], [], [0]
+        for cls in (L.Layer, *L.Layer.__subclasses__()):
+            if "eval" in vars(cls):
+                def spy_eval(self, x, fn=cls.eval):
+                    evals.append(self.name)
+                    depth[0] += 1
+                    try:
+                        return fn(self, x)
+                    finally:
+                        depth[0] -= 1
+                monkeypatch.setattr(cls, "eval", spy_eval)
+            if "forward" in vars(cls):
+                def spy_forward(self, x, keep=None, fn=cls.forward):
+                    if not depth[0]:
+                        forwards_outside_eval.append(self.name)
+                    return fn(self, x, keep)
+                monkeypatch.setattr(cls, "forward", spy_forward)
+        folded = set()
+        for a, b, c in zip(m.layers, m.layers[1:], [*m.layers[2:], None]):
+            if isinstance(a, L.Conv2d) and isinstance(b, L.BatchNorm):
+                folded |= {a.name, b.name, *([c.name] if isinstance(c, L.ReLU) else [])}
+        assert folded
+        m.forward(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32), mode=L.EVAL)
+        slices = 3 if N._BLAS_THREADS else 1
+        assert evals == [layer.name for layer in m.layers if layer.name not in folded] * slices
+        assert forwards_outside_eval == []
 
     def test_dead_fraction_reads_the_eval_units(self):
         m = fusion_model("fusion", np.float32)
@@ -301,7 +329,7 @@ class TestFusedEval:
         x = model_input(m, 8, np.float32)
         fractions, y = [], x
         for layer in m.layers:
-            y = layer.forward(y, L.EVAL, None)[0]
+            y = layer.eval(y)
             if isinstance(layer, L.ReLU) and y.ndim == 4:
                 fractions.append(dead_channel_fraction(y))
         assert np.mean(fractions) > 0
@@ -436,12 +464,12 @@ class TestSlicedEval:
         assert [s.tobytes() for s in sliced] == [ref] * 3
 
     def test_shape_error_in_a_pool_slice_names_its_layer(self, monkeypatch):
-        def fails_off_the_caller(x, window, stride, values=N.maxpool_values):
+        def fails_off_the_caller(x, window, stride, values=L.maxpool_values):
             if threading.current_thread() is not threading.main_thread():
                 raise ShapeError("raised in a pool slice")
             return values(x, window, stride)
 
-        monkeypatch.setattr(N, "maxpool_values", fails_off_the_caller)
+        monkeypatch.setattr(L, "maxpool_values", fails_off_the_caller)
         m = fusion_model("simpnet-tiny", np.float32)
         pool = next(layer.name for layer in m.layers if isinstance(layer, L.SafPool))
         with pytest.raises(ShapeError, match=f"at layer {pool!r}: raised in a pool slice"):
@@ -577,19 +605,19 @@ def train_units_model(name, dtype, seed=0):
 
 
 def layer_by_layer_train_step(m, x, rng, labels):
-    """Logits, input gradient and [(name, value, grad)] from each layer's own forward and backward,
-    on the whole batch at one BLAS thread, as Model runs its slices."""
+    """Logits, input gradient and [(name, value, grad)] from each layer's own forward_slices and
+    backward_slices, with the whole batch as one slice, at one BLAS thread, as Model runs its slices."""
     caches = []
     with N._one_blas_thread():
         for i, layer in enumerate(m.layers):
             dropping = isinstance(layer, (L.Dropout, L.SafPool)) and layer.p > 0
             keep = L.keep_mask(layer.out_shape(x.shape), layer.p, rng.split(i)) if dropping else None
-            x, cache = layer.forward(x, L.TRAIN, keep)
+            (x,), (cache,) = layer.forward_slices([x], [lambda: keep], N._map_slices)
             caches.append(cache)
         g = L.softmax_xent(x, labels)[1]
         grads = []
         for layer, cache in zip(reversed(m.layers), reversed(caches)):
-            g, layer_grads = layer.backward(cache, g)
+            (g,), layer_grads = layer.backward_slices([cache], [g], N._map_slices)
             grads[:0] = [(n, v, gr) for (n, v), gr in zip(layer.param_entries(), layer_grads)]
     return x, g, grads
 
@@ -679,9 +707,9 @@ class TestFusedTrain:
                 return fn(self, parts, keeps, smap)
             monkeypatch.setattr(cls, "forward_slices", spy_slices)
         for cls in {type(layer) for layer in m.layers}:
-            def spy_forward(self, x, mode, keep=None, fn=cls.forward):
+            def spy_forward(self, x, keep=None, fn=cls.forward):
                 forward_calls.append((self.name, len(x), keep))
-                return fn(self, x, mode, keep)
+                return fn(self, x, keep)
             monkeypatch.setattr(cls, "forward", spy_forward)
         n, rng = 5, SplitRng(3)
         m.forward(model_input(m, n, np.float64), rng)
@@ -862,9 +890,9 @@ class TestSlicedTrain:
         monkeypatch.setattr(SplitRng, "keep_mask", spy_draw)
         monkeypatch.setattr(N, "relu_dropout_forward", spy_pair)
         for cls in (L.Dropout, L.SafPool):
-            def spy_forward(self, x, mode, keep=None, fn=cls.forward):
+            def spy_forward(self, x, keep=None, fn=cls.forward):
                 applied.append((threading.get_ident(), keep))
-                return fn(self, x, mode, keep)
+                return fn(self, x, keep)
             monkeypatch.setattr(cls, "forward", spy_forward)
         m.forward(model_input(m, 5, np.float32), SplitRng(3))
         masks = [((5, 6, 6, 4), 0.3), ((5, 3, 3, 4), 0.25), ((5, 3, 3, 4), 0.2)]  # channels-last

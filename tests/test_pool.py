@@ -222,25 +222,24 @@ class TestSafPool:
         rng = SplitRng(21)
         x = rng.uniform((2, 3, 6, 6), -1, 1)
         pooled, argmax = L.maxpool_forward(x)
-        for mode in (L.TRAIN, L.EVAL):
-            y, (_, mask, am) = L.SafPool("pool1", 2, 0.0).forward(x, mode)
-            assert np.array_equal(y, pooled)
-            assert mask is None
-            assert np.array_equal(am, argmax)
+        pool = L.SafPool("pool1", 2, 0.0)
+        y, (_, mask, am) = pool.forward(x)
+        assert np.array_equal(y, pooled)
+        assert mask is None
+        assert np.array_equal(am, argmax)
+        assert np.array_equal(pool.eval(x), pooled)
 
     def test_eval_mode_identity_even_with_drop(self):
         rng = SplitRng(22)
         x = rng.uniform((2, 3, 6, 6), -1, 1)
         pooled, _ = L.maxpool_forward(x)
-        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.EVAL)
-        assert np.array_equal(y, pooled)
-        assert mask is None
+        assert np.array_equal(L.SafPool("safpool1", 2, 0.5).eval(x), pooled)
 
     def test_train_mode_drop_statistics_and_scale(self):
         rng = SplitRng(23)
         x = rng.uniform((4, 25, 20, 20), 0.5, 1.5)  # 10,000 pooled units
         pooled, _ = L.maxpool_forward(x)
-        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.TRAIN, L.keep_mask(pooled.shape, 0.5, SplitRng(99)))
+        y, (_, mask, _) = L.SafPool("safpool1", 2, 0.5).forward(x, L.keep_mask(pooled.shape, 0.5, SplitRng(99)))
         assert y.size == 10_000
         zero_fraction = (mask == 0).mean()
         assert 0.48 <= zero_fraction <= 0.52
@@ -265,7 +264,7 @@ class TestSafPool:
         rng = SplitRng(24)
         x = rng.uniform((1, 2, 4, 4), -1, 1)
         pool = L.SafPool("pool1", 2, 0.0)
-        _, cache = pool.forward(x, L.TRAIN)
+        _, cache = pool.forward(x)
         g = rng.uniform((1, 2, 2, 2), -1, 1)
         assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(cache[2], g, x.shape))
 
@@ -283,11 +282,11 @@ class TestSafPool:
         key = 4242
         pool = L.SafPool("safpool1", 2, 0.5)
         keep = L.keep_mask(pool.out_shape(x.shape), 0.5, SplitRng(key))
-        _, cache = pool.forward(x, L.TRAIN, keep)
+        _, cache = pool.forward(x, keep)
         r = rng.uniform((1, 2, 3, 3), -1, 1)
 
         def loss():
-            y, _ = pool.forward(x, L.TRAIN, keep)
+            y, _ = pool.forward(x, keep)
             return float((y * r).sum())
 
         gx, _ = pool.backward(cache, r)

@@ -187,13 +187,13 @@ def test_keep_mask_drop_p_quantized_to_16_bits():
 def test_layers_draw_their_mask_from_keep_mask():
     x = SplitRng(5).uniform((2, 3, 6, 8), 0.5, 1.5)
     # 4-D masks are drawn channels-last, (n, h, w, c), then viewed as NCHW
-    _, mask = L.Dropout("dropout1", 0.3).forward(x, L.TRAIN, L.keep_mask(x.shape, 0.3, SplitRng(2024)))
+    _, mask = L.Dropout("dropout1", 0.3).forward(x, L.keep_mask(x.shape, 0.3, SplitRng(2024)))
     assert np.array_equal(mask, SplitRng(2024).keep_mask((2, 6, 8, 3), 0.3).transpose(0, 3, 1, 2))
-    _, (_, mask, _) = L.SafPool("safpool1", 2, 0.3).forward(x, L.TRAIN, L.keep_mask((2, 3, 3, 4), 0.3, SplitRng(2024)))
+    _, (_, mask, _) = L.SafPool("safpool1", 2, 0.3).forward(x, L.keep_mask((2, 3, 3, 4), 0.3, SplitRng(2024)))
     assert np.array_equal(mask, SplitRng(2024).keep_mask((2, 3, 4, 3), 0.3).transpose(0, 3, 1, 2))
     # other ranks draw in their own C order
     flat = x.reshape(2, -1)
-    _, mask = L.Dropout("dropout1", 0.3).forward(flat, L.TRAIN, L.keep_mask(flat.shape, 0.3, SplitRng(2024)))
+    _, mask = L.Dropout("dropout1", 0.3).forward(flat, L.keep_mask(flat.shape, 0.3, SplitRng(2024)))
     assert np.array_equal(mask, SplitRng(2024).keep_mask(flat.shape, 0.3))
 
 

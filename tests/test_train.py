@@ -91,8 +91,8 @@ class TestEvaluate:
         from simpnet.data import Dataset
 
         class ConstDense(Dense):
-            def forward(self, x, mode, rng):
-                return np.zeros((x.shape[0], self.m)), None
+            def eval(self, x):
+                return np.zeros((x.shape[0], self.m))
 
         model = Model([ConstDense("dense1", 4, 10)], (1, 1, 4))
         model.layers[0].init_params(SplitRng(0), np.float32)
