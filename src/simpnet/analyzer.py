@@ -26,7 +26,6 @@ from fractions import Fraction
 from .archdsl import ArchSpec, build
 from .network import ParamLedger, count_macs
 
-SEVERITIES = ("info", "warn", "fail")
 EARLY_KERNEL_FRACTION = 1 / 3  # R2: leading fraction of conv layers
 EARLY_POOL_MIN_CONVS = 3  # R3: convs required before any downsampling
 BALANCE_MAX_SHARE = 0.35  # R4: max parameter share of one layer

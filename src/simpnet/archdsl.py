@@ -262,15 +262,13 @@ def conv_stack(
     input_shape=(3, 32, 32),
     num_classes: int = 10,
     kernels=None,
-    batchnorm: bool = True,
     conv_dropout_p: float = 0.2,
     downsample: str = "safpool",
     saf_drop_p: float = 0.2,
-    global_pool: str = "avg",
     name: str = "convnet",
 ) -> ArchSpec:
-    """Homogeneous-group conv net: runs of conv(+bn+relu+dropout) blocks
-    separated by downsampling layers, with a global-pool classifier tail.
+    """Homogeneous-group conv net: runs of conv+bn+relu(+dropout) blocks
+    separated by downsampling layers, with a global-average-pool classifier tail.
 
     pool_after lists how many conv layers precede each downsampling
     layer. downsample is one of safpool / maxpool / sconv (the sconv is
@@ -287,7 +285,6 @@ def conv_stack(
     if len(kernels) != depth:
         raise ValueError("kernels must match widths length")
 
-    c, h, w = input_shape
     groups: list[tuple[str, list[LayerSpec]]] = []
     bounds = list(pool_after) + ([depth] if (not pool_after or pool_after[-1] != depth) else [])
     start = 0
@@ -296,9 +293,7 @@ def conv_stack(
         for i in range(start, end):
             k = kernels[i]
             block.append(LayerSpec("conv", kernel=k, channels=widths[i], stride=1, pad=k // 2))
-            if batchnorm:
-                block.append(LayerSpec("bn"))
-            block.append(LayerSpec("relu"))
+            block += [LayerSpec("bn"), LayerSpec("relu")]
             if conv_dropout_p > 0:
                 block.append(LayerSpec("dropout", p=conv_dropout_p))
         if end in pool_after:
@@ -309,27 +304,19 @@ def conv_stack(
             else:
                 block.append(LayerSpec("sconv", kernel=2, channels=widths[end - 1], stride=2, pad=0))
                 block.append(LayerSpec("relu"))
-            h, w = (h - 2) // 2 + 1, (w - 2) // 2 + 1
         groups.append((f"g{gi}", block))
         start = end
 
-    if global_pool == "avg":
-        head = [LayerSpec("gap")]
-    elif global_pool == "max":
-        head = [] if h == 1 and w == 1 else [LayerSpec("maxpool", kernel=min(h, w), stride=min(h, w))]
-    else:
-        raise ValueError(f"unknown global_pool {global_pool!r}")
-    head += [LayerSpec("flatten"), LayerSpec("dense", channels=num_classes)]
-    groups.append(("head", head))
+    groups.append(("head", [LayerSpec("gap"), LayerSpec("flatten"), LayerSpec("dense", channels=num_classes)]))
     return ArchSpec(name=name, input_shape=tuple(input_shape), groups=groups)
 
 
-def simpnet(widths, input_shape=(3, 32, 32), num_classes: int = 10, **options) -> ArchSpec:
+def simpnet(widths, input_shape=(3, 32, 32), **options) -> ArchSpec:
     """13-conv-layer stack with downsampling after layers 5 and 10.
 
-    Options are forwarded to conv_stack (batchnorm, conv_dropout_p,
-    saf_drop_p, downsample, global_pool). Width vectors are taken
-    verbatim; non-decreasing widths are recommended.
+    Options are forwarded to conv_stack (num_classes, conv_dropout_p,
+    saf_drop_p, downsample, name). Width vectors are taken verbatim;
+    non-decreasing widths are recommended.
     """
     widths = list(widths)
     if len(widths) != 13:
@@ -337,7 +324,7 @@ def simpnet(widths, input_shape=(3, 32, 32), num_classes: int = 10, **options) -
     if any(b < a for a, b in zip(widths, widths[1:])):
         warnings.warn("simpnet widths are not non-decreasing; pyramid shape is recommended")
     options.setdefault("name", "simpnet13")
-    return conv_stack(widths, (5, 10), input_shape=input_shape, num_classes=num_classes, **options)
+    return conv_stack(widths, (5, 10), input_shape=input_shape, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +403,11 @@ _PROFILE13 = [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 4, 4, 4]
 _PROFILE8 = [1, 1, 1, 2, 2, 2, 4, 4]
 
 
-def _stack_solver(pool_after, target, *, profile, input_shape, num_classes, tol=0.02, **opts):
+def _stack_solver(pool_after, target, *, profile, input_shape, num_classes, **opts):
     def mk(ws):
         return conv_stack(ws, pool_after, input_shape=input_shape, num_classes=num_classes, **opts)
 
-    ws = solve_widths(mk, profile, target, tol=tol)
+    ws = solve_widths(mk, profile, target)
     return mk(ws), ws
 
 

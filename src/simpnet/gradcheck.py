@@ -31,18 +31,18 @@ H = 1e-5
 TOL = 1e-5
 
 
-def numeric_grad(f, x: np.ndarray, h: float = H) -> np.ndarray:
+def numeric_grad(f, x: np.ndarray) -> np.ndarray:
     grad = np.zeros_like(x)
     flat = x.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + H
         fp = f()
-        flat[i] = orig - h
+        flat[i] = orig - H
         fm = f()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2 * h)
+        gflat[i] = (fp - fm) / (2 * H)
     return grad
 
 

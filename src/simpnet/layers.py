@@ -9,7 +9,8 @@ entry: forward returns (output, cache) of a train slice, backward takes
 that cache back and returns the input gradient and the parameter
 gradients as values, and eval returns the output of an eval slice and
 caches nothing. network.Model holds the caches of its last train
-forward; network.plan decides which layers run together as one unit.
+forward; network.train_units and network.eval_units decide which
+layers run together as one unit.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
@@ -54,8 +55,6 @@ import numpy as np
 from .errors import ShapeError
 from .rng import SplitRng
 
-TRAIN = "train"
-EVAL = "eval"
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 LOWERING_BYTES = 1 << 20  # a conv's reused lowering buffer, from a sweep with network.TRAIN_SLICE (CHANGES.md)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import read_exact
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
-from .layers import EVAL, TRAIN, BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
+from .layers import BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
 from .layers import bn_eval_affine, conv2d_forward, keep_mask, relu_dropout_forward
 from .rng import SplitRng
 
@@ -138,11 +138,11 @@ class ParamLedger:
         return "\n".join(lines)
 
 
-def _folded_conv(conv, bn, relu, x, rng):
+def _folded_conv(conv, bn, relu, x):
     scale, shift = bn_eval_affine(bn.p, np.result_type(x, conv.weight))
     w = conv.weight * scale.reshape(-1, 1, 1, 1)
     y = conv2d_forward(x, w, conv.bias * scale + shift, conv.stride, conv.pad)
-    return (np.maximum(y, 0, out=y) if relu else y), None
+    return np.maximum(y, 0, out=y) if relu else y
 
 
 def _train_unit(layer, j, paired, parts, rng):
@@ -159,82 +159,97 @@ def _train_unit(layer, j, paired, parts, rng):
     return layer.forward_slices(parts, draws, _map_slices)
 
 
-def plan(layers: list[Layer], mode: str) -> list[tuple]:
-    """The units a forward in `mode` runs, in order: (index of the first
-    layer, the layers, run), each layer in one unit.
+# A unit is (index of its first layer, its layers, run), each layer in one unit. Units read layer
+# attributes and call methods and kernels by name when they run, so replaced parameters and wrapped
+# functions are seen.
 
-    An eval unit's run(x, rng) -> (y, None) runs one slice: Model runs
-    each eval slice through every unit in turn. Eval mode runs a conv
-    directly followed by a batch norm of its width (and a relu after that)
-    as one conv with bn_eval_affine folded in, into new arrays per call,
-    and every other layer as a unit of its own that runs its eval; eval
-    units cache nothing.
+
+def train_units(layers: list[Layer]) -> list[tuple]:
+    """The units Model.forward runs, in order.
 
     A train unit's run(parts, rng) -> ([y], [cache]) runs the whole batch,
-    given as slices along n, on the slice threads (_map_slices). Train
-    mode runs a relu directly followed by a dropout with p > 0 as
-    relu_dropout_forward, caching only the bool keep = y > 0, on which
-    the dropout's backward is the pair's gradient bit for bit. Every
-    other layer is a unit of its own that runs its forward_slices. The
-    pair, a dropout and a SafPool with p > 0 have one keep mask for the
-    batch from rng.split(i), i the index of the dropping layer, and each
-    slice draws its rows on its own thread; no other unit splits the rng.
-    Train caches, per slice: a conv's padded NHWC input, batch norm's
-    xhat and per-channel scale, a pair's keep mask, a SafPool's keep
-    mask and winners' offsets, a dense layer's input, an unpaired relu's
-    input.
-
-    Units read layer attributes and call methods and kernels by name when
-    they run, so replaced parameters and wrapped functions are seen.
+    given as slices along n, on the slice threads (_map_slices). A relu
+    directly followed by a dropout with p > 0 runs as relu_dropout_forward,
+    caching only the bool keep = y > 0, on which the dropout's backward is
+    the pair's gradient bit for bit. Every other layer is a unit of its
+    own that runs its forward_slices. The pair, a dropout and a SafPool
+    with p > 0 have one keep mask for the batch from rng.split(i), i the
+    index of the dropping layer, and each slice draws its rows on its own
+    thread; no other unit splits the rng. Train caches, per slice: a
+    conv's padded NHWC input, batch norm's xhat and per-channel scale, a
+    pair's keep mask, a SafPool's keep mask and winners' offsets, a dense
+    layer's input, an unpaired relu's input.
     """
     units, i = [], 0
     while i < len(layers):
-        layer, nxt, after = (*layers[i : i + 3], None, None)[:3]
-        if mode == TRAIN and isinstance(layer, ReLU) and isinstance(nxt, Dropout) and nxt.p > 0:
+        layer, nxt = (*layers[i : i + 2], None)[:2]
+        if isinstance(layer, ReLU) and isinstance(nxt, Dropout) and nxt.p > 0:
             group, run = (layer, nxt), partial(_train_unit, nxt, i + 1, True)
-        elif mode == TRAIN:
-            group, run = (layer,), partial(_train_unit, layer, i, False)
-        elif isinstance(layer, Conv2d) and isinstance(nxt, BatchNorm) and nxt.channels == layer.c_out:
-            group = (layer, nxt, after)[: 2 + isinstance(after, ReLU)]
-            run = partial(_folded_conv, layer, nxt, len(group) == 3)
         else:
-            group, run = (layer,), lambda x, rng, layer=layer: (layer.eval(x), None)
+            group, run = (layer,), partial(_train_unit, layer, i, False)
         units.append((i, group, run))
         i += len(group)
     return units
 
 
-def _run_units(units, x, rng):
-    """(output, [cache per unit]) of running `units` in order, on one eval slice or on a train batch's
-    list of slices; a ShapeError names its unit's first layer."""
-    caches = []
-    for _, layers, run in units:
-        try:
-            x, cache = run(x, rng)
-        except ShapeError as e:
-            raise ShapeError(f"at layer {layers[0].name!r}: {e}") from e
-        caches.append(cache)
-    return x, caches
+def eval_units(layers: list[Layer]) -> list[tuple]:
+    """The units Model.eval runs on each eval slice, in order.
+
+    An eval unit's run(x) -> y runs one slice and caches nothing. A conv
+    directly followed by a batch norm of its width (and a relu after that)
+    runs as one conv with bn_eval_affine folded in, into new arrays per
+    call; every other layer is a unit of its own that runs its eval.
+    """
+    units, i = [], 0
+    while i < len(layers):
+        layer, nxt, after = (*layers[i : i + 3], None, None)[:3]
+        if isinstance(layer, Conv2d) and isinstance(nxt, BatchNorm) and nxt.channels == layer.c_out:
+            group = (layer, nxt, after)[: 2 + isinstance(after, ReLU)]
+            run = partial(_folded_conv, layer, nxt, len(group) == 3)
+        else:
+            group, run = (layer,), lambda x, layer=layer: layer.eval(x)
+        units.append((i, group, run))
+        i += len(group)
+    return units
+
+
+def _eval_slice(units, x):
+    """One eval slice through `units` in turn; a ShapeError names its unit's first layer."""
+    try:
+        for _, layers, run in units:
+            x = run(x)
+    except ShapeError as e:
+        raise ShapeError(f"at layer {layers[0].name!r}: {e}") from e
+    return x
 
 
 class Model:
-    """Ordered layer stack with named parameters; `units` holds plan(layers, mode) per mode.
+    """Ordered layer stack with named parameters: forward trains through
+    train_units, and eval infers through eval_units.
 
     The model is the one owner of per-batch state: `caches` holds each
-    train unit's backward caches, one per slice, from the last train-mode
-    forward (None after an eval-mode forward). Layers keep no state, so an
-    eval-mode forward is a pure function of (input, parameters), and
-    backward returns the gradients and keeps none, so calling it again
-    after the same forward gives the same values. A model is single-owner
-    while training. Forward and backward, in either mode, set the
-    process-wide BLAS thread count until they return, so no two of them
-    may run at the same time, on one model or on two.
+    train unit's backward caches, one per slice, from the last forward
+    (None after an eval). Layers keep no state, so eval is a pure function
+    of (input, parameters), and backward returns the gradients and keeps
+    none, so calling it again after the same forward gives the same
+    values. A model is single-owner while training. Forward, eval and
+    backward set the process-wide BLAS thread count until they return, so
+    no two of them may run at the same time, on one model or on two.
+
+    They run slices of TRAIN_SLICE or EVAL_SLICE images on WORKERS threads
+    (_map_slices) at one BLAS thread; where the OpenBLAS thread calls are
+    not found, the batch is one slice on the caller. So the outputs do not
+    depend on the thread count. They can differ in their last bits from
+    the same images run as one slice, since sums over slices are added in
+    slice order and OpenBLAS rounds some GEMMs by their row count (float32
+    ones with M*N*K <= 10**6, one-row products, more in float64); in
+    float32, four full eval slices give the whole batch's bytes.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int]):
         self.layers = layers
         self.input_shape = tuple(input_shape)  # (c, h, w)
-        self.units = {mode: plan(layers, mode) for mode in (TRAIN, EVAL)}
+        self.train_units, self.eval_units = train_units(layers), eval_units(layers)
         self.caches = None
         names = [n for l in layers for n, _ in l.param_entries()]
         if len(names) != len(set(names)):
@@ -245,39 +260,30 @@ class Model:
             layer.init_params(rng.split(i), dtype)
         return self
 
-    def forward(self, x: np.ndarray, rng: SplitRng | None = None, mode: str = TRAIN) -> np.ndarray:
-        """Run the units of `mode` over slices of the batch, keeping their caches in train mode only.
-
-        Slices are EVAL_SLICE or TRAIN_SLICE images, run on WORKERS threads
-        (_map_slices) with the BLAS at one thread until the forward returns;
-        where the OpenBLAS thread calls are not found, the batch is one
-        slice on the caller. An eval slice runs through every unit in turn.
-        A train forward runs one unit at a time over every slice; between
-        units the activations stay a list of slices, joined only at the
-        logits. Every worker count runs the same slices at one BLAS thread,
-        so the outputs do not depend on the thread count. They can differ
-        in their last bits from the same images run as one slice, since
-        sums over slices are added in slice order and OpenBLAS rounds some
-        GEMMs by their row count (float32 ones with M*N*K <= 10**6, one-row
-        products, more in float64); in float32, four full eval slices give
-        the whole batch's bytes. The previous forward's caches are dropped
-        first, so their memory is free before this forward allocates. A
-        mode other than TRAIN or EVAL raises ValueError.
-        """
-        if mode not in (TRAIN, EVAL):
-            raise ValueError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
-        self.caches = None
-        parts = _slices(x, EVAL_SLICE if mode == EVAL else TRAIN_SLICE)
+    def forward(self, x: np.ndarray, rng: SplitRng | None = None) -> np.ndarray:
+        """Train forward, keeping the caches: one train unit at a time over every slice of the batch, the
+        activations a list of slices joined only at the logits. The last caches are dropped first, so
+        their memory is free before this forward allocates."""
+        self.caches, caches = None, []
+        parts = _slices(x, TRAIN_SLICE)
         with _one_blas_thread():
-            if mode == EVAL:
-                units = self.units[EVAL]
-                return np.concatenate(_map_slices(lambda part: _run_units(units, part, None)[0], parts))
-            parts, caches = _run_units(self.units[TRAIN], parts, rng)
+            try:
+                for _, layers, run in self.train_units:
+                    parts, cache = run(parts, rng)
+                    caches.append(cache)
+            except ShapeError as e:
+                raise ShapeError(f"at layer {layers[0].name!r}: {e}") from e
         self.caches = caches
         return np.concatenate(parts)
 
+    def eval(self, x: np.ndarray) -> np.ndarray:
+        """Inference: each eval slice through every eval unit in turn. The last caches are dropped first."""
+        self.caches = None
+        with _one_blas_thread():
+            return np.concatenate(_map_slices(partial(_eval_slice, self.eval_units), _slices(x, EVAL_SLICE)))
+
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
-        """Gradients from the last train-mode forward's caches: (grad wrt the input,
+        """Gradients from the last forward's caches: (grad wrt the input,
         [(name, value, grad)] of every parameter in layer order).
 
         Each unit's last layer runs its backward_slices on the forward's
@@ -291,7 +297,7 @@ class Model:
             raise NoForwardCacheError("backward needs a train-mode forward first")
         grads, parts = [], _slices(grad_out, TRAIN_SLICE)
         with _one_blas_thread():
-            for (start, layers, _), caches in zip(reversed(self.units[TRAIN]), reversed(self.caches)):
+            for (start, layers, _), caches in zip(reversed(self.train_units), reversed(self.caches)):
                 layer = layers[-1]
                 flags = {"input_grad": False} if start == 0 and not input_grad and isinstance(layer, Conv2d) else {}
                 parts, layer_grads = layer.backward_slices(caches, parts, _map_slices, **flags)

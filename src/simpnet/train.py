@@ -22,7 +22,7 @@ from .analyzer import audit
 from .archdsl import Preset, ablation_presets, build
 from .data import AugmentPolicy, Dataset, augment, batches
 from .errors import IsolationError, NumericsError
-from .layers import EVAL, ReLU, softmax_xent
+from .layers import ReLU, softmax_xent
 from .network import Model, count_macs, save_checkpoint
 from .rng import SplitRng
 
@@ -45,12 +45,14 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.max_steps is not None and self.max_steps < 1:
@@ -107,11 +109,11 @@ def sgd_step(params, velocities: dict, lr: float, momentum: float, weight_decay:
 
 
 def evaluate(model: Model, dataset: Dataset, batch_size: int = EVAL_BATCH) -> tuple[float, float]:
-    """Mean loss and top-1 accuracy in eval mode; deterministic."""
+    """Mean loss and top-1 accuracy of Model.eval; deterministic."""
     loss_sum = 0.0
     correct = 0
     for x, y in batches(dataset, batch_size):
-        logits = model.forward(x, mode=EVAL)
+        logits = model.eval(x)
         loss, _ = softmax_xent(logits, y)
         loss_sum += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
@@ -119,9 +121,9 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = EVAL_BATCH) -> tu
     return loss_sum / n, correct / n
 
 
-def init_model(model: Model, seed: int, dtype=np.float32) -> Model:
-    """Initialize parameters from the training seed's INIT stream."""
-    return model.init_params(SplitRng(seed).split(INIT), dtype)
+def init_model(model: Model, seed: int) -> Model:
+    """Initialize float32 parameters from the training seed's INIT stream."""
+    return model.init_params(SplitRng(seed).split(INIT))
 
 
 def train_loop(
@@ -271,12 +273,12 @@ def dead_channel_fraction(x: np.ndarray) -> float:
 
 
 def relu_dead_fraction(model: Model, probe: np.ndarray) -> float:
-    """Mean dead-channel fraction over the 4-D output of every eval-mode
-    unit that ends in a ReLU, for a probe batch: the forward evaluate scores."""
+    """Mean dead-channel fraction over the 4-D output of every eval unit
+    that ends in a ReLU, for a probe batch: the Model.eval that evaluate scores."""
     fractions = []
     x = probe
-    for _, layers, run in model.units[EVAL]:
-        x = run(x, None)[0]
+    for _, layers, run in model.eval_units:
+        x = run(x)
         if isinstance(layers[-1], ReLU) and x.ndim == 4:
             fractions.append(dead_channel_fraction(x))
     return float(np.mean(fractions)) if fractions else 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import re
 
@@ -5,12 +6,66 @@ import numpy as np
 import pytest
 
 from simpnet import archdsl as A
-from simpnet import layers as L
 from simpnet.errors import ArchParseError, ArchValidationError
 from simpnet.network import count_macs
 from simpnet.rng import SplitRng
 
 EXAMPLE = "input 1 28 28\ngroup g1\nconv 3 32 s1 p1\nrelu\nsafpool 2 p0.2\nflatten\ndense 10\n"
+
+# sha256 of archdsl.render of every ablation preset arm, at each input shape; a change to a
+# builder or to the width solver that changes a preset's layers or widths changes its hash
+PRESET_RENDER_SHA256 = {
+    (3, 32, 32): {
+        "depth-gradual/depth8": "4cd809fdce9203329f78baca040dd3ccaf33c675ccc7690d4d695a4c2e9ecce1",
+        "depth-gradual/depth9": "5730f2ba6824d56a0c53afdb2722da01b80e8489655826ff96b8fb176e280055",
+        "depth-gradual/depth10": "d1eeaaff092f9c361666599ca4b397b36813c21cce83326f96adb1f4ef0c48d2",
+        "depth-gradual/depth13": "3ab7a7f9d5cd0d0b335e57e6116428a944b0031e7a7a8c2f5a0207c25ea9bec0",
+        "shallow-vs-deep/wide6-1.1m": "b7034313edec07779b34c388f15000c2f4db83feec7e7be84c4dd0c24d4ff695",
+        "shallow-vs-deep/deep10-570k": "9f0fbbb8f38cf585e03ef3d1b47389302c95d4bc487fbfa18b3c9f9545d927b0",
+        "balanced-vs-wide-end-128k/balanced": "2a0d923d04854593dcda7887fb289bd152ac07bd5c1b5dd020f4d1c6e92a456b",
+        "balanced-vs-wide-end-128k/wide-end": "d5b70a37e4f17d2ed04c08ab6847bd352274484df6ad3b6d50102e0348193c7b",
+        "balanced-vs-wide-end-8m/balanced": "28cc9084bd52eaf5d4bb725f9219e12f4dc14bbef85e4cd9b46ce826b460c682",
+        "balanced-vs-wide-end-8m/wide-end": "7de564e875a1273d83c2be3a84ca1e5b92dfcc2fe8a848f184f18a89b27b0a4e",
+        "pool-placement/pool-l3": "62daa6908930cb6a51397f8408a7fec067c436534dc7011e25f077d3e34d9a14",
+        "pool-placement/pool-l5": "adb11d6fd58cf4065034a0ab01ada01df99575a701bd20670d74e5ba64adedaa",
+        "pool-placement/pool-l7": "a46665bab103bc034894dc3425a4cd90929a81b79535731feead3bf10b6af83b",
+        "kernel-size/3x3-300k": "4cd809fdce9203329f78baca040dd3ccaf33c675ccc7690d4d695a4c2e9ecce1",
+        "kernel-size/3x3-1.6m": "7059508f90eb91fc1ed66e28543363748f680db529ec5525028e74189d6a50ed",
+        "kernel-size/5x5-1.6m": "9a31a99939038fa4581e3c241b3e4b78dc8f61dc98cf0733a75c9a1f3d4eb4a1",
+        "kernel-size/7x7-300k-v1": "0557e9eb6f3d9428e2e9e9c4c8b1fc9b8b8c77b946c65e14d586df11753ff56c",
+        "kernel-size/7x7-300k-v2": "1917f106bb353e5d4f9666cf69dfef9bec442f013467e63b860455b8c852f17c",
+        "kernel-size/7x7-1.6m": "2e1328953f55e6e26d0845094109cea1181e97f162d966d117e93604a2552e90",
+        "maxpool-vs-sconv/maxpool": "1c96eaf5f512868a96a9c608eb78fda5eacc5911a048d19abc56367132a46da7",
+        "maxpool-vs-sconv/sconv": "e53c68608734d10e977fa59522cbe33a18f380f83661545dbbe9ad7318431dfe",
+        "saf-vs-plain-pool/saf": "3ab7a7f9d5cd0d0b335e57e6116428a944b0031e7a7a8c2f5a0207c25ea9bec0",
+        "saf-vs-plain-pool/plain": "8d83cddaa9ab385ce4a8a2736eb261f3e1d5f33a6ece418b1d75dd4a401720d8",
+    },
+    (1, 28, 28): {
+        "depth-gradual/depth8": "c3efcff24aab07c358c7291ac1e2ade2ca1bf2fc2e3022516125b1284de3d54a",
+        "depth-gradual/depth9": "f2e0343385d246872a4cf1faef9c574670f59bfd6e3456c1eaaed3f8b25a8645",
+        "depth-gradual/depth10": "51edc5bc4fcae134f2ae8e4b9b8bfefcac3349793ddcc867db5df69994bafa40",
+        "depth-gradual/depth13": "b79c6df6f053c88524553706c87e69eb55b98e76eed6ebe517ffa268b9133902",
+        "shallow-vs-deep/wide6-1.1m": "63f4d4de72324d6dd932a5d2a0449aa829fd850382282e6476fe6fcf2f2adca3",
+        "shallow-vs-deep/deep10-570k": "432d587fee80e9fe1149c0e0de783ce2ed1397758fed7331bfb6047e8a003b05",
+        "balanced-vs-wide-end-128k/balanced": "67db951dce141dbe22d078f567cb5c44aa11fb0669f1d7484dfe49a688ff1598",
+        "balanced-vs-wide-end-128k/wide-end": "8499f5d94757ec04856433eb199d08672b7deab246256adf8186a4f5690f6686",
+        "balanced-vs-wide-end-8m/balanced": "09e9f969fd64bdddb6b3a7ad380a9d158e367ea3a16726fb8983f42697cbfd82",
+        "balanced-vs-wide-end-8m/wide-end": "b63b1583049b7e180cbb93984edf56437c3dc97d35f7c10b572f33532240dd00",
+        "pool-placement/pool-l3": "9ef7bf692aed80dd47fd3f4d79001b6157d82500d19bc035e079f92d90f712b0",
+        "pool-placement/pool-l5": "41c3ebafae2eee3484db02803aafe3ef7438b25b623895640f73d14496cc7efa",
+        "pool-placement/pool-l7": "f128fcd2e42f5be5db36f8372710d7ffac615302b3bfb9a23a0c7e9d122d7545",
+        "kernel-size/3x3-300k": "c3efcff24aab07c358c7291ac1e2ade2ca1bf2fc2e3022516125b1284de3d54a",
+        "kernel-size/3x3-1.6m": "6a83558695182ca685e17603113b1e88ce10195aa1e01be3e38c10df1733ff9d",
+        "kernel-size/5x5-1.6m": "c4a25d5d060e70533bfa640831d0e9446a90614f8913a246a4fc22dd6a4e72ea",
+        "kernel-size/7x7-300k-v1": "166d514a16bc89a5c63ed4e0a4b929a4a92b9c09da7260d956b10aaf644a902d",
+        "kernel-size/7x7-300k-v2": "5fb4695c3a97b52329b3dbcc88d94be688e30c4233107bd644671e2015d065bf",
+        "kernel-size/7x7-1.6m": "736b1bb3a17e64ce19c15604bb2665353c87676daa255db90cbb7f9598abf737",
+        "maxpool-vs-sconv/maxpool": "29b5086d386c8cb80ef4628fee5fae86424a25e1396a5f11be2b14dd64367c59",
+        "maxpool-vs-sconv/sconv": "1724afed4e9b1207ebd0d1782a55cdcb443a3f0f548a647a84a26924baae6239",
+        "saf-vs-plain-pool/saf": "b79c6df6f053c88524553706c87e69eb55b98e76eed6ebe517ffa268b9133902",
+        "saf-vs-plain-pool/plain": "578be6fbc85d93f7a8e783eedb692ac1ffaf094375c5e694dd1fa791c37c98ec",
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +223,7 @@ class TestBuild:
     def test_toy_spec_builds_and_runs(self):
         spec = A.parse("input 2 8 8\ngroup g1\nconv 3 4 s1 p1\nrelu\nmaxpool 2\ngroup head\nflatten\ndense 3\n")
         model = A.build(spec).init_params(SplitRng(0), np.float64)
-        out = model.forward(SplitRng(1).uniform((2, 2, 8, 8)), mode=L.EVAL)
+        out = model.eval(SplitRng(1).uniform((2, 2, 8, 8)))
         assert out.shape == (2, 3)
 
     def test_shape_collapse_is_validation_error(self):
@@ -184,7 +239,7 @@ class TestBuild:
         spec = A.simpnet([8] * 5 + [12] * 5 + [16] * 3, input_shape=(3, 32, 32))
         model = A.build(spec).init_params(SplitRng(0))
         sym = model.symbolic_shapes(4)[-1]
-        got = model.forward(np.zeros((4, 3, 32, 32), dtype=np.float32), mode=L.EVAL)
+        got = model.eval(np.zeros((4, 3, 32, 32), dtype=np.float32))
         assert got.shape == sym
 
 
@@ -212,19 +267,6 @@ class TestSimpnetBuilder:
         t10 = total(A.simpnet(widths, num_classes=10))
         t100 = total(A.simpnet(widths, num_classes=100))
         assert t100 - t10 == 90 * widths[-1] + 90
-
-    def test_global_max_pool_toggle(self):
-        spec = A.simpnet([8] * 13, input_shape=(3, 32, 32), global_pool="max")
-        kinds = [ls.kind for ls in spec.flat_layers()]
-        assert "gap" not in kinds
-        tail_pool = [ls for ls in spec.flat_layers() if ls.kind == "maxpool"][-1]
-        assert tail_pool.kernel == 8  # 32 -> 16 -> 8 remaining spatial size
-        model = A.build(spec).init_params(SplitRng(0))
-        assert model.symbolic_shapes(2)[-1] == (2, 10)
-
-    def test_no_batchnorm_flag(self):
-        spec = A.simpnet([8] * 13, batchnorm=False)
-        assert all(ls.kind != "bn" for ls in spec.flat_layers())
 
 
 class TestSolver:
@@ -290,6 +332,12 @@ class TestPresets:
         assert {"sconv1.weight", "sconv1.bias"} <= sconv_state
         mp_names = [layer.name for layer in A.build(by_name["maxpool"]).layers]
         assert [n for n in mp_names if n.startswith("pool")] == ["pool1", "pool2"]
+
+    @pytest.mark.parametrize("input_shape", list(PRESET_RENDER_SHA256))
+    def test_preset_specs_are_pinned(self, input_shape):
+        arms = [spec for preset in A.ablation_presets(input_shape=input_shape).values() for _, spec in preset.arms]
+        got = {spec.name: hashlib.sha256(A.render(spec).encode()).hexdigest() for spec in arms}
+        assert got == PRESET_RENDER_SHA256[input_shape]
 
     def test_presets_adapt_to_input_shape(self):
         mnist = A.ablation_presets(input_shape=(1, 28, 28))

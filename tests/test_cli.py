@@ -66,6 +66,22 @@ class TestTrainCommand:
     def test_unknown_flag_exits_2(self):
         assert main(["train", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--batch-size", "0", "batch_size must be >= 1"),
+            ("--lr", "nan", "lr must be finite"),
+            ("--lr", "inf", "lr must be finite"),
+            ("--wd", "nan", "weight_decay must be finite"),
+        ],
+    )
+    def test_bad_training_option_exits_2_before_writing(
+        self, toy_arch_file, mnist_dir, tmp_path, capsys, flag, value, message
+    ):
+        assert main(train_args(toy_arch_file, mnist_dir, tmp_path, flag, value)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.snpk").exists()
+
     def test_toy_run_writes_metrics_and_checkpoint(self, toy_arch_file, mnist_dir, tmp_path):
         code = main(train_args(toy_arch_file, mnist_dir, tmp_path))
         assert code == 0

@@ -36,7 +36,7 @@ class TestSuite:
 
     def test_toy_model_trains_through_a_relu_dropout_unit(self):
         model = gc._toy_model(SplitRng(0))
-        assert ["relu1", "drop1"] in [[l.name for l in layers] for _, layers, _ in model.units[L.TRAIN]]
+        assert ["relu1", "drop1"] in [[l.name for l in layers] for _, layers, _ in model.train_units]
 
     def test_render_table_lists_every_layer(self):
         results = gc.run_suite(seed=5, instances=1)

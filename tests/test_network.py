@@ -48,7 +48,7 @@ class TestForward:
     def test_output_shape_matches_symbolic(self):
         m = toy_model()
         x = SplitRng(1).uniform((5, 3, 6, 6))
-        out = m.forward(x, mode=L.EVAL)
+        out = m.eval(x)
         assert out.shape == (5, 10)
         assert m.symbolic_shapes(5)[-1] == (5, 10)
 
@@ -63,20 +63,11 @@ class TestForward:
         with pytest.raises(ShapeError, match="dense2"):
             m.forward(np.zeros((2, 4), np.float32))
 
-    @pytest.mark.parametrize("mode,rng", [("test", SplitRng(3)), ("Eval", None)])
-    def test_unknown_mode_raises_and_changes_nothing(self, mode, rng):
-        m = build(builder_presets()["simpnet-tiny"]).init_params(SplitRng(0))
-        before = [(n, v.tobytes()) for n, v in m.state_tensors()]
-        with pytest.raises(ValueError, match=f"'train' or 'eval', got {mode!r}"):
-            m.forward(model_input(m, 2, np.float32), rng, mode)
-        assert m.caches is None
-        assert [(n, v.tobytes()) for n, v in m.state_tensors()] == before
-
     def test_eval_mode_deterministic(self):
         m = toy_model()
         x = SplitRng(2).uniform((2, 3, 6, 6))
-        a = m.forward(x, mode=L.EVAL)
-        b = m.forward(x, mode=L.EVAL)
+        a = m.eval(x)
+        b = m.eval(x)
         assert a.tobytes() == b.tobytes()
 
     def test_eval_forward_keeps_no_backward_cache(self):
@@ -117,23 +108,23 @@ class TestForward:
         x = SplitRng(2).uniform((2, 3, 6, 6))
         g = SplitRng(4).uniform((2, 10))
         m.forward(x, SplitRng(3))
-        assert len(m.caches) == len(m.units[L.TRAIN])
+        assert len(m.caches) == len(m.train_units)
         assert [len(c) for c in m.caches] == [1] * len(m.caches)  # one slice of 2 images
         # keyed by each unit's last layer, so the relu -> dropout pair's cache is under "dropout"
-        caches = {layers[-1].kind: c for (_, layers, _), (c,) in zip(m.units[L.TRAIN], m.caches)}
+        caches = {layers[-1].kind: c for (_, layers, _), (c,) in zip(m.train_units, m.caches)}
         # backward reads boolean keep masks, and BN keeps only xhat and a per-channel scale
         assert caches["dropout"].dtype == bool and caches["safpool"][1].dtype == bool
         assert sorted(np.shape(a) for a in caches["bn"]) == [(2, 4, 6, 6), (4,)]
         assert_layers_hold_only_state()
         m.backward(g)
         assert_layers_hold_only_state()
-        m.forward(x, mode=L.EVAL)
+        m.eval(x)
         assert m.caches is None
         assert_layers_hold_only_state()
         with pytest.raises(NoForwardCacheError):
             m.backward(g)
         m = build()
-        m.forward(x, mode=L.EVAL)
+        m.eval(x)
         with pytest.raises(NoForwardCacheError):
             m.backward(g)
 
@@ -260,13 +251,13 @@ class TestFusedEval:
     def test_matches_layer_by_layer_float64(self, name):
         m = fusion_model(name, np.float64)
         x = model_input(m, 3, np.float64)
-        assert rel_max(m.forward(x, mode=L.EVAL), layer_by_layer_eval(m, x)) <= 1e-12
+        assert rel_max(m.eval(x), layer_by_layer_eval(m, x)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["simpnet-tiny", "simpnet-300k"])
     def test_float32_argmax_equal(self, name):
         m = fusion_model(name, np.float32)
         x = model_input(m, 16, np.float32)
-        fused, ref = m.forward(x, mode=L.EVAL), layer_by_layer_eval(m, x)
+        fused, ref = m.eval(x), layer_by_layer_eval(m, x)
         assert fused.dtype == ref.dtype == np.float32
         assert rel_max(fused, ref) <= 1e-5
         assert np.array_equal(fused.argmax(axis=1), ref.argmax(axis=1))
@@ -287,7 +278,7 @@ class TestFusedEval:
                 layer.p.running_mean[...] = [0.5, -0.2, 0.1, 0.0]
                 layer.p.running_var[...] = [2.0, 0.5, 1.0, 3.0]
         x = model_input(m, 2, np.float64)
-        assert rel_max(m.forward(x, mode=L.EVAL), layer_by_layer_eval(m, x)) <= 1e-12
+        assert rel_max(m.eval(x), layer_by_layer_eval(m, x)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["fusion", "simpnet-tiny"])
     def test_eval_runs_once_per_slice_outside_the_folds_and_no_forward(self, name, workers, monkeypatch):
@@ -316,7 +307,7 @@ class TestFusedEval:
             if isinstance(a, L.Conv2d) and isinstance(b, L.BatchNorm):
                 folded |= {a.name, b.name, *([c.name] if isinstance(c, L.ReLU) else [])}
         assert folded
-        m.forward(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32), mode=L.EVAL)
+        m.eval(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32))
         slices = 3 if N._BLAS_THREADS else 1
         assert evals == [layer.name for layer in m.layers if layer.name not in folded] * slices
         assert forwards_outside_eval == []
@@ -338,38 +329,38 @@ class TestFusedEval:
     def test_bn_of_another_width_is_not_folded(self):
         m = Model([L.Conv2d("conv1", 3, 4, 3, 1, 1), L.BatchNorm("bn1", 1)], (3, 5, 5)).init_params(SplitRng(1))
         with pytest.raises(ShapeError, match="bn1"):
-            m.forward(model_input(m, 2, np.float32), mode=L.EVAL)
+            m.eval(model_input(m, 2, np.float32))
 
     def test_state_unchanged_no_cache_repeatable(self):
         m = fusion_model("fusion", np.float32)
         x = model_input(m, 4, np.float32)
         m.forward(x, SplitRng(2))  # leaves train-mode caches behind
         before = [(n, v.tobytes()) for n, v in m.state_tensors()]
-        a = m.forward(x, mode=L.EVAL)
+        a = m.eval(x)
         assert m.caches is None
-        b = m.forward(x, mode=L.EVAL)
+        b = m.eval(x)
         assert [(n, v.tobytes()) for n, v in m.state_tensors()] == before
         assert a.tobytes() == b.tobytes()
 
     def test_follows_sgd_step(self):
         m = fusion_model("fusion", np.float64)
         x = model_input(m, 4, np.float64)
-        before = m.forward(x, mode=L.EVAL)
+        before = m.eval(x)
         logits = m.forward(x, SplitRng(2))
         _, grad = L.softmax_xent(logits, SplitRng(3).integers(4, 5))
         sgd_step(m.backward(grad)[1], {}, lr=0.1, momentum=0.9, weight_decay=1e-4)
-        after = m.forward(x, mode=L.EVAL)
+        after = m.eval(x)
         assert rel_max(after, before) > 1e-6
         assert rel_max(after, layer_by_layer_eval(m, x)) <= 1e-12
 
     def test_follows_load_checkpoint(self, tmp_path):
         m, other = fusion_model("fusion", np.float64, seed=0), fusion_model("fusion", np.float64, seed=1)
         x = model_input(m, 4, np.float64)
-        m.forward(x, mode=L.EVAL)
+        m.eval(x)
         save_checkpoint(other, tmp_path / "other.snpk")
         load_checkpoint(m, tmp_path / "other.snpk")
-        fused = m.forward(x, mode=L.EVAL)
-        assert fused.tobytes() == other.forward(x, mode=L.EVAL).tobytes()
+        fused = m.eval(x)
+        assert fused.tobytes() == other.eval(x).tobytes()
         assert rel_max(fused, layer_by_layer_eval(m, x)) <= 1e-12
 
 
@@ -404,7 +395,7 @@ def one_worker(m, x, monkeypatch):
     """Eval logits with every slice run on the calling thread."""
     with monkeypatch.context() as mp:
         mp.setattr(N, "WORKERS", 1)
-        return m.forward(x, mode=L.EVAL)
+        return m.eval(x)
 
 
 ENGINE_SRC = os.path.dirname(os.path.dirname(N.__file__))
@@ -412,12 +403,11 @@ EVAL_LOGITS_PROBE = """\
 import hashlib
 import numpy as np
 from simpnet import archdsl, network, train
-from simpnet.layers import EVAL
 from simpnet.rng import SplitRng
 for name in ("simpnet-tiny", "simpnet-300k"):
     m = train.init_model(archdsl.build(archdsl.builder_presets()[name]), 7)
     x = SplitRng(8).normal((256, *m.input_shape)).astype(np.float32)
-    print(name, network.WORKERS, hashlib.sha256(m.forward(x, mode=EVAL).tobytes()).hexdigest())
+    print(name, network.WORKERS, hashlib.sha256(m.eval(x).tobytes()).hexdigest())
 """
 
 
@@ -430,7 +420,7 @@ class TestSlicedEval:
     def test_logits_do_not_depend_on_the_worker_count(self, name, dtype, n, monkeypatch):
         m = fusion_model(name, dtype)
         x = model_input(m, n, dtype)
-        sliced = m.forward(x, mode=L.EVAL)
+        sliced = m.eval(x)
         assert sliced.shape == (n, 10) and sliced.dtype == dtype
         assert sliced.tobytes() == one_worker(m, x, monkeypatch).tobytes()
 
@@ -444,10 +434,10 @@ class TestSlicedEval:
         threads = get()
         put(1)
         try:
-            whole = N._run_units(m.units[L.EVAL], x, None)[0]
+            whole = N._eval_slice(m.eval_units, x)
         finally:
             put(threads)
-        assert m.forward(x, mode=L.EVAL).tobytes() == whole.tobytes()
+        assert m.eval(x).tobytes() == whole.tobytes()
 
     def test_many_workers_and_small_slices_under_fast_thread_switching(self, monkeypatch):
         monkeypatch.setattr(N, "WORKERS", 4)  # more threads than cores on a host of 2 or 3
@@ -457,7 +447,7 @@ class TestSlicedEval:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sliced = [m.forward(x, mode=L.EVAL) for _ in range(3)]
+            sliced = [m.eval(x) for _ in range(3)]
         finally:
             sys.setswitchinterval(switch)
         ref = one_worker(m, x, monkeypatch).tobytes()
@@ -473,7 +463,7 @@ class TestSlicedEval:
         m = fusion_model("simpnet-tiny", np.float32)
         pool = next(layer.name for layer in m.layers if isinstance(layer, L.SafPool))
         with pytest.raises(ShapeError, match=f"at layer {pool!r}: raised in a pool slice"):
-            m.forward(model_input(m, 2 * N.EVAL_SLICE, np.float32), mode=L.EVAL)
+            m.eval(model_input(m, 2 * N.EVAL_SLICE, np.float32))
 
     @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
     def test_waits_for_every_slice_and_restores_blas_threads(self, fail, monkeypatch):
@@ -506,9 +496,9 @@ class TestSlicedEval:
                 put(threads)
                 if fail:
                     with pytest.raises(ShapeError, match="caller slice fails"):
-                        m.forward(x, mode=L.EVAL)
+                        m.eval(x)
                 else:
-                    assert m.forward(x, mode=L.EVAL).shape == (len(x), 10)
+                    assert m.eval(x).shape == (len(x), 10)
                 assert running[0] == 0
                 assert get() == threads
         finally:
@@ -525,7 +515,7 @@ def test_without_blas_calls_eval_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(N, "_pool", None)
     m = fusion_model("simpnet-tiny", np.float32)
     before = threading.active_count()
-    m.forward(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32), mode=L.EVAL)
+    m.eval(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32))
     logits = m.forward(model_input(m, 2 * N.TRAIN_SLICE + 1, np.float32), SplitRng(3))
     m.backward(np.ones_like(logits))
     assert threading.active_count() == before and N._pool is None
@@ -623,21 +613,21 @@ def layer_by_layer_train_step(m, x, rng, labels):
 
 
 class TestPlan:
-    @pytest.mark.parametrize("mode", [L.TRAIN, L.EVAL])
+    @pytest.mark.parametrize("entry", ["train", "eval"])
     @pytest.mark.parametrize("name", [*builder_presets(), "fusion", "units"])
-    def test_units_cover_the_layers_and_fuse_each_pattern(self, name, mode):
+    def test_units_cover_the_layers_and_fuse_each_pattern(self, name, entry):
         arch = {"fusion": FUSION_ARCH, "units": TRAIN_UNITS_ARCH}.get(name)
         m = build(parse(arch) if arch else builder_presets()[name])
-        units = m.units[mode]
+        units = m.train_units if entry == "train" else m.eval_units
         assert [layer for _, layers, _ in units for layer in layers] == m.layers
         assert [start for start, _, _ in units] == [m.layers.index(layers[0]) for _, layers, _ in units]
-        # a layer-by-layer reading of the fusion rules: relu -> dropout p > 0 in train mode,
-        # conv -> bn (-> relu) in eval mode; every other unit is one layer
+        # a layer-by-layer reading of the fusion rules: relu -> dropout p > 0 in train units,
+        # conv -> bn (-> relu) in eval units; every other unit is one layer
         expected = {}
         for i, (a, b, c) in enumerate(zip(m.layers, m.layers[1:], [*m.layers[2:], None])):
-            if mode == L.TRAIN and isinstance(a, L.ReLU) and isinstance(b, L.Dropout) and b.p > 0:
+            if entry == "train" and isinstance(a, L.ReLU) and isinstance(b, L.Dropout) and b.p > 0:
                 expected[i] = (a, b)
-            if mode == L.EVAL and isinstance(a, L.Conv2d) and isinstance(b, L.BatchNorm):
+            if entry == "eval" and isinstance(a, L.Conv2d) and isinstance(b, L.BatchNorm):
                 expected[i] = (a, b, c) if isinstance(c, L.ReLU) else (a, b)
         assert expected
         assert {start: layers for start, layers, _ in units if len(layers) > 1} == expected
@@ -676,7 +666,7 @@ class TestFusedTrain:
         m = train_units_model("simpnet-tiny", np.float32)
         y = m.forward(model_input(m, 2, np.float32), SplitRng(3))
         assert calls == []
-        for (_, layers, _), (cache,) in zip(m.units[L.TRAIN], m.caches):
+        for (_, layers, _), (cache,) in zip(m.train_units, m.caches):
             if any(isinstance(layer, L.ReLU) for layer in layers):
                 # every relu is in a pair, whose one cache is the keep mask: no relu float input is held
                 assert [type(layer) for layer in layers] == [L.ReLU, L.Dropout]
@@ -713,7 +703,7 @@ class TestFusedTrain:
             monkeypatch.setattr(cls, "forward", spy_forward)
         n, rng = 5, SplitRng(3)
         m.forward(model_input(m, n, np.float64), rng)
-        units = [layers for _, layers, _ in m.units[L.TRAIN]]
+        units = [layers for _, layers, _ in m.train_units]
         assert [[layer.name for layer in layers] for layers in units if len(layers) > 1] == [["relu1", "drop1"]]
         assert unit_calls == [layers[0].name for layers in units if len(layers) == 1]
         bounds = [(lo, min(n, lo + 2)) for lo in range(0, n, 2)] if N._BLAS_THREADS else [(0, n)]
@@ -753,7 +743,7 @@ class TestFusedTrain:
 
         logits = m.forward(x, SplitRng(7))
         # the pair ran as one unit, caching only its keep mask
-        assert [len(layers) for _, layers, _ in m.units[L.TRAIN]] == [1, 1, 2, 1, 1]
+        assert [len(layers) for _, layers, _ in m.train_units] == [1, 1, 2, 1, 1]
         assert m.caches[2][0].dtype == bool
         gx, grads = m.backward(L.softmax_xent(logits, labels)[1])
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
@@ -806,7 +796,7 @@ class TestFusedTrain:
         x = model_input(m, 256, np.float32)
         tracemalloc.start()
         try:
-            m.forward(x, mode=L.EVAL)
+            m.eval(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1062,7 +1052,7 @@ class TestWholeStepNumerics:
         (loss32, _, grads32, _), (loss64, _, grads64, _) = steps
         errors = {n: rel_max(g32, g64) for (n, g32), (_, g64) in zip(grads32, grads64) if not conv_bias(n)}
         x_eval = model_input(m32, 256, np.float32, seed=6)
-        eval_error = rel_max(m32.forward(x_eval, mode=L.EVAL), m64.forward(x_eval.astype(np.float64), mode=L.EVAL))
+        eval_error = rel_max(m32.eval(x_eval), m64.eval(x_eval.astype(np.float64)))
         loss_error = abs(loss32 - loss64) / abs(loss64)
         worst = max(errors, key=errors.get)
         print(
@@ -1148,12 +1138,12 @@ class TestCheckpoint:
     def test_round_trip_preserves_eval_outputs(self, tmp_path):
         m = toy_model(np.float32, seed=3)
         x = SplitRng(1).uniform((2, 3, 6, 6), -1, 1).astype(np.float32)
-        before = m.forward(x, mode=L.EVAL)
+        before = m.eval(x)
         path = tmp_path / "m.snpk"
         save_checkpoint(m, path)
         m2 = toy_model(np.float32, seed=5)
         load_checkpoint(m2, path)
-        after = m2.forward(x, mode=L.EVAL)
+        after = m2.eval(x)
         assert before.tobytes() == after.tobytes()
 
     def test_running_stats_round_trip(self, tmp_path):
@@ -1229,7 +1219,7 @@ class TestCheckpoint:
         m2 = toy_model(np.float64, seed=8)
         load_checkpoint(m2, path)
         x = SplitRng(3).uniform((2, 3, 6, 6))
-        assert m.forward(x, mode=L.EVAL).tobytes() == m2.forward(x, mode=L.EVAL).tobytes()
+        assert m.eval(x).tobytes() == m2.eval(x).tobytes()
 
     def test_dtype_mismatch_rejected(self, tmp_path):
         m = toy_model(np.float64, seed=4)

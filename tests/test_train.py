@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,12 +80,20 @@ class TestSchedule:
         assert T.lr_at(cfg, 3) == 0.5
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            T.TrainConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            T.TrainConfig(momentum=1.0)
-        with pytest.raises(ValueError):
-            T.TrainConfig(weight_decay=-1.0)
+        bad = [
+            {"lr": 0.0},
+            {"lr": math.nan},
+            {"lr": math.inf},
+            {"momentum": 1.0},
+            {"weight_decay": -1.0},
+            {"weight_decay": math.nan},
+            {"weight_decay": math.inf},
+            {"batch_size": 0},
+            {"batch_size": -1},
+        ]
+        for options in bad:
+            with pytest.raises(ValueError):
+                T.TrainConfig(**options)
 
 
 class TestEvaluate:
