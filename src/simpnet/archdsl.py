@@ -20,26 +20,33 @@ A valid file is one input line, one or more named groups, and exactly one
 classifier tail: `gap`, or `flatten` + `dense`, or `gap` + `flatten` + `dense`.
 
 Published per-layer widths for the reference architectures are not
-available; preset width vectors are derived here by a deterministic
-solver that hits the published parameter totals within tolerance while
-preserving depth, pooling placement and kernel sizes.
+available. Every packaged preset, builder and ablation arm alike, is a
+frozen .arch file under simpnet/presets/ whose widths
+scripts/gen_presets.py solved once to hit a published parameter total
+within tolerance, keeping depth, pooling placement and kernel sizes.
+This module only reads them; each ablation arm has one file per dataset
+input shape.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import json
 import os
 import re
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import layers as L
 from .errors import ArchParseError, ArchValidationError, FormatError, ShapeError
-from .network import Model, count_macs
+from .network import Model
 
 CONV_KERNELS = (1, 2, 3, 5, 7)
-MIN_WIDTH = 4  # the narrowest conv the width solver hands out
+# build refuses larger models before any parameter is allocated; the
+# largest packaged preset has 8.0M parameters and 788 channels
+MAX_WIDTH = 4096  # input channels, conv out channels, dense units
+MAX_PARAMS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -226,9 +233,13 @@ def validate(spec: ArchSpec):
 
 def build(spec: ArchSpec) -> Model:
     """Instantiate a Model from a spec; parameters are uninitialized until
-    Model.init_params. Shape-checked symbolically end to end."""
+    Model.init_params. Shape-checked symbolically end to end, and refused
+    when a width passes MAX_WIDTH or the parameter total MAX_PARAMS."""
     validate(spec)
     c, h, w = spec.input_shape
+    widest = max(c, *(ls.channels for ls in spec.flat_layers()))
+    if widest > MAX_WIDTH:
+        raise ArchValidationError(f"width {widest} is over the cap of {MAX_WIDTH} channels or units")
     shape = (1, c, h, w)
     built: list[L.Layer] = []
     counters: dict[str, int] = {}
@@ -248,6 +259,9 @@ def build(spec: ArchSpec) -> Model:
                 "(feature maps shrank too far before the classifier tail)"
             ) from e
         built.append(layer)
+    total = sum(layer.param_count() for layer in built)
+    if total > MAX_PARAMS:
+        raise ArchValidationError(f"{total} parameters are over the cap of {MAX_PARAMS}")
     return Model(built, spec.input_shape)
 
 
@@ -260,7 +274,6 @@ def conv_stack(
     pool_after,
     *,
     input_shape=(3, 32, 32),
-    num_classes: int = 10,
     kernels=None,
     conv_dropout_p: float = 0.2,
     downsample: str = "safpool",
@@ -268,7 +281,7 @@ def conv_stack(
     name: str = "convnet",
 ) -> ArchSpec:
     """Homogeneous-group conv net: runs of conv+bn+relu(+dropout) blocks
-    separated by downsampling layers, with a global-average-pool classifier tail.
+    separated by downsampling layers, with a gap + flatten + dense 10 classifier tail.
 
     pool_after lists how many conv layers precede each downsampling
     layer. downsample is one of safpool / maxpool / sconv (the sconv is
@@ -307,15 +320,15 @@ def conv_stack(
         groups.append((f"g{gi}", block))
         start = end
 
-    groups.append(("head", [LayerSpec("gap"), LayerSpec("flatten"), LayerSpec("dense", channels=num_classes)]))
+    groups.append(("head", [LayerSpec("gap"), LayerSpec("flatten"), LayerSpec("dense", channels=10)]))
     return ArchSpec(name=name, input_shape=tuple(input_shape), groups=groups)
 
 
 def simpnet(widths, input_shape=(3, 32, 32), **options) -> ArchSpec:
     """13-conv-layer stack with downsampling after layers 5 and 10.
 
-    Options are forwarded to conv_stack (num_classes, conv_dropout_p,
-    saf_drop_p, downsample, name). Width vectors are taken verbatim;
+    Options are forwarded to conv_stack (conv_dropout_p, saf_drop_p,
+    downsample, name). Width vectors are taken verbatim;
     non-decreasing widths are recommended.
     """
     widths = list(widths)
@@ -328,67 +341,7 @@ def simpnet(widths, input_shape=(3, 32, 32), **options) -> ArchSpec:
 
 
 # ---------------------------------------------------------------------------
-# width solver
-
-
-def solve_widths(make_spec, profile, target: int, tol: float = 0.02) -> list[int]:
-    """Find integer widths w = round(scale * profile) whose built model
-    has a parameter total within tol of target.
-
-    make_spec(widths) -> ArchSpec. Bisection on the scale followed by
-    greedy +-1 refinement; deterministic.
-    """
-    profile = [float(p) for p in profile]
-
-    def widths_at(scale: float) -> list[int]:
-        return [max(MIN_WIDTH, round(scale * p)) for p in profile]
-
-    def total(ws) -> int:
-        return count_macs(build(make_spec(ws))).total_params
-
-    lo, hi = 0.25, 8.0
-    while total(widths_at(hi)) < target:
-        hi *= 2
-        if hi > 2**20:
-            raise ValueError("budget solver diverged (target too large)")
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if total(widths_at(mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    best = min((widths_at(s) for s in (lo, hi)), key=lambda ws: abs(total(ws) - target))
-    keep_monotone = all(b >= a for a, b in zip(best, best[1:]))
-
-    # greedy refinement: bump single widths while it helps; when the
-    # profile is a pyramid, only moves that keep it non-decreasing
-    for _ in range(200):
-        err = abs(total(best) - target)
-        if err == 0:
-            break
-        candidates = []
-        for i in range(len(best)):
-            for d in (-1, 1):
-                trial = list(best)
-                trial[i] += d
-                if trial[i] < MIN_WIDTH:
-                    continue
-                if keep_monotone and not all(b >= a for a, b in zip(trial, trial[1:])):
-                    continue
-                candidates.append((abs(total(trial) - target), trial))
-        candidates.sort(key=lambda t: t[0])
-        if not candidates or candidates[0][0] >= err:
-            break
-        best = candidates[0][1]
-
-    achieved = total(best)
-    if abs(achieved - target) > tol * target:
-        raise ValueError(f"budget solver missed target {target} (got {achieved})")
-    return best
-
-
-# ---------------------------------------------------------------------------
-# ablation presets
+# packaged presets (frozen width configs written by scripts/gen_presets.py)
 
 
 @dataclass(frozen=True)
@@ -397,131 +350,6 @@ class Preset:
     arms: tuple[tuple[str, ArchSpec], ...]
     equal_budget: bool
     note: str
-
-
-_PROFILE13 = [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 4, 4, 4]
-_PROFILE8 = [1, 1, 1, 2, 2, 2, 4, 4]
-
-
-def _stack_solver(pool_after, target, *, profile, input_shape, num_classes, **opts):
-    def mk(ws):
-        return conv_stack(ws, pool_after, input_shape=input_shape, num_classes=num_classes, **opts)
-
-    ws = solve_widths(mk, profile, target)
-    return mk(ws), ws
-
-
-def ablation_presets(input_shape=(3, 32, 32), num_classes: int = 10) -> dict[str, Preset]:
-    """Named experiment presets. Width vectors are re-derived for the
-    requested input shape so parameter budgets always land; published
-    totals are referenced at the (3,32,32)/10-class shape."""
-    common = dict(input_shape=tuple(input_shape), num_classes=num_classes)
-    presets: dict[str, Preset] = {}
-
-    def add(name, arms, equal_budget, note):
-        named = tuple((an, replace(spec, name=f"{name}/{an}")) for an, spec in arms)
-        presets[name] = Preset(name, named, equal_budget, note)
-
-    # depth sweep at a fixed 300K budget
-    depth_layouts = {
-        "depth8": ((3, 6), [1, 1, 1, 2, 2, 2, 4, 4]),
-        "depth9": ((4, 7), [1, 1, 1, 1, 2, 2, 2, 4, 4]),
-        "depth10": ((4, 8), [1, 1, 1, 1, 2, 2, 2, 2, 4, 4]),
-        "depth13": ((5, 10), _PROFILE13),
-    }
-    arms = []
-    for arm, (pools, profile) in depth_layouts.items():
-        spec, _ = _stack_solver(pools, 300_000, profile=profile, **common)
-        arms.append((arm, spec))
-    add("depth-gradual", arms, True, "vary depth, hold the parameter budget at 300K")
-
-    # wide-shallow vs deeper-but-thinner (budgets intentionally differ)
-    wide, _ = _stack_solver((2, 4), 1_100_000, profile=[1, 1, 2, 2, 4, 4], **common)
-    deep, _ = _stack_solver((4, 8), 570_000, profile=[1, 1, 1, 1, 2, 2, 2, 2, 4, 4], **common)
-    add(
-        "shallow-vs-deep",
-        [("wide6-1.1m", wide), ("deep10-570k", deep)],
-        False,
-        "6 layers at 1.1M vs 10 layers at 570K; budgets differ by design",
-    )
-
-    # balanced vs end-heavy width allocation, equal budgets
-    wide_end_profile = [1] * 10 + [6, 8, 10]
-    for tag, budget in (("128k", 128_000), ("8m", 8_000_000)):
-        bal, _ = _stack_solver((5, 10), budget, profile=_PROFILE13, **common)
-        heavy, _ = _stack_solver((5, 10), budget, profile=wide_end_profile, **common)
-        add(
-            f"balanced-vs-wide-end-{tag}",
-            [("balanced", bal), ("wide-end", heavy)],
-            True,
-            f"width allocation balanced vs end-heavy at {tag} params",
-        )
-
-    # single pooling layer placed as the 3rd / 5th / 7th layer
-    def mk_pool(ws, convs_before):
-        return conv_stack(ws, (convs_before,), **common)
-
-    widths53 = solve_widths(lambda ws: mk_pool(ws, 4), _PROFILE13, 53_000)
-    add(
-        "pool-placement",
-        [
-            ("pool-l3", mk_pool(widths53, 2)),
-            ("pool-l5", mk_pool(widths53, 4)),
-            ("pool-l7", mk_pool(widths53, 6)),
-        ],
-        True,
-        "one pooling layer placed as the 3rd/5th/7th layer, identical widths (53K)",
-    )
-
-    # kernel-size sweep on an 8-layer stack
-    kernel_arms = [
-        ("3x3-300k", [3] * 8, 300_000),
-        ("3x3-1.6m", [3] * 8, 1_600_000),
-        ("5x5-1.6m", [5] * 8, 1_600_000),
-        ("7x7-300k-v1", [7] * 8, 300_000),
-        ("7x7-300k-v2", [7, 7, 3, 3, 3, 3, 3, 3], 300_000),
-        ("7x7-1.6m", [7] * 8, 1_600_000),
-    ]
-    arms = []
-    for arm, kernels, budget in kernel_arms:
-        spec, _ = _stack_solver((3, 6), budget, profile=_PROFILE8, kernels=kernels, **common)
-        arms.append((arm, spec))
-    add(
-        "kernel-size",
-        arms,
-        False,
-        "kernel size vs budget grid; compare arms sharing a budget",
-    )
-
-    # max-pooling vs strided-convolution downsampling at matched budget
-    mp, _ = _stack_solver((5, 10), 360_000, profile=_PROFILE13, downsample="maxpool", **common)
-    mp_total = count_macs(build(mp)).total_params
-
-    def mk_sconv(ws):
-        return conv_stack(ws, (5, 10), downsample="sconv", **common)
-
-    sconv_ws = solve_widths(mk_sconv, _PROFILE13, mp_total, tol=0.004)
-    add(
-        "maxpool-vs-sconv",
-        [("maxpool", mp), ("sconv", mk_sconv(sconv_ws))],
-        True,
-        "downsample by max-pool vs stride-2 conv at a matched 360K budget",
-    )
-
-    # SAF-pooling vs plain max-pooling, identical widths
-    saf, saf_ws = _stack_solver((5, 10), 300_000, profile=_PROFILE13, downsample="safpool", **common)
-    plain = conv_stack(saf_ws, (5, 10), downsample="maxpool", **common)
-    add(
-        "saf-vs-plain-pool",
-        [("saf", saf), ("plain", plain)],
-        True,
-        "SAF pooling (max-pool + drop) vs plain max-pool, identical widths (300K)",
-    )
-    return presets
-
-
-# ---------------------------------------------------------------------------
-# packaged builder presets (frozen width configs)
 
 
 def builder_presets() -> dict[str, ArchSpec]:
@@ -533,6 +361,32 @@ def builder_presets() -> dict[str, ArchSpec]:
             name = res.name[: -len(".arch")].replace("_", "-")
             out[name] = parse(res.read_text(encoding="utf-8"), name=name)
     return out
+
+
+def ablation_index() -> dict:
+    """The input shapes the ablation arms are frozen at ("3x32x32"), and
+    per experiment preset its arm order, equal_budget flag and note."""
+    index = importlib.resources.files("simpnet.presets") / "ablation" / "index.json"
+    return json.loads(index.read_text(encoding="utf-8"))
+
+
+def ablation_presets(input_shape=(3, 32, 32)) -> dict[str, Preset]:
+    """Named experiment presets, each arm named <preset>/<arm> and read
+    from its file frozen for input_shape; published totals are referenced
+    at (3, 32, 32)."""
+    index = ablation_index()
+    shape = "x".join(map(str, input_shape))
+    if shape not in index["shapes"]:
+        raise ValueError(f"no ablation arms are frozen for input shape {shape}; frozen: {', '.join(index['shapes'])}")
+    root = importlib.resources.files("simpnet.presets") / "ablation" / shape
+    presets = {}
+    for name, entry in index["presets"].items():
+        arms = tuple(
+            (arm, parse((root / name / f"{arm}.arch").read_text(encoding="utf-8"), name=f"{name}/{arm}"))
+            for arm in entry["arms"]
+        )
+        presets[name] = Preset(name, arms, entry["equal_budget"], entry["note"])
+    return presets
 
 
 def load_arch_file(path) -> ArchSpec:

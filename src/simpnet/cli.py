@@ -63,8 +63,7 @@ def _resolve_arch(args) -> archdsl.ArchSpec:
         return archdsl.load_arch_file(args.arch)
     presets = archdsl.builder_presets()
     if args.preset not in presets:
-        experiments = archdsl.ablation_presets()
-        if args.preset in experiments:
+        if args.preset in archdsl.ablation_index()["presets"]:
             raise ValueError(f"{args.preset!r} is a multi-arm experiment preset; run it with the ablate command")
         raise KeyError(f"unknown preset {args.preset!r}; valid: {', '.join(sorted(presets))}")
     return presets[args.preset]

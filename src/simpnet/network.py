@@ -23,6 +23,7 @@ from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"SNPK"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_MAX_NDIM = 32  # the least ndarray rank limit of any supported numpy (1.x)
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 EVAL_SLICE = 32  # images per eval slice, from a sweep of 32, 64 and 128 (CHANGES.md)
@@ -371,6 +372,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             code, ndim = struct.unpack("<BB", read_exact(f, 2, "dtype/ndim", "checkpoint"))
             if code not in _CODE_DTYPES:
                 raise FormatError(f"{path}: unknown dtype code {code} for {name!r}")
+            if ndim > CHECKPOINT_MAX_NDIM:
+                raise FormatError(f"{path}: tensor {name!r} has {ndim} dims, over the limit of {CHECKPOINT_MAX_NDIM}")
             dims = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "dims", "checkpoint"))
             dtype = _CODE_DTYPES[code]
             data = read_exact(f, math.prod(dims) * dtype.itemsize, f"data of {name!r}", "checkpoint")

@@ -294,10 +294,12 @@ def ablate(
 ) -> AblateResult:
     """Train every arm of a preset under identical config and seeds
     {s, s+1, s+2}; report mean and range of test top-1 per arm."""
-    presets = ablation_presets(input_shape=train_ds.sample_shape, num_classes=train_ds.num_classes)
+    presets = ablation_presets(input_shape=train_ds.sample_shape)
     if preset_name not in presets:
         raise KeyError(f"unknown preset {preset_name!r}; valid: {', '.join(sorted(presets))}")
     preset = presets[preset_name]
+    if any(spec.flat_layers()[-1].channels != train_ds.num_classes for _, spec in preset.arms):
+        raise ValueError(f"{train_ds.name}: no frozen arm of {preset_name} classifies {train_ds.num_classes} classes")
     totals = check_budgets(preset)
     if subset is not None:
         train_ds = train_ds.subset(subset)

@@ -7,6 +7,7 @@ produced bytes. Patterns are class-dependent so tiny models can learn
 them quickly.
 """
 
+import importlib.util
 import os
 import struct
 
@@ -14,6 +15,16 @@ import numpy as np
 import pytest
 
 from simpnet.data import Dataset
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_script(name):
+    """scripts/<name>.py as a module, so a test can set its constants and call main."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ def tiny_arm(widths, downsample, name):
         widths,
         (2,),
         input_shape=(1, 8, 8),
-        num_classes=4,
         conv_dropout_p=0.0,
         downsample=downsample,
         name=name,
@@ -78,6 +77,16 @@ class TestAblateRun:
     def test_dead_fraction_reported(self, result):
         for arm in result.arms:
             assert 0.0 <= arm.dead_fraction <= 1.0
+
+    @pytest.mark.parametrize(
+        "shape, classes, message",
+        [((1, 8, 8), 10, "no ablation arms are frozen for input shape 1x8x8"), ((1, 28, 28), 4, "4 classes")],
+        ids=["shape", "classes"],
+    )
+    def test_data_without_frozen_arms_is_refused(self, shape, classes, message):
+        train = memory_dataset(n=16, shape=shape, classes=classes)
+        with pytest.raises(ValueError, match=message):
+            T.ablate("maxpool-vs-sconv", train, train, T.TrainConfig(epochs=1, batch_size=8))
 
     def test_unknown_preset_lists_valid_names(self):
         train = memory_dataset(n=16, shape=(1, 28, 28), classes=10)

@@ -159,8 +159,8 @@ def test_c5_desk_scale_mnist():
 
 def test_c6_ablation_direction_maxpool_vs_sconv():
     # the budget guard must refuse artificial mismatches regardless of data
-    bad_a = A.conv_stack([4, 4, 6], (2,), input_shape=(1, 28, 28), num_classes=10, name="a")
-    bad_b = A.conv_stack([8, 8, 12], (2,), input_shape=(1, 28, 28), num_classes=10, name="b")
+    bad_a = A.conv_stack([4, 4, 6], (2,), input_shape=(1, 28, 28), name="a")
+    bad_b = A.conv_stack([8, 8, 12], (2,), input_shape=(1, 28, 28), name="b")
     with pytest.raises(IsolationError):
         T.check_budgets(A.Preset("bad", (("a", bad_a), ("b", bad_b)), True, ""))
 

@@ -1,10 +1,12 @@
 import hashlib
 import importlib.resources
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
+from conftest import load_script
 from simpnet import archdsl as A
 from simpnet.errors import ArchParseError, ArchValidationError
 from simpnet.network import count_macs
@@ -71,6 +73,9 @@ PRESET_RENDER_SHA256 = {
 @pytest.fixture(scope="module")
 def presets():
     return A.ablation_presets()
+
+
+PRESETS = pathlib.Path(A.__file__).parent / "presets"
 
 
 def total(spec):
@@ -220,6 +225,33 @@ class TestRenderRoundTrip:
 
 
 class TestBuild:
+    @pytest.mark.parametrize("where", ["input", "conv", "dense"])
+    def test_a_width_over_the_cap_is_validation_error(self, where):
+        def arch(width):
+            c, conv, units = (width if where == place else 4 for place in ("input", "conv", "dense"))
+            return A.parse(f"input {c} 8 8\ngroup g1\nconv 3 {conv} s1 p1\nrelu\ngroup head\ngap\nflatten\ndense {units}\n")
+
+        A.build(arch(A.MAX_WIDTH))
+        with pytest.raises(ArchValidationError, match=f"width {A.MAX_WIDTH + 1} is over the cap of {A.MAX_WIDTH}"):
+            A.build(arch(A.MAX_WIDTH + 1))
+
+    def test_a_parameter_total_over_the_cap_is_validation_error(self, monkeypatch):
+        spec = A.builder_presets()["simpnet-300k"]
+        params = total(spec)
+        monkeypatch.setattr(A, "MAX_PARAMS", params)
+        A.build(spec)
+        monkeypatch.setattr(A, "MAX_PARAMS", params - 1)
+        with pytest.raises(ArchValidationError, match=f"{params} parameters are over the cap of {params - 1}"):
+            A.build(spec)
+
+    def test_every_packaged_file_builds_within_the_caps(self):
+        paths = sorted(PRESETS.rglob("*.arch"))
+        assert len(paths) > 4  # the builder presets and the ablation arms
+        for path in paths:
+            ledger = count_macs(A.build(A.parse(path.read_text())))
+            assert ledger.total_params <= A.MAX_PARAMS // 4, path
+            assert max(row.out_shape[1] for row in ledger.rows) <= A.MAX_WIDTH // 4, path
+
     def test_toy_spec_builds_and_runs(self):
         spec = A.parse("input 2 8 8\ngroup g1\nconv 3 4 s1 p1\nrelu\nmaxpool 2\ngroup head\nflatten\ndense 3\n")
         model = A.build(spec).init_params(SplitRng(0), np.float64)
@@ -262,19 +294,15 @@ class TestSimpnetBuilder:
         with pytest.warns(UserWarning, match="non-decreasing"):
             A.simpnet([8] * 5 + [4] * 5 + [16] * 3)
 
-    def test_num_classes_changes_only_dense_tail(self):
-        widths = [8] * 5 + [16] * 5 + [24] * 3
-        t10 = total(A.simpnet(widths, num_classes=10))
-        t100 = total(A.simpnet(widths, num_classes=100))
-        assert t100 - t10 == 90 * widths[-1] + 90
-
 
 class TestSolver:
+    """The width solver of scripts/gen_presets.py, which writes every packaged preset file."""
+
     def test_hits_target_within_tolerance(self):
         def mk(ws):
             return A.conv_stack(ws, (3, 6), input_shape=(3, 32, 32))
 
-        ws = A.solve_widths(mk, [1, 1, 1, 2, 2, 2, 4, 4], 250_000)
+        ws = load_script("gen_presets").solve_widths(mk, [1, 1, 1, 2, 2, 2, 4, 4], 250_000)
         t = total(mk(ws))
         assert abs(t - 250_000) / 250_000 < 0.02
 
@@ -282,8 +310,20 @@ class TestSolver:
         def mk(ws):
             return A.conv_stack(ws, (5, 10), input_shape=(3, 32, 32))
 
-        ws = A.solve_widths(mk, [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 4, 4, 4], 300_000)
+        ws = load_script("gen_presets").solve_widths(mk, [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 4, 4, 4], 300_000)
         assert all(b >= a for a, b in zip(ws, ws[1:]))
+
+    def test_generator_writes_the_committed_files(self, tmp_path, monkeypatch):
+        script = load_script("gen_presets")
+        monkeypatch.setattr(script, "OUT", str(tmp_path))
+        script.main()
+
+        def files(root):
+            return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+        written, committed = files(tmp_path), files(PRESETS)
+        assert sorted(written) == sorted(committed)
+        assert [name for name in committed if written[name] != committed[name]] == []
 
 
 class TestPresets:
@@ -338,6 +378,10 @@ class TestPresets:
         arms = [spec for preset in A.ablation_presets(input_shape=input_shape).values() for _, spec in preset.arms]
         got = {spec.name: hashlib.sha256(A.render(spec).encode()).hexdigest() for spec in arms}
         assert got == PRESET_RENDER_SHA256[input_shape]
+
+    def test_other_input_shapes_have_no_arms(self):
+        with pytest.raises(ValueError, match="no ablation arms are frozen for input shape 3x28x28; frozen: 3x32x32, 1x28x28"):
+            A.ablation_presets(input_shape=(3, 28, 28))
 
     def test_presets_adapt_to_input_shape(self):
         mnist = A.ablation_presets(input_shape=(1, 28, 28))

@@ -1,6 +1,5 @@
 """scripts/bench_pairs.py against two stand-in checkouts whose bench/run.py prints fixed results."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "bench_pairs.py")
+from conftest import ROOT, load_script
+
+SCRIPT = os.path.join(ROOT, "scripts", "bench_pairs.py")
 SPEC = {"end_to_end": [
     {"name": "train_img_per_s", "unit": "img/s", "better": "higher", "bound": 0.25},
     {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -47,13 +48,6 @@ def test_alternates_sides_and_counts_wins(tmp_path):
     assert "    verdict: gain not shown (won 0/3, median gap -1 vs parent IQR 0); OUTSIDE bound (median worse by 50.0%, bound 25%)" in out
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize(
     "parent,change,better,expect",
     [
@@ -71,5 +65,5 @@ def load_script():
     ids=["gain", "too-few-wins", "gap-within-spread", "worse-within-bound"],
 )
 def test_verdict(parent, change, better, expect):
-    wins, text = load_script().compare(np.array(parent, float), np.array(change, float), better, 0.25)
+    wins, text = load_script("bench_pairs").compare(np.array(parent, float), np.array(change, float), better, 0.25)
     assert text.startswith(expect), text

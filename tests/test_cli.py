@@ -364,6 +364,14 @@ def _case_ckpt_size_exceeds_file(tmp_path, arch):
     return _eval_with_checkpoint(tmp_path, arch, payload)
 
 
+def _case_ckpt_ndim(ndim):
+    def case(tmp_path, arch):
+        dims = struct.pack(f"<BB{ndim}I", 0, ndim, *[1] * ndim)
+        return _eval_with_checkpoint(tmp_path, arch, struct.pack("<H", 1) + b"w" + dims + bytes(4))
+
+    return case
+
+
 def _case_ckpt_name_not_utf8(tmp_path, arch):
     return _eval_with_checkpoint(tmp_path, arch, struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BB", 0, 0))
 
@@ -400,6 +408,8 @@ def _setting(setting, *argv):
         pytest.param(_case_arch_not_utf8, 3, id="arch-not-utf8"),
         pytest.param(_case_idx_header_exceeds_file, 3, id="idx-header-exceeds-file"),
         pytest.param(_case_ckpt_size_exceeds_file, 3, id="ckpt-size-exceeds-file"),
+        pytest.param(_case_ckpt_ndim(65), 3, id="ckpt-ndim-65"),
+        pytest.param(_case_ckpt_ndim(255), 3, id="ckpt-ndim-255"),
         pytest.param(_case_ckpt_name_not_utf8, 3, id="ckpt-name-not-utf8"),
         pytest.param(_case_empty_train_split, 3, id="empty-train-split"),
         pytest.param(_train_setting("subset", "--subset", "0"), 2, id="train-subset-0"),
@@ -417,6 +427,19 @@ def _setting(setting, *argv):
             2,
             id="analyze-input-0-32-32",
         ),
+        pytest.param(
+            _setting(
+                "'maxpool-vs-sconv' is a multi-arm experiment preset; run it with the ablate command",
+                "train", "--preset", "maxpool-vs-sconv", "--dataset", "mnist", "--data-dir", "unread",
+            ),
+            2,
+            id="train-experiment-preset",
+        ),
+        pytest.param(
+            _setting("valid: simpnet-300k, simpnet-5m, simpnet-600k, simpnet-tiny", "analyze", "--preset", "nope"),
+            2,
+            id="analyze-unknown-preset",
+        ),
     ],
 )
 def test_malformed_input_exits_with_a_message_naming_it(tmp_path, toy_arch_file, capsys, make_case, code):
@@ -427,6 +450,22 @@ def test_malformed_input_exits_with_a_message_naming_it(tmp_path, toy_arch_file,
     assert len(errors) == 1
     assert str(named) in errors[0]
     assert not any(line.startswith("epoch 1 train") for line in err)  # each fails before the first step
+
+
+@pytest.mark.parametrize("command, code", [("train", 2), ("analyze", 5)])
+def test_a_width_over_the_cap_fails_before_any_file_is_written(tmp_path, capsys, command, code):
+    huge = tmp_path / "huge.arch"
+    huge.write_text(TOY_ARCH.replace("conv 3 8 s1 p1", "conv 3 99999999999 s1 p1", 1))
+    if command == "train":
+        argv = _train_on(tmp_path, str(huge), _data_dir(tmp_path / "data")[0])
+    else:
+        argv = ["analyze", "--arch", str(huge)]
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == [
+        "error: architecture invalid: width 99999999999 is over the cap of 4096 channels or units"
+    ]
+    assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.snpk").exists()
 
 
 def test_arch_directory_exits_3_without_traceback(tmp_path):

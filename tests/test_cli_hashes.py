@@ -1,20 +1,10 @@
 """scripts/cli_hashes.py at toy size: two runs in this checkout print the same lines."""
 
-import importlib.util
-import os
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("cli_hashes", os.path.join(ROOT, "scripts", "cli_hashes.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import ROOT, load_script
 
 
 def test_two_runs_print_the_same_hashes(monkeypatch, capsys):
-    script = load_script()
+    script = load_script("cli_hashes")
     monkeypatch.setattr(script, "TRAIN_IMAGES", 32)
     monkeypatch.setattr(script, "TEST_IMAGES", 16)
     monkeypatch.setattr(script, "TRAIN_FLAGS", ["--epochs", "1", "--batch-size", "16", "--seed", "3", "--deterministic"])

@@ -1080,7 +1080,7 @@ class TestParamCounting:
 
     def test_simpnet_builder_matches_hand_summation(self):
         widths = [16, 16, 16, 16, 16, 32, 32, 32, 32, 32, 64, 64, 64]
-        spec = simpnet(widths, input_shape=(3, 32, 32), num_classes=10)
+        spec = simpnet(widths, input_shape=(3, 32, 32))
         total = count_macs(build(spec)).total_params
         # independent closed-form ledger: conv kxk + bias + bn(gamma, beta)
         expected = 0
@@ -1179,6 +1179,14 @@ class TestCheckpoint:
         path = tmp_path / "huge.snpk"
         path.write_bytes(b"SNPK\x01" + struct.pack("<H", 1) + b"w" + struct.pack("<BB2I", 0, 2, 0xFFFFFFFF, 0xFFFFFFFF))
         with pytest.raises(FormatError, match="truncated"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("ndim", [65, 255])
+    def test_ndim_over_the_limit_fails_naming_the_file(self, tmp_path, ndim):
+        path = tmp_path / "deep.snpk"
+        dims = struct.pack(f"<BB{ndim}I", 0, ndim, *[1] * ndim)
+        path.write_bytes(b"SNPK\x01" + struct.pack("<H", 1) + b"w" + dims + bytes(4))
+        with pytest.raises(FormatError, match=f"{path}: tensor 'w' has {ndim} dims, over the limit of 32"):
             read_checkpoint(path)
 
     def test_mismatched_arch_names_first_mismatch(self, tmp_path):
