@@ -8,6 +8,7 @@ and the BLAS thread count pinned to 2:
   - train --deterministic, then eval of its checkpoint, for simpnet-tiny
     and for a batch-norm-free arch with dropout, maxpool, SAF-pool and a
     strided conv;
+  - ablate of saf-vs-plain-pool, each arm and seed cut at 2 steps;
   - analyze --preset simpnet-300k, as a table and as records, and
     analyze of the batch-norm-free arch file as records;
   - gradcheck --instances 20 at seeds 0, 1 and 2.
@@ -31,6 +32,7 @@ import numpy as np
 
 TRAIN_IMAGES, TEST_IMAGES = 512, 128
 TRAIN_FLAGS = ["--epochs", "2", "--batch-size", "32", "--seed", "3", "--deterministic"]
+ABLATE_PRESET, ABLATE_STEPS = "saf-vs-plain-pool", 2
 GRADCHECK_INSTANCES = 20
 GRADCHECK_SEEDS = (0, 1, 2)
 BLAS_THREADS = "2"
@@ -83,6 +85,9 @@ def commands(work):
         runs.append((f"train-{name}", ["train", *arch, *data, *TRAIN_FLAGS, "--out-metrics", metrics, "--out-ckpt", ckpt],
                      [metrics, ckpt]))
         runs.append((f"eval-{name}", ["eval", *arch, *data, "--ckpt", ckpt], []))
+    records = os.path.join(work, "ablate.tsv")
+    ablate = ["ablate", "--preset", ABLATE_PRESET, *data, *TRAIN_FLAGS, "--max-steps", str(ABLATE_STEPS)]
+    runs.append(("ablate", [*ablate, "--out-records", records], [records]))
     for fmt in ("table", "records"):
         runs.append((f"analyze-{fmt}", ["analyze", "--preset", "simpnet-300k", "--format", fmt], []))
     runs.append(("analyze-no-bn", ["analyze", "--arch", arch_file, "--format", "records"], []))

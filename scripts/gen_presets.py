@@ -1,5 +1,6 @@
 """Regenerate every packaged .arch preset file: python3 scripts/gen_presets.py
 
+Every preset is a conv_stack, the one builder of their layer layout.
 Published per-layer widths are not available, so a deterministic solver
 derives them once to hit each parameter total within tolerance, keeping
 depth, pooling placement and kernel sizes. They are frozen into
@@ -15,6 +16,7 @@ import json
 import os
 
 from simpnet import archdsl
+from simpnet.archdsl import ArchSpec, LayerSpec
 from simpnet.network import count_macs
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "simpnet", "presets")
@@ -80,6 +82,29 @@ RECIPES = {
 }
 
 
+def conv_stack(widths, pool_after, *, input_shape, kernels=None, conv_dropout_p=0.2, downsample="safpool", saf_drop_p=0.2):
+    """Homogeneous-group conv net: runs of conv+bn+relu(+dropout) blocks, a
+    downsampling layer after each conv count listed in pool_after, then a
+    gap + flatten + dense 10 classifier tail. downsample is safpool, maxpool
+    or sconv (a k=2 stride-2 conv + relu at the same positions)."""
+    groups, block = [], []
+    for i, (width, k) in enumerate(zip(widths, kernels or [3] * len(widths), strict=True), start=1):
+        block += [LayerSpec("conv", kernel=k, channels=width, stride=1, pad=k // 2), LayerSpec("bn"), LayerSpec("relu")]
+        if conv_dropout_p > 0:
+            block.append(LayerSpec("dropout", p=conv_dropout_p))
+        if i in pool_after:
+            block += {
+                "safpool": [LayerSpec("safpool", kernel=2, stride=2, p=saf_drop_p)],
+                "maxpool": [LayerSpec("maxpool", kernel=2, stride=2)],
+                "sconv": [LayerSpec("sconv", kernel=2, channels=width, stride=2, pad=0), LayerSpec("relu")],
+            }[downsample]
+        if i in pool_after or i == len(widths):
+            groups.append((f"g{len(groups) + 1}", block))
+            block = []
+    head = [LayerSpec("gap"), LayerSpec("flatten"), LayerSpec("dense", channels=10)]
+    return ArchSpec("convnet", tuple(input_shape), [*groups, ("head", head)])
+
+
 def params(spec) -> int:
     return count_macs(archdsl.build(spec)).total_params
 
@@ -137,7 +162,7 @@ def solve_arms(arms, input_shape):
     solved = {}
     # an arm that reuses another's widths comes after every solved arm
     for arm, pool_after, widths, opts in sorted(arms, key=lambda a: isinstance(a[2], str)):
-        mk = functools.partial(archdsl.conv_stack, pool_after=pool_after, input_shape=input_shape, **opts)
+        mk = functools.partial(conv_stack, pool_after=pool_after, input_shape=input_shape, **opts)
         if isinstance(widths, str):
             ws, target = solved[widths][1:]
         else:

@@ -7,7 +7,7 @@ reproducibility.
 """
 
 from .analyzer import AuditReport, audit
-from .archdsl import ArchSpec, LayerSpec, ablation_presets, build, builder_presets, parse, render, simpnet
+from .archdsl import ArchSpec, LayerSpec, ablation_presets, build, builder_presets, parse, render
 from .data import AugmentPolicy, Dataset, augment, batches, load_cifar10, load_mnist, normalize
 from .network import Model, ParamLedger, count_macs, load_checkpoint, save_checkpoint
 from .rng import SplitRng
@@ -44,6 +44,5 @@ __all__ = [
     "render",
     "save_checkpoint",
     "sgd_step",
-    "simpnet",
     "train_loop",
 ]

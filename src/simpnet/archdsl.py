@@ -1,4 +1,4 @@
-"""Architecture description language, builders, and ablation presets.
+"""Architecture file format (parse, render, validate), build, and the preset readers.
 
 The text format is line-oriented, one layer per line, `#` comments:
 
@@ -18,14 +18,16 @@ KINDS lists each keyword's integer arguments and flags: s<int> is stride,
 p<int> padding on conv/sconv, p<float> a probability on safpool/dropout.
 A valid file is one input line, one or more named groups, and exactly one
 classifier tail: `gap`, or `flatten` + `dense`, or `gap` + `flatten` + `dense`.
+The tail's output width is the class count; a `gap`-only tail classifies
+into the last layer's channels.
 
 Published per-layer widths for the reference architectures are not
-available. Every packaged preset, builder and ablation arm alike, is a
-frozen .arch file under simpnet/presets/ whose widths
+available. Every packaged preset, builder preset and ablation arm alike,
+is a frozen .arch file under simpnet/presets/ whose widths
 scripts/gen_presets.py solved once to hit a published parameter total
 within tolerance, keeping depth, pooling placement and kernel sizes.
-This module only reads them; each ablation arm has one file per dataset
-input shape.
+That script holds every builder; this module only reads the files, and
+each ablation arm has one file per dataset input shape.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import importlib.resources
 import json
 import os
 import re
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -263,81 +264,6 @@ def build(spec: ArchSpec) -> Model:
     if total > MAX_PARAMS:
         raise ArchValidationError(f"{total} parameters are over the cap of {MAX_PARAMS}")
     return Model(built, spec.input_shape)
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def conv_stack(
-    widths,
-    pool_after,
-    *,
-    input_shape=(3, 32, 32),
-    kernels=None,
-    conv_dropout_p: float = 0.2,
-    downsample: str = "safpool",
-    saf_drop_p: float = 0.2,
-    name: str = "convnet",
-) -> ArchSpec:
-    """Homogeneous-group conv net: runs of conv+bn+relu(+dropout) blocks
-    separated by downsampling layers, with a gap + flatten + dense 10 classifier tail.
-
-    pool_after lists how many conv layers precede each downsampling
-    layer. downsample is one of safpool / maxpool / sconv (the sconv is
-    a k=2 stride-2 conv + relu at the same positions).
-    """
-    widths = list(widths)
-    depth = len(widths)
-    pool_after = tuple(sorted(pool_after))
-    if any(p < 1 or p > depth for p in pool_after):
-        raise ValueError(f"pool_after positions must be in [1, {depth}]")
-    if downsample not in ("safpool", "maxpool", "sconv"):
-        raise ValueError(f"unknown downsample {downsample!r}")
-    kernels = [3] * depth if kernels is None else list(kernels)
-    if len(kernels) != depth:
-        raise ValueError("kernels must match widths length")
-
-    groups: list[tuple[str, list[LayerSpec]]] = []
-    bounds = list(pool_after) + ([depth] if (not pool_after or pool_after[-1] != depth) else [])
-    start = 0
-    for gi, end in enumerate(bounds, start=1):
-        block: list[LayerSpec] = []
-        for i in range(start, end):
-            k = kernels[i]
-            block.append(LayerSpec("conv", kernel=k, channels=widths[i], stride=1, pad=k // 2))
-            block += [LayerSpec("bn"), LayerSpec("relu")]
-            if conv_dropout_p > 0:
-                block.append(LayerSpec("dropout", p=conv_dropout_p))
-        if end in pool_after:
-            if downsample == "safpool":
-                block.append(LayerSpec("safpool", kernel=2, stride=2, p=saf_drop_p))
-            elif downsample == "maxpool":
-                block.append(LayerSpec("maxpool", kernel=2, stride=2))
-            else:
-                block.append(LayerSpec("sconv", kernel=2, channels=widths[end - 1], stride=2, pad=0))
-                block.append(LayerSpec("relu"))
-        groups.append((f"g{gi}", block))
-        start = end
-
-    groups.append(("head", [LayerSpec("gap"), LayerSpec("flatten"), LayerSpec("dense", channels=10)]))
-    return ArchSpec(name=name, input_shape=tuple(input_shape), groups=groups)
-
-
-def simpnet(widths, input_shape=(3, 32, 32), **options) -> ArchSpec:
-    """13-conv-layer stack with downsampling after layers 5 and 10.
-
-    Options are forwarded to conv_stack (conv_dropout_p, saf_drop_p,
-    downsample, name). Width vectors are taken verbatim;
-    non-decreasing widths are recommended.
-    """
-    widths = list(widths)
-    if len(widths) != 13:
-        raise ValueError(f"simpnet takes exactly 13 widths, got {len(widths)}")
-    if any(b < a for a, b in zip(widths, widths[1:])):
-        warnings.warn("simpnet widths are not non-decreasing; pyramid shape is recommended")
-    options.setdefault("name", "simpnet13")
-    return conv_stack(widths, (5, 10), input_shape=input_shape, **options)
 
 
 # ---------------------------------------------------------------------------

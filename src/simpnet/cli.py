@@ -95,13 +95,6 @@ def _train_config(args) -> T.TrainConfig:
     )
 
 
-def _check_input_shape(spec: archdsl.ArchSpec, dataset):
-    if tuple(spec.input_shape) != tuple(dataset.sample_shape):
-        raise ValueError(
-            f"architecture input {spec.input_shape} does not match dataset samples {dataset.sample_shape}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -111,9 +104,9 @@ def cmd_train(args) -> int:
     train_ds, test_ds = _load_data(args)
     if args.subset is not None:
         train_ds = train_ds.subset(args.subset)
-    _check_input_shape(spec, train_ds)
     cfg = _train_config(args)
     model = archdsl.build(spec)
+    T.check_fits(model, train_ds)
     T.init_model(model, cfg.seed)
     rows = T.train_loop(
         model,
@@ -133,8 +126,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     spec = _resolve_arch(args)
     _, test_ds = _load_data(args, train=not args.no_normalize)  # the train split only gives statistics
-    _check_input_shape(spec, test_ds)
     model = archdsl.build(spec)
+    T.check_fits(model, test_ds)
     T.init_model(model, 0)
     load_checkpoint(model, args.ckpt)
     loss, top1 = T.evaluate(model, test_ds, args.batch_size)
@@ -239,13 +232,14 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse reports usage itself
         return int(e.code or 0)
     _echo_config(args)
+    arch_file = f"{args.arch}: " if getattr(args, "arch", None) else ""
     try:
         return args.func(args)
     except ArchParseError as e:
-        _err(f"architecture parse failed: {e}")
+        _err(f"{arch_file}architecture parse failed: {e}")
         return EXIT_ARGS
     except ArchValidationError as e:
-        _err(f"architecture invalid: {e}")
+        _err(f"{arch_file}architecture invalid: {e}")
         return EXIT_COLLAPSE if args.command == "analyze" else EXIT_ARGS
     except (FormatError, CompatibilityError, OSError) as e:
         _err(str(e))  # an OSError's text names the file it failed on

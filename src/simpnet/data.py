@@ -74,6 +74,16 @@ def read_exact(f, n: int, what: str, fmt: str) -> bytes:
     return f.read(n)
 
 
+def read_array(f, dims, dtype: np.dtype, what: str, fmt: str) -> np.ndarray:
+    """The next array of dims and dtype from binary file f, read by
+    read_exact. numpy also refuses an empty array whose nonzero dims
+    multiply past np.intp in bytes, so such dims fail as a FormatError."""
+    data = read_exact(f, math.prod(dims) * dtype.itemsize, what, fmt)
+    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise FormatError(f"{f.name}: {fmt} dims {tuple(dims)} of {what} are too large for an array")
+    return np.frombuffer(data, dtype=dtype).reshape(dims)
+
+
 def read_idx(path, ndim: int) -> np.ndarray:
     """Raw uint8 array from an IDX file of ndim dims: (N,) labels or (N, h, w) pixels."""
     expected = {1: IDX_LABELS_MAGIC, 3: IDX_IMAGES_MAGIC}[ndim]
@@ -81,10 +91,10 @@ def read_idx(path, ndim: int) -> np.ndarray:
         magic, *dims = struct.unpack(f">{ndim + 1}I", read_exact(f, 4 * (ndim + 1), "header", "IDX file"))
         if magic != expected:
             raise FormatError(f"{path}: bad IDX magic 0x{magic:08x} (expected 0x{expected:08x})")
-        data = read_exact(f, math.prod(dims), "data", "IDX file")
+        data = read_array(f, dims, np.dtype(np.uint8), "data", "IDX file")
         if f.peek(1):
             raise FormatError(f"{path}: trailing bytes after IDX data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(dims)
+    return data
 
 
 def write_idx_images(images: np.ndarray, path):

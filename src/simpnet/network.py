@@ -5,7 +5,6 @@ from __future__ import annotations
 import ctypes
 import glob
 import itertools
-import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -15,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import read_exact
+from .data import read_array, read_exact
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from .layers import BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
 from .layers import bn_eval_affine, conv2d_forward, keep_mask, relu_dropout_forward
@@ -376,8 +375,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
                 raise FormatError(f"{path}: tensor {name!r} has {ndim} dims, over the limit of {CHECKPOINT_MAX_NDIM}")
             dims = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "dims", "checkpoint"))
             dtype = _CODE_DTYPES[code]
-            data = read_exact(f, math.prod(dims) * dtype.itemsize, f"data of {name!r}", "checkpoint")
-            arr = np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(dims)
+            arr = read_array(f, dims, dtype.newbyteorder("<"), f"data of {name!r}", "checkpoint").astype(dtype)
             if name in tensors:
                 raise FormatError(f"{path}: duplicate tensor {name!r} in checkpoint")
             tensors[name] = arr
@@ -390,14 +388,18 @@ def load_checkpoint(model: Model, path):
     state = dict(model.state_tensors())
     for name in tensors:
         if name not in state:
-            raise CompatibilityError(f"checkpoint tensor {name!r} not in model")
+            raise CompatibilityError(f"{path}: checkpoint tensor {name!r} not in model")
     for name, value in state.items():
         if name not in tensors:
-            raise CompatibilityError(f"model tensor {name!r} missing from checkpoint")
+            raise CompatibilityError(f"{path}: model tensor {name!r} missing from checkpoint")
         src = tensors[name]
         if src.shape != value.shape:
-            raise CompatibilityError(f"shape mismatch for {name!r}: checkpoint {src.shape} vs model {value.shape}")
+            raise CompatibilityError(
+                f"{path}: shape mismatch for {name!r}: checkpoint {src.shape} vs model {value.shape}"
+            )
         if src.dtype != value.dtype:
-            raise CompatibilityError(f"dtype mismatch for {name!r}: checkpoint {src.dtype} vs model {value.dtype}")
+            raise CompatibilityError(
+                f"{path}: dtype mismatch for {name!r}: checkpoint {src.dtype} vs model {value.dtype}"
+            )
         value[...] = src
     return model

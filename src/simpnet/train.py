@@ -108,12 +108,22 @@ def sgd_step(params, velocities: dict, lr: float, momentum: float, weight_decay:
         w += v
 
 
+def check_fits(model: Model, dataset: Dataset):
+    """Refuse a model whose input shape is not the dataset's sample shape, or whose
+    output width, the features per image of its last layer, is not its class count."""
+    if model.input_shape != dataset.sample_shape:
+        raise ValueError(f"architecture input {model.input_shape} does not match dataset samples {dataset.sample_shape}")
+    width = math.prod(model.symbolic_shapes()[-1][1:])
+    if width != dataset.num_classes:
+        raise ValueError(f"{dataset.name}: the classifier has {width} outputs but the dataset has {dataset.num_classes} classes")
+
+
 def evaluate(model: Model, dataset: Dataset, batch_size: int = EVAL_BATCH) -> tuple[float, float]:
     """Mean loss and top-1 accuracy of Model.eval; deterministic."""
     loss_sum = 0.0
     correct = 0
     for x, y in batches(dataset, batch_size):
-        logits = model.eval(x)
+        logits = model.eval(x).reshape(len(y), -1)  # (n, k): a gap-only tail gives (n, k, 1, 1)
         loss, _ = softmax_xent(logits, y)
         loss_sum += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
@@ -175,7 +185,7 @@ def train_loop(
             step_rng = root.split(STEP, epoch, step)
             if cfg.augment_policy is not None:
                 x = augment(x, cfg.augment_policy, step_rng.split(0))
-            logits = model.forward(x, step_rng.split(1))
+            logits = model.forward(x, step_rng.split(1)).reshape(len(y), -1)
             loss, grad = softmax_xent(logits, y)
             if not math.isfinite(loss):
                 flush()
@@ -298,8 +308,8 @@ def ablate(
     if preset_name not in presets:
         raise KeyError(f"unknown preset {preset_name!r}; valid: {', '.join(sorted(presets))}")
     preset = presets[preset_name]
-    if any(spec.flat_layers()[-1].channels != train_ds.num_classes for _, spec in preset.arms):
-        raise ValueError(f"{train_ds.name}: no frozen arm of {preset_name} classifies {train_ds.num_classes} classes")
+    for _, spec in preset.arms:
+        check_fits(build(spec), train_ds)
     totals = check_budgets(preset)
     if subset is not None:
         train_ds = train_ds.subset(subset)

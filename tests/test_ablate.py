@@ -1,41 +1,34 @@
 import pytest
 
-from conftest import memory_dataset
+from conftest import load_script, memory_dataset
 from simpnet import train as T
-from simpnet.archdsl import Preset, conv_stack
+from simpnet.archdsl import Preset
 from simpnet.errors import IsolationError
 
 
-def tiny_arm(widths, downsample, name):
-    spec = conv_stack(
-        widths,
-        (2,),
-        input_shape=(1, 8, 8),
-        conv_dropout_p=0.0,
-        downsample=downsample,
-        name=name,
-    )
-    return spec
+def tiny_arm(widths, downsample):
+    conv_stack = load_script("gen_presets").conv_stack
+    return conv_stack(widths, (2,), input_shape=(1, 8, 8), conv_dropout_p=0.0, downsample=downsample)
 
 
 class TestBudgetGuard:
     def test_equal_budget_preset_passes(self):
-        a = tiny_arm([4, 4, 6], "maxpool", "a")
-        b = tiny_arm([4, 4, 6], "safpool", "b")
+        a = tiny_arm([4, 4, 6], "maxpool")
+        b = tiny_arm([4, 4, 6], "safpool")
         preset = Preset("p", (("a", a), ("b", b)), True, "")
         totals = T.check_budgets(preset)
         assert totals["a"] == totals["b"]
 
     def test_mismatched_budget_refused(self):
-        a = tiny_arm([4, 4, 6], "maxpool", "a")
-        b = tiny_arm([8, 8, 12], "maxpool", "b")
+        a = tiny_arm([4, 4, 6], "maxpool")
+        b = tiny_arm([8, 8, 12], "maxpool")
         preset = Preset("p", (("a", a), ("b", b)), True, "")
         with pytest.raises(IsolationError, match="isolation"):
             T.check_budgets(preset)
 
     def test_unequal_budget_presets_not_enforced(self):
-        a = tiny_arm([4, 4, 6], "maxpool", "a")
-        b = tiny_arm([8, 8, 12], "maxpool", "b")
+        a = tiny_arm([4, 4, 6], "maxpool")
+        b = tiny_arm([8, 8, 12], "maxpool")
         preset = Preset("p", (("a", a), ("b", b)), False, "budgets differ by design")
         totals = T.check_budgets(preset)
         assert totals["a"] != totals["b"]

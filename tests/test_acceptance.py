@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import real_mnist_paths, write_idx_pair
+from conftest import load_script, real_mnist_paths, write_idx_pair
 from simpnet import archdsl as A
 from simpnet import data as D
 from simpnet import gradcheck as gc
@@ -159,8 +159,9 @@ def test_c5_desk_scale_mnist():
 
 def test_c6_ablation_direction_maxpool_vs_sconv():
     # the budget guard must refuse artificial mismatches regardless of data
-    bad_a = A.conv_stack([4, 4, 6], (2,), input_shape=(1, 28, 28), name="a")
-    bad_b = A.conv_stack([8, 8, 12], (2,), input_shape=(1, 28, 28), name="b")
+    conv_stack = load_script("gen_presets").conv_stack
+    bad_a = conv_stack([4, 4, 6], (2,), input_shape=(1, 28, 28))
+    bad_b = conv_stack([8, 8, 12], (2,), input_shape=(1, 28, 28))
     with pytest.raises(IsolationError):
         T.check_budgets(A.Preset("bad", (("a", bad_a), ("b", bad_b)), True, ""))
 

@@ -1,7 +1,9 @@
+from dataclasses import replace
 
+from conftest import load_script
 from simpnet import archdsl as A
 from simpnet.analyzer import audit
-from simpnet.archdsl import parse, simpnet
+from simpnet.archdsl import parse
 from simpnet.network import count_macs
 
 
@@ -16,7 +18,9 @@ def rules_of(report, rule, severity=None):
     return out
 
 
-GOOD = simpnet([8] * 5 + [16] * 5 + [24] * 3, input_shape=(3, 32, 32), name="good13")
+GOOD = replace(
+    load_script("gen_presets").conv_stack([8] * 5 + [16] * 5 + [24] * 3, (5, 10), input_shape=(3, 32, 32)), name="good13"
+)
 
 
 class TestR1Pyramid:

@@ -268,49 +268,33 @@ class TestBuild:
             A.build(A.parse("\n".join(lines) + "\n"))
 
     def test_forward_shape_equals_symbolic(self):
-        spec = A.simpnet([8] * 5 + [12] * 5 + [16] * 3, input_shape=(3, 32, 32))
+        spec = load_script("gen_presets").conv_stack([8] * 5 + [12] * 5 + [16] * 3, (5, 10), input_shape=(3, 32, 32))
         model = A.build(spec).init_params(SplitRng(0))
         sym = model.symbolic_shapes(4)[-1]
         got = model.eval(np.zeros((4, 3, 32, 32), dtype=np.float32))
         assert got.shape == sym
 
 
-class TestSimpnetBuilder:
-    def test_thirteen_convs_pool_after_5_and_10(self):
-        spec = A.simpnet([8] * 13, input_shape=(1, 28, 28))
-        flat = spec.flat_layers()
-        conv_positions = [i for i, ls in enumerate(flat) if ls.kind == "conv"]
-        assert len(conv_positions) == 13
-        pools = [i for i, ls in enumerate(flat) if ls.kind == "safpool"]
-        assert len(pools) == 2
-        convs_before = [sum(1 for j in conv_positions if j < p) for p in pools]
-        assert convs_before == [5, 10]
-
-    def test_wrong_width_count(self):
-        with pytest.raises(ValueError, match="13"):
-            A.simpnet([8] * 12)
-
-    def test_flat_widths_warn(self):
-        with pytest.warns(UserWarning, match="non-decreasing"):
-            A.simpnet([8] * 5 + [4] * 5 + [16] * 3)
-
-
 class TestSolver:
     """The width solver of scripts/gen_presets.py, which writes every packaged preset file."""
 
     def test_hits_target_within_tolerance(self):
-        def mk(ws):
-            return A.conv_stack(ws, (3, 6), input_shape=(3, 32, 32))
+        script = load_script("gen_presets")
 
-        ws = load_script("gen_presets").solve_widths(mk, [1, 1, 1, 2, 2, 2, 4, 4], 250_000)
+        def mk(ws):
+            return script.conv_stack(ws, (3, 6), input_shape=(3, 32, 32))
+
+        ws = script.solve_widths(mk, [1, 1, 1, 2, 2, 2, 4, 4], 250_000)
         t = total(mk(ws))
         assert abs(t - 250_000) / 250_000 < 0.02
 
     def test_monotone_profiles_stay_monotone(self):
-        def mk(ws):
-            return A.conv_stack(ws, (5, 10), input_shape=(3, 32, 32))
+        script = load_script("gen_presets")
 
-        ws = load_script("gen_presets").solve_widths(mk, [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 4, 4, 4], 300_000)
+        def mk(ws):
+            return script.conv_stack(ws, (5, 10), input_shape=(3, 32, 32))
+
+        ws = script.solve_widths(mk, [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 4, 4, 4], 300_000)
         assert all(b >= a for a, b in zip(ws, ws[1:]))
 
     def test_generator_writes_the_committed_files(self, tmp_path, monkeypatch):
@@ -404,6 +388,16 @@ class TestBuilderPresets:
         for name, target in targets.items():
             t = total(presets[name])
             assert abs(t - target) / target < 0.02, name
+
+    @pytest.mark.parametrize("name", sorted(A.builder_presets()))
+    def test_thirteen_convs_pool_after_5_and_10(self, name):
+        flat = A.builder_presets()[name].flat_layers()
+        conv_positions = [i for i, ls in enumerate(flat) if ls.kind == "conv"]
+        assert len(conv_positions) == 13
+        pools = [i for i, ls in enumerate(flat) if ls.kind == "safpool"]
+        assert len(pools) == 2
+        convs_before = [sum(1 for j in conv_positions if j < p) for p in pools]
+        assert convs_before == [5, 10]
 
     def test_tiny_is_mnist_shaped_13_convs(self):
         tiny = A.builder_presets()["simpnet-tiny"]

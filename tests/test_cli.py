@@ -185,6 +185,43 @@ class TestEvalCommand:
         assert "train-images-idx3-ubyte" in capsys.readouterr().err
 
 
+GAP_ONLY_ARCH = "input 1 28 28\ngroup g1\nconv 3 10 s1 p1\nbn\nrelu\ngroup head\ngap\n"
+
+
+class TestClassifierWidth:
+    def test_a_gap_only_tail_trains_and_evaluates(self, mnist_dir, tmp_path, capsys):
+        arch = tmp_path / "gap.arch"
+        arch.write_text(GAP_ONLY_ARCH)
+        assert main(train_args(str(arch), mnist_dir, tmp_path, "--epochs", "2", "--subset", "128")) == 0
+        eval_args = ["eval", "--arch", str(arch), "--ckpt", str(tmp_path / "model.snpk")]
+        assert main([*eval_args, "--dataset", "mnist", "--data-dir", str(mnist_dir)]) == 0
+        assert "top1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "arch, width",
+        [
+            (TOY_ARCH.replace("dense 10", "dense 5"), 5),
+            (TOY_ARCH.replace("dense 10", "dense 12"), 12),
+            (GAP_ONLY_ARCH.replace("conv 3 10", "conv 3 7"), 7),
+        ],
+        ids=["dense-5", "dense-12", "gap-7"],
+    )
+    def test_a_class_count_mismatch_exits_2_before_any_file(self, mnist_dir, tmp_path, capsys, command, arch, width):
+        path = tmp_path / "head.arch"
+        path.write_text(arch)
+        if command == "train":
+            argv = train_args(str(path), mnist_dir, tmp_path)
+        else:  # the checkpoint does not exist: the check comes before it is read
+            argv = ["eval", "--arch", str(path), "--ckpt", str(tmp_path / "model.snpk"), "--dataset", "mnist"]
+            argv += ["--data-dir", str(mnist_dir)]
+        assert main(argv) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert f"{width} outputs but the dataset has 10 classes" in errors[0]
+        assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.snpk").exists()
+
+
 class TestAnalyzeCommand:
     def test_default_preset_reports_totals(self, capsys):
         code = main(["analyze", "--preset", "simpnet-300k"])
@@ -245,6 +282,22 @@ class TestAnalyzeCommand:
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 2
         assert "line 4, col 11" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("conv 3 8 s1 p1\nfoo\n", 2, "architecture parse failed: line 4, col 1: unknown keyword 'foo'"),
+            ("conv 3 8 s1 p1\nrelu\n", 5, "architecture invalid: no classifier tail (need gap, or flatten + dense)"),
+        ],
+        ids=["parse", "validation"],
+    )
+    def test_an_arch_file_error_names_the_file(self, tmp_path, capsys, text, code, message):
+        path = tmp_path / "bad.arch"
+        path.write_text("input 1 28 28\ngroup g1\n" + text)
+        assert main(["analyze", "--arch", str(path)]) == code
+        assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")] == [
+            f"error: {path}: {message}"
+        ]
 
     def test_input_override(self, capsys):
         assert main(["analyze", "--preset", "simpnet-300k", "--input", "3", "64", "64"]) == 0
@@ -463,7 +516,7 @@ def test_a_width_over_the_cap_fails_before_any_file_is_written(tmp_path, capsys,
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error: ")] == [
-        "error: architecture invalid: width 99999999999 is over the cap of 4096 channels or units"
+        f"error: {huge}: architecture invalid: width 99999999999 is over the cap of 4096 channels or units"
     ]
     assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.snpk").exists()
 

@@ -9,10 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fd_grad, rel_err, write_idx_pair
+from conftest import fd_grad, load_script, rel_err, write_idx_pair
 from simpnet import layers as L
 from simpnet import network as N
-from simpnet.archdsl import build, builder_presets, parse, simpnet
+from simpnet.archdsl import build, builder_presets, parse
 from simpnet.errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
 from simpnet.network import Model, count_macs, load_checkpoint, read_checkpoint, save_checkpoint
 from simpnet.rng import SplitRng
@@ -1080,7 +1080,7 @@ class TestParamCounting:
 
     def test_simpnet_builder_matches_hand_summation(self):
         widths = [16, 16, 16, 16, 16, 32, 32, 32, 32, 32, 64, 64, 64]
-        spec = simpnet(widths, input_shape=(3, 32, 32))
+        spec = load_script("gen_presets").conv_stack(widths, (5, 10), input_shape=(3, 32, 32))
         total = count_macs(build(spec)).total_params
         # independent closed-form ledger: conv kxk + bias + bn(gamma, beta)
         expected = 0
@@ -1093,7 +1093,7 @@ class TestParamCounting:
         assert total == expected
 
     def test_ledger_row_totals_sum(self):
-        spec = simpnet([8] * 5 + [16] * 5 + [24] * 3, input_shape=(3, 32, 32))
+        spec = load_script("gen_presets").conv_stack([8] * 5 + [16] * 5 + [24] * 3, (5, 10), input_shape=(3, 32, 32))
         ledger = count_macs(build(spec))
         assert ledger.total_params == sum(r.param_count for r in ledger.rows)
 
