@@ -2,12 +2,14 @@
 
     python3 scripts/cli_hashes.py CHECKOUT
 
-It writes a fixed synthetic MNIST-format (IDX) set into a temporary
-directory, then runs these commands with only CHECKOUT/src on PYTHONPATH
-and the BLAS thread count pinned to 2:
+It writes a fixed synthetic MNIST-format (IDX) set and a CIFAR-10-format
+set into a temporary directory, then runs these commands with only
+CHECKOUT/src on PYTHONPATH and the BLAS thread count pinned to 2:
   - train --deterministic, then eval of its checkpoint, for simpnet-tiny
     and for a batch-norm-free arch with dropout, maxpool, SAF-pool and a
-    strided conv;
+    strided conv; then eval --no-normalize of the simpnet-tiny checkpoint;
+  - train --augment --deterministic of simpnet-300k on the CIFAR-10 set,
+    cut by --subset and --max-steps, then eval of its checkpoint;
   - ablate of saf-vs-plain-pool, each arm and seed cut at 2 steps;
   - analyze --preset simpnet-300k, as a table and as records, and
     analyze of the batch-norm-free arch file as records;
@@ -31,6 +33,8 @@ import tempfile
 import numpy as np
 
 TRAIN_IMAGES, TEST_IMAGES = 512, 128
+CIFAR_RECORDS = 64  # per batch file: five train files and one test file
+CIFAR_SUBSET, CIFAR_STEPS = 64, 2
 TRAIN_FLAGS = ["--epochs", "2", "--batch-size", "32", "--seed", "3", "--deterministic"]
 ABLATE_PRESET, ABLATE_STEPS = "saf-vs-plain-pool", 2
 GRADCHECK_INSTANCES = 20
@@ -75,6 +79,20 @@ def write_idx(data_dir, prefix, n, seed):
         f.write(struct.pack(">II", 0x801, n) + labels.tobytes())
 
 
+def write_cifar(data_dir, n, seed):
+    """CIFAR-10 batch files of n records each, written here with tobytes:
+    a label byte, then 3x32x32 channel-planar uint8 pixels whose label
+    is the number of bright rows minus one."""
+    rng = np.random.default_rng(seed)
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        labels = rng.integers(0, 10, size=n).astype(np.uint8)
+        images = rng.integers(0, 50, size=(n, 3, 32, 32)).astype(np.uint8)
+        for image, label in zip(images, labels):
+            image[:, 3 * np.arange(int(label) + 1)] = 210
+        with open(os.path.join(data_dir, name), "wb") as f:
+            f.write(np.concatenate([labels[:, None], images.reshape(n, -1)], axis=1).tobytes())
+
+
 def commands(work):
     """(name, CLI arguments, files the command writes) in run order."""
     data = ["--dataset", "mnist", "--data-dir", os.path.join(work, "data")]
@@ -85,6 +103,14 @@ def commands(work):
         runs.append((f"train-{name}", ["train", *arch, *data, *TRAIN_FLAGS, "--out-metrics", metrics, "--out-ckpt", ckpt],
                      [metrics, ckpt]))
         runs.append((f"eval-{name}", ["eval", *arch, *data, "--ckpt", ckpt], []))
+    runs.append(("eval-tiny-no-normalize",
+                 ["eval", "--preset", "simpnet-tiny", *data, "--ckpt", os.path.join(work, "tiny.snpk"), "--no-normalize"], []))
+    cifar = ["--preset", "simpnet-300k", "--dataset", "cifar10", "--data-dir", os.path.join(work, "cifar")]
+    metrics, ckpt = (os.path.join(work, f"cifar.{ext}") for ext in ("csv", "snpk"))
+    runs.append(("train-cifar", ["train", *cifar, *TRAIN_FLAGS, "--augment", "--subset", str(CIFAR_SUBSET),
+                                 "--max-steps", str(CIFAR_STEPS), "--out-metrics", metrics, "--out-ckpt", ckpt],
+                 [metrics, ckpt]))
+    runs.append(("eval-cifar", ["eval", *cifar, "--ckpt", ckpt], []))
     records = os.path.join(work, "ablate.tsv")
     ablate = ["ablate", "--preset", ABLATE_PRESET, *data, *TRAIN_FLAGS, "--max-steps", str(ABLATE_STEPS)]
     runs.append(("ablate", [*ablate, "--out-records", records], [records]))
@@ -110,6 +136,8 @@ def main(argv=None) -> int:
         os.mkdir(os.path.join(work, "data"))
         write_idx(os.path.join(work, "data"), "train", TRAIN_IMAGES, seed=1)
         write_idx(os.path.join(work, "data"), "t10k", TEST_IMAGES, seed=2)
+        os.mkdir(os.path.join(work, "cifar"))
+        write_cifar(os.path.join(work, "cifar"), CIFAR_RECORDS, seed=3)
         with open(os.path.join(work, "no_bn.arch"), "w", encoding="utf-8") as f:
             f.write(NO_BN_ARCH)
         for name, args, outputs in commands(work):

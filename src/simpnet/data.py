@@ -2,7 +2,8 @@
 
 Both on-disk formats are parsed bit-exactly and validated up front;
 malformed files raise FormatError, never crash downstream. Images are
-held as float32 in [0, 1], NCHW. IDX integers are big-endian per that
+held as the files' uint8 pixels, NCHW; each drawn batch becomes float32
+and is normalized on its own. IDX integers are big-endian per that
 format; everything else in the project is little-endian.
 """
 
@@ -23,18 +24,21 @@ IDX_LABELS_MAGIC = 0x00000801
 CIFAR10_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 channel-planar pixels
 CIFAR10_BATCH_RECORDS = 10000
 CIFAR10_BATCH_BYTES = CIFAR10_BATCH_RECORDS * CIFAR10_RECORD_BYTES
+STATS_CHUNK = 1 << 16  # pixels per np.bincount call in normalize(): it makes an intp copy of them
 
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, c, h, w) float32
+    images: np.ndarray  # (N, c, h, w) uint8
     labels: np.ndarray  # (N,) int64
     name: str  # where the examples came from; prefixes validation errors
     num_classes: int
-    mean: np.ndarray | None = None  # per-channel, set by normalize()
+    mean: np.ndarray | None = None  # per-channel float64, of the pixels / 255; set by normalize()
     std: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.images.dtype != np.uint8:
+            raise ValueError(f"{self.name}: images must be uint8 pixels, got {self.images.dtype}")
         if len(self.images) != len(self.labels):
             raise FormatError(
                 f"{self.name}: image/label count mismatch: {len(self.images)} images vs {len(self.labels)} labels"
@@ -98,13 +102,9 @@ def read_idx(path, ndim: int) -> np.ndarray:
 
 
 def write_idx_images(images: np.ndarray, path):
-    """Serialize (N, h, w) or (N, 1, h, w) pixels to IDX; float input in
-    [0, 1] is re-quantized by rounding so a load/save round trip is
-    byte-exact."""
+    """Serialize (N, h, w) or (N, 1, h, w) uint8 pixels to IDX."""
     if images.ndim == 4:
         images = images[:, 0]
-    if images.dtype != np.uint8:
-        images = np.rint(images * 255.0).astype(np.uint8)
     n, h, w = images.shape
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
@@ -118,11 +118,10 @@ def write_idx_labels(labels: np.ndarray, path):
 
 
 def load_mnist(images_path, labels_path) -> Dataset:
-    """IDX pair -> Dataset of (N, 1, h, w) float32 pixels in [0, 1]."""
+    """IDX pair -> Dataset of (N, 1, h, w) uint8 pixels."""
     images = read_idx(images_path, 3)
     labels = read_idx(labels_path, 1)
-    x = (images.astype(np.float32) / 255.0)[:, None, :, :]
-    return Dataset(x, labels.astype(np.int64), name=f"{images_path}, {labels_path}", num_classes=10)
+    return Dataset(images[:, None], labels.astype(np.int64), name=f"{images_path}, {labels_path}", num_classes=10)
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +132,21 @@ def load_cifar10(batch_paths) -> Dataset:
     """A list of CIFAR-10 binary batch files -> (N, 3, 32, 32) Dataset.
 
     Each record is 3073 bytes: label byte then 3072 channel-planar
-    (R, G, B) row-major pixels.
+    (R, G, B) row-major pixels. The files are read into one array of
+    records, and the images are a view of its pixel columns.
     """
-    all_images, all_labels = [], []
-    for path in batch_paths:
-        size = os.path.getsize(path)
-        if size % CIFAR10_RECORD_BYTES != 0:
-            raise FormatError(f"{path}: size {size} is not a multiple of {CIFAR10_RECORD_BYTES}")
+    sizes = [os.path.getsize(path) for path in batch_paths]
+    for path, size in zip(batch_paths, sizes):
+        if size == 0 or size % CIFAR10_RECORD_BYTES != 0:
+            raise FormatError(f"{path}: size {size} is not a positive multiple of {CIFAR10_RECORD_BYTES}")
+    raw = np.empty(sum(sizes), dtype=np.uint8)
+    for path, size, start in zip(batch_paths, sizes, np.cumsum([0, *sizes])):
         with open(path, "rb") as f:
-            raw = np.frombuffer(f.read(), dtype=np.uint8)
-        records = raw.reshape(-1, CIFAR10_RECORD_BYTES)
-        labels = records[:, 0]
-        images = records[:, 1:].reshape(-1, 3, 32, 32)
-        all_images.append(images)
-        all_labels.append(labels)
-    x = np.concatenate(all_images).astype(np.float32) / 255.0
-    y = np.concatenate(all_labels).astype(np.int64)
+            if f.readinto(raw[start : start + size]) != size:
+                raise FormatError(f"{path}: file shrank while it was read")
+    records = raw.reshape(-1, CIFAR10_RECORD_BYTES)
+    x = records[:, 1:].reshape(-1, 3, 32, 32)
+    y = records[:, 0].astype(np.int64)
     return Dataset(x, y, name=", ".join(map(str, batch_paths)), num_classes=10)
 
 
@@ -157,16 +155,24 @@ def load_cifar10(batch_paths) -> Dataset:
 
 
 def normalize(dataset: Dataset, mean: np.ndarray | None = None, std: np.ndarray | None = None) -> Dataset:
-    """Per-channel (x - mean) / std, into one new float32 array. Statistics
-    are accumulated in float64 from this dataset when not given (fit on
-    train, reuse on test); np.std's float64 deviations are the only
-    temporary of the images' size."""
-    images = dataset.images
-    mean = np.asarray(images.mean(axis=(0, 2, 3), dtype=np.float64) if mean is None else mean, dtype=np.float64)
-    std = np.asarray(images.std(axis=(0, 2, 3), dtype=np.float64) if std is None else std, dtype=np.float64)
-    x = images - mean[None, :, None, None].astype(np.float32)
-    x /= std[None, :, None, None].astype(np.float32)
-    return replace(dataset, images=x, mean=mean, std=std)
+    """The dataset with per-channel float64 statistics of its float32
+    pixels / 255, which batches() applies. They are computed from this
+    dataset when not given (fit on train, reuse on test), from exact
+    per-channel counts of each pixel value: no temporary the size of the
+    images."""
+    if mean is None or std is None:
+        n, c, h, w = dataset.images.shape
+        rows = max(1, STATS_CHUNK // (h * w))
+        counts = np.zeros((c, 256), dtype=np.int64)
+        for ch in range(c):
+            for lo in range(0, n, rows):
+                counts[ch] += np.bincount(dataset.images[lo : lo + rows, ch].ravel(), minlength=256)
+        values = (np.arange(256, dtype=np.float32) / 255.0).astype(np.float64)  # each pixel value as batches() has it
+        fit_mean = [math.fsum(k * values) / k.sum() for k in counts]
+        fit_std = [math.sqrt(math.fsum(k * (values - m) ** 2) / k.sum()) for k, m in zip(counts, fit_mean)]
+        mean = fit_mean if mean is None else mean
+        std = fit_std if std is None else std
+    return replace(dataset, mean=np.asarray(mean, dtype=np.float64), std=np.asarray(std, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -202,14 +208,23 @@ def augment(batch: np.ndarray, policy: AugmentPolicy, rng: SplitRng) -> np.ndarr
 
 def batches(dataset: Dataset, batch_size: int, rng: SplitRng | None = None):
     """Yield (x, labels) minibatches; deterministic permutation when an
-    rng is given, natural order otherwise. The last short batch is kept."""
+    rng is given, natural order otherwise. The last short batch is kept.
+    x is float32 pixels / 255, and (x - mean) / std per channel once the
+    dataset is normalized."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = len(dataset)
     order = rng.permutation(n) if rng is not None else np.arange(n)
+    if dataset.mean is not None:
+        mean, std = (s.astype(np.float32)[:, None, None] for s in (dataset.mean, dataset.std))
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        yield dataset.images[idx], dataset.labels[idx]
+        x = dataset.images[idx].astype(np.float32)
+        x /= 255.0
+        if dataset.mean is not None:
+            x -= mean
+            x /= std
+        yield x, dataset.labels[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ class ArchParseError(ValueError):
 
 
 class ArchValidationError(ValueError):
-    """Structurally invalid architecture (e.g. spatial collapse, no tail)."""
+    """Invalid architecture (e.g. spatial collapse, no tail, or an input shape not the data's)."""
 
 
 class IsolationError(ValueError):

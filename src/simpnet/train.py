@@ -21,7 +21,7 @@ import numpy as np
 from .analyzer import audit
 from .archdsl import Preset, ablation_presets, build
 from .data import AugmentPolicy, Dataset, augment, batches
-from .errors import IsolationError, NumericsError
+from .errors import ArchValidationError, IsolationError, NumericsError
 from .layers import ReLU, softmax_xent
 from .network import Model, count_macs, save_checkpoint
 from .rng import SplitRng
@@ -112,7 +112,7 @@ def check_fits(model: Model, dataset: Dataset):
     """Refuse a model whose input shape is not the dataset's sample shape, or whose
     output width, the features per image of its last layer, is not its class count."""
     if model.input_shape != dataset.sample_shape:
-        raise ValueError(f"architecture input {model.input_shape} does not match dataset samples {dataset.sample_shape}")
+        raise ArchValidationError(f"architecture input {model.input_shape} does not match dataset samples {dataset.sample_shape}")
     width = math.prod(model.symbolic_shapes()[-1][1:])
     if width != dataset.num_classes:
         raise ValueError(f"{dataset.name}: the classifier has {width} outputs but the dataset has {dataset.num_classes} classes")
@@ -315,7 +315,7 @@ def ablate(
         train_ds = train_ds.subset(subset)
     seeds = (cfg.seed, cfg.seed + 1, cfg.seed + 2)
 
-    probe = test_ds.images[: min(64, len(test_ds))]
+    probe, _ = next(batches(test_ds, 64))
     arms: list[ArmResult] = []
     for arm_name, spec in preset.arms:
         result = ArmResult(arm=arm_name, params=totals[arm_name])

@@ -120,16 +120,17 @@ def cifar_dir(tmp_path):
 
 
 def memory_dataset(n=128, shape=(1, 8, 8), classes=4, seed=0):
-    """In-memory learnable dataset: the label is the bright-row count
-    minus one, which remains separable after global average pooling."""
+    """In-memory learnable dataset of uint8 pixels: the label is the
+    bright-row count minus one, which remains separable after global
+    average pooling."""
     rng = np.random.default_rng(seed)
     c, h, w = shape
     labels = rng.integers(0, classes, size=n).astype(np.int64)
-    x = rng.normal(0, 0.1, size=(n, c, h, w)).astype(np.float32)
+    x = rng.integers(0, 40, size=(n, c, h, w)).astype(np.uint8)
     spacing = max(2, h // classes)
     for i, k in enumerate(labels):
         for j in range(int(k) + 1):
-            x[i, :, (j * spacing) % h, :] += 1.0
+            x[i, :, (j * spacing) % h, :] = 220
     return Dataset(x, labels, name="synth", num_classes=classes)
 
 

@@ -30,7 +30,7 @@ SIMPNET_CONVS = 13  # conv and sconv layers of both packaged presets
 
 def synth_dataset(rng, shape) -> data.Dataset:
     images, labels = W.synth_images(rng, N_IMAGES, shape)
-    return data.Dataset(images.astype(np.float32) / 255, labels.astype(np.int64), name="synth", num_classes=10)
+    return data.Dataset(images, labels.astype(np.int64), name="synth", num_classes=10)
 
 
 def toy_workload(name):

@@ -221,6 +221,21 @@ class TestClassifierWidth:
         assert f"{width} outputs but the dataset has 10 classes" in errors[0]
         assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.snpk").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_an_input_shape_mismatch_names_the_arch_file(self, mnist_dir, tmp_path, capsys, command):
+        path = tmp_path / "narrow.arch"
+        path.write_text("input 1 28 2\ngroup g1\nconv 3 4 s1 p1\nrelu\ngroup head\ngap\nflatten\ndense 10\n")
+        if command == "train":
+            argv = train_args(str(path), mnist_dir, tmp_path)
+        else:
+            argv = ["eval", "--arch", str(path), "--ckpt", str(tmp_path / "model.snpk"), "--dataset", "mnist"]
+            argv += ["--data-dir", str(mnist_dir)]
+        assert main(argv) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {path}: ")
+        assert "architecture input (1, 28, 2) does not match dataset samples (1, 28, 28)" in errors[0]
+        assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.snpk").exists()
+
 
 class TestAnalyzeCommand:
     def test_default_preset_reports_totals(self, capsys):

@@ -13,6 +13,7 @@ print one `error:` line naming the mutated file, and write no file.
 
 import math
 import pathlib
+import re
 import struct
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
@@ -220,3 +221,13 @@ def test_every_mutant_loads_or_fails_with_a_named_error(tmp_path, capsys, name):
             assert code in (2, 3, 5), (kind, mutant[:80], err)
             assert len(err) == 1 and str(fmt.path) in err[0], (kind, mutant[:80], err)
             assert tree(tmp_path) == before
+
+
+def test_an_empty_cifar_batch_file_is_refused_naming_it(tmp_path, capsys):
+    fmt = formats(tmp_path)["cifar"]
+    fmt.path.write_bytes(b"")
+    with pytest.raises(errors.FormatError, match=re.escape(f"{fmt.path}: size 0")):
+        fmt.load()
+    assert main(fmt.argv) == 3
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(err) == 1 and str(fmt.path) in err[0]

@@ -6,6 +6,7 @@ import pytest
 from conftest import memory_dataset
 from simpnet import archdsl as A
 from simpnet import train as T
+from simpnet.data import batches
 from simpnet.errors import NumericsError, ShapeError
 from simpnet.layers import Dense
 from simpnet.network import Model, read_checkpoint
@@ -106,7 +107,7 @@ class TestEvaluate:
 
         model = Model([ConstDense("dense1", 4, 10)], (1, 1, 4))
         model.layers[0].init_params(SplitRng(0), np.float32)
-        images = np.zeros((100, 1, 1, 4), dtype=np.float32)
+        images = np.zeros((100, 1, 1, 4), dtype=np.uint8)
         labels = np.repeat(np.arange(10), 10).astype(np.int64)  # balanced
         ds = Dataset(images, labels, name="t", num_classes=10)
         _, top1 = T.evaluate(model, ds)
@@ -136,7 +137,7 @@ class TestEvaluate:
         model = toy_model()
         with pytest.raises(ShapeError):
             T.evaluate(model, memory_dataset(n=4, shape=(1, 1, 1)))  # too small for the 2x2 pool
-        model.forward(memory_dataset(n=4).images, SplitRng(0))
+        model.forward(next(batches(memory_dataset(n=4), 4))[0], SplitRng(0))
         _, grads = model.backward(np.ones((4, 4), dtype=np.float32))
         assert any(np.any(g) for _, _, g in grads)
 
@@ -210,7 +211,7 @@ class TestTrainLoop:
 
         cfg_losses = []
         vel = {}
-        x, y = ds.images, ds.labels
+        x, y = next(batches(ds, len(ds)))
         rng = SplitRng(10)
         for step in range(20):
             logits = model.forward(x, rng.split(2, 1, step))
