@@ -159,18 +159,17 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     train_ds, test_ds = _load_data(args)
     cfg = _train_config(args)
+    out = args.out_records or f"ablate-{args.preset}.tsv"
     result = T.ablate(
         args.preset,
         train_ds,
         test_ds,
         cfg,
         subset=args.subset,
+        records_path=out,
         log=lambda m: print(m, file=sys.stderr),
     )
     print(result.table())
-    out = args.out_records or f"ablate-{args.preset}.tsv"
-    with open(out, "w", encoding="utf-8", newline="") as f:
-        f.write(result.records())
     print(f"records written to {out}", file=sys.stderr)
     return EXIT_OK
 

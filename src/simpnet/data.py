@@ -65,7 +65,7 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# bounded reads (IDX, checkpoints) and MNIST IDX
+# bounded reads and atomic writes (IDX, checkpoints, metrics) and MNIST IDX
 
 
 def read_exact(f, n: int, what: str, fmt: str) -> bytes:
@@ -86,6 +86,23 @@ def read_array(f, dims, dtype: np.dtype, what: str, fmt: str) -> np.ndarray:
     if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
         raise FormatError(f"{f.name}: {fmt} dims {tuple(dims)} of {what} are too large for an array")
     return np.frombuffer(data, dtype=dtype).reshape(dims)
+
+
+def write_atomically(path, write):
+    """write(f) into a new binary file beside path, then os.replace it over path, so a failure or a
+    kill part way leaves path as it was. On any error the new file is removed; an OSError names path."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException as e:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, path) from e
+        raise
 
 
 def read_idx(path, ndim: int) -> np.ndarray:

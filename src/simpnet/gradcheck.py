@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers as L
-from .network import Model, _map_slices
+from .network import Model
 from .rng import SplitRng
 
 H = 1e-5
@@ -70,11 +70,11 @@ def _check_layer(rng: SplitRng, layer: L.Layer, x: np.ndarray, mask_key=None) ->
     keep = None if mask_key is None else L.keep_mask(layer.out_shape(x.shape), layer.p, SplitRng(mask_key))
 
     def forward():
-        return layer.forward_slices([x], [lambda: keep], _map_slices)
+        return layer.forward_slices([x], [lambda: keep])
 
     (y,), (cache,) = forward()
     r = rng.uniform(y.shape, -1.0, 1.0)  # random, so the whole Jacobian is exercised
-    (grad_x,), grads = layer.backward_slices([cache], [r], _map_slices)
+    (grad_x,), grads = layer.backward_slices([cache], [r])
     params = [v for _, v in layer.param_entries()]
     return _worst(lambda: float((forward()[0][0] * r).sum()), [grad_x, *grads], [x, *params])
 
@@ -146,8 +146,8 @@ def _check_dropout(rng: SplitRng) -> float:
 def _check_batchnorm(rng: SplitRng) -> float:
     x = rng.uniform((4, 3, 5, 5), -1, 1)
     bn = L.BatchNorm("bn", 3)
-    # gamma, then beta; train mode reads no running stats
-    bn.p = L.BatchNormParams(rng.uniform(3, 0.5, 1.5), rng.uniform(3, -0.5, 0.5), np.zeros(3), np.ones(3))
+    bn.init_params(rng, np.float64)  # running stats 0 and 1, which train mode only writes
+    bn.gamma, bn.beta = rng.uniform(3, 0.5, 1.5), rng.uniform(3, -0.5, 0.5)
     return _check_layer(rng, bn, x)
 
 

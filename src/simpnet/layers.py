@@ -10,16 +10,19 @@ that cache back and returns the input gradient and the parameter
 gradients as values, and eval returns the output of an eval slice and
 caches nothing. network.Model holds the caches of its last train
 forward; network.train_units and network.eval_units decide which
-layers run together as one unit.
+layers run together as one unit. A train step gives a layer its batch
+as slices along n, which forward_slices, backward_slices and batch norm
+run through the slice runner below, _map_slices, on WORKERS threads (1
+where numpy's OpenBLAS thread calls are not found).
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
 channels-last (NHWC) copy of the input go into one reused
 (rows, k*k*c_in) buffer of at most LOWERING_BYTES (1 MiB, but at least
 one image), and one GEMM per chunk writes the output; dW sums
-g_chunk.T @ chunk, and db is ones @ g by BLAS. network.Model runs a
-batch as slices of a few dozen images, one slice per thread at one BLAS
-thread, so each thread lowers into a buffer of its own. grad_x lowers
+g_chunk.T @ chunk, and db is ones @ g by BLAS. A batch runs as slices
+of a few dozen images, one slice per thread at one BLAS thread, so each
+thread lowers into a buffer of its own. grad_x lowers
 the gradient, dilated by the stride and padded by k-1, at stride 1
 against the flipped kernel (Dumoulin & Visin, 2016). A conv layer's
 cache is only the padded input.
@@ -46,8 +49,13 @@ module constants BN_MOMENTUM and BN_EPS.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import itertools
 import math
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from functools import reduce
 
 import numpy as np
@@ -58,6 +66,83 @@ from .rng import SplitRng
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 LOWERING_BYTES = 1 << 20  # a conv's reused lowering buffer, from a sweep with network.TRAIN_SLICE (CHANGES.md)
+
+
+# ---------------------------------------------------------------------------
+# slice runner
+
+
+def _openblas_thread_calls(libdir=os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")):
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, through ctypes, or None."""
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+_BLAS_THREADS = _openblas_thread_calls()
+WORKERS = _BLAS_THREADS[0]() if _BLAS_THREADS else 1  # threads _map_slices runs slices on; 1 without the calls
+_pool = None  # WORKERS - 1 threads, started by the first forward with more than one slice
+
+
+@contextmanager
+def _one_blas_thread():
+    """The BLAS at one thread, process-wide, until the block ends; restored on return or raise."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+def _map_slices(fn, *parts):
+    """[fn(*slice) for each slice of the equally long lists parts], run on up to WORKERS threads.
+
+    Thread t runs slice t first; after that each thread takes the next
+    slice that no thread has taken, so a thread whose core the host slows
+    down runs fewer slices instead of holding up the batch. Thread 0 is the
+    caller, so it allocates the intermediates of its slices in its own
+    malloc arena: when pool threads ran every slice and the caller only
+    waited, their fresh glibc arenas raised peak RSS by 17% on simpnet-tiny.
+    Every slice's result lands at its own index, so the result does not
+    depend on which thread ran it. Waits for every slice, then raises the
+    caller's first error, or else the first of a pool thread's.
+    """
+    global _pool
+    args = list(zip(*parts, strict=True))
+    out, k = [None] * len(args), min(WORKERS, len(args))
+    take = itertools.count(k).__next__  # atomic under the GIL
+
+    def run_slices(j):
+        while j < len(args):
+            out[j] = fn(*args[j])
+            j = take()
+
+    if k > 1 and _pool is None:
+        _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="simpnet")
+    futures = [_pool.submit(run_slices, t) for t in range(1, k)]
+    try:
+        run_slices(0)
+    finally:
+        if futures:  # wait() costs about 10 us even for no futures, and one-slice calls are many
+            wait(futures)
+    for f in futures:
+        f.result()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +333,10 @@ def relu_backward(x, grad_out):
     return grad_out * (x > 0)
 
 
-@dataclass
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-
-def bn_eval_affine(p: BatchNormParams, dtype):
+def bn_eval_affine(bn: BatchNorm, dtype):
     """(scale, shift) of eval-mode batch norm for inputs of dtype: y = x * scale + shift per channel."""
-    scale = p.gamma / np.sqrt(p.running_var.astype(dtype) + dtype.type(BN_EPS))
-    return scale, p.beta - p.running_mean.astype(dtype) * scale
+    scale = bn.gamma / np.sqrt(bn.running_var.astype(dtype) + dtype.type(BN_EPS))
+    return scale, bn.beta - bn.running_mean.astype(dtype) * scale
 
 
 def sum_in_order(arrays):
@@ -267,21 +344,21 @@ def sum_in_order(arrays):
     return reduce(np.add, arrays)
 
 
-def batchnorm_train(parts, p: BatchNormParams, smap):
+def batchnorm_train(parts, bn: BatchNorm):
     """Train-mode batch norm of a batch given as slices along n: ([y], [cache]) per slice.
 
     Each slice sums its (rows, c) matrix by BLAS for the mean, then its
     centred rows by einsum for the biased variance (two passes, not
     E[x^2] - E[x]^2); the slices' sums are added in slice order. The
-    unbiased variance goes into the running stats in place, and each slice
-    normalizes its own image rows. smap(fn, *lists) runs the per-slice steps, on
-    threads or not; the bytes depend only on the slice boundaries.
+    unbiased variance goes into bn's running stats in place, and each slice
+    normalizes its own image rows. The per-slice steps run on the slice
+    threads (_map_slices); the bytes depend only on the slice boundaries.
     """
     rows = [_rows(x) for x in parts]
     dt, m = rows[0].dtype, sum(map(len, rows))
     if m < 2:
         raise ValueError(f"batchnorm train mode needs n*h*w >= 2 per channel, got {m}")
-    mean = sum_in_order(smap(lambda r: np.ones(len(r), dt) @ r, rows)) / dt.type(m)
+    mean = sum_in_order(_map_slices(lambda r: np.ones(len(r), dt) @ r, rows)) / dt.type(m)
     mean_px = _per_pixel(mean, parts[0].shape)
 
     def centre(r):
@@ -289,14 +366,14 @@ def batchnorm_train(parts, p: BatchNormParams, smap):
         sq = xhat.reshape(r.shape)
         return xhat, np.einsum("ij,ij->j", sq, sq)
 
-    xhats, sums = zip(*smap(centre, rows))
+    xhats, sums = zip(*_map_slices(centre, rows))
     var = sum_in_order(sums) / dt.type(m)  # biased
-    for stat, batch in ((p.running_mean, mean), (p.running_var, var * (m / (m - 1)))):
+    for stat, batch in ((bn.running_mean, mean), (bn.running_var, var * (m / (m - 1)))):
         stat *= 1.0 - BN_MOMENTUM
         stat += BN_MOMENTUM * batch.astype(stat.dtype)
     std = np.sqrt(var + dt.type(BN_EPS))
-    scale = p.gamma / std
-    inv_std, gamma, beta = (_per_pixel(v, parts[0].shape) for v in (1.0 / std, p.gamma, p.beta))
+    scale = bn.gamma / std
+    inv_std, gamma, beta = (_per_pixel(v, parts[0].shape) for v in (1.0 / std, bn.gamma, bn.beta))
 
     def normalize(xhat):
         xhat *= inv_std
@@ -304,11 +381,11 @@ def batchnorm_train(parts, p: BatchNormParams, smap):
         y += beta
         return y
 
-    ys = smap(normalize, xhats)
+    ys = _map_slices(normalize, xhats)
     return [_nchw(y, x.shape) for y, x in zip(ys, parts)], [(_nchw(xh, x.shape), scale) for xh, x in zip(xhats, parts)]
 
 
-def batchnorm_train_backward(grads, caches, smap):
+def batchnorm_train_backward(grads, caches):
     """Train-mode gradient through the batch mean and variance, of a batch given as slices.
 
     Closed form per channel (Ioffe & Szegedy, 2015) on (rows, c) matrices:
@@ -319,7 +396,7 @@ def batchnorm_train_backward(grads, caches, smap):
     """
     g_rows, xhats = [_rows(g) for g in grads], [_rows(xhat) for xhat, _ in caches]
     scale, m = caches[0][1], sum(map(len, g_rows))
-    sums = smap(lambda g, xhat: (np.ones(len(g), g.dtype) @ g, np.einsum("ij,ij->j", g, xhat)), g_rows, xhats)
+    sums = _map_slices(lambda g, xhat: (np.ones(len(g), g.dtype) @ g, np.einsum("ij,ij->j", g, xhat)), g_rows, xhats)
     grad_beta, grad_gamma = (sum_in_order(s) for s in zip(*sums))
     per_xhat, shift, scale = (_per_pixel(v, grads[0].shape) for v in (-grad_gamma / m, grad_beta / m, scale))
 
@@ -330,7 +407,7 @@ def batchnorm_train_backward(grads, caches, smap):
         gx *= scale
         return gx
 
-    gxs = smap(grad_x, g_rows, xhats)
+    gxs = _map_slices(grad_x, g_rows, xhats)
     return [_nchw(gx, g.shape) for gx, g in zip(gxs, grads)], grad_gamma, grad_beta
 
 
@@ -456,14 +533,14 @@ class Layer:
     def backward(self, cache, grad_out):
         raise NotImplementedError
 
-    def forward_slices(self, parts, draws, smap):
+    def forward_slices(self, parts, draws):
         """Train forward of the slices parts, slice j with its rows draws[j]() of the keep mask, drawn on
-        its own thread: ([y], [cache]) per slice. smap(fn, *lists) runs the slices, on threads or not."""
-        return tuple(zip(*smap(lambda x, draw: self.forward(x, draw()), parts, draws)))
+        its own thread: ([y], [cache]) per slice."""
+        return tuple(zip(*_map_slices(lambda x, draw: self.forward(x, draw()), parts, draws)))
 
-    def backward_slices(self, caches, grads, smap, **flags):
+    def backward_slices(self, caches, grads, **flags):
         """backward(cache, grad, **flags) per slice: ([grad_x], parameter gradients added in slice order)."""
-        outs = smap(lambda cache, g: self.backward(cache, g, **flags), caches, grads)
+        outs = _map_slices(lambda cache, g: self.backward(cache, g, **flags), caches, grads)
         return [gx for gx, _ in outs], [sum_in_order(g) for g in zip(*(slice_grads for _, slice_grads in outs))]
 
     def param_entries(self):
@@ -577,27 +654,21 @@ class BatchNorm(Layer):
     def __init__(self, name, channels):
         super().__init__(name)
         self.channels = channels
-        self._alloc(np.float32)
-
-    def _alloc(self, dtype):
-        self.p = BatchNormParams(
-            gamma=np.ones(self.channels, dtype=dtype),
-            beta=np.zeros(self.channels, dtype=dtype),
-            running_mean=np.zeros(self.channels, dtype=dtype),
-            running_var=np.ones(self.channels, dtype=dtype),
-        )
+        self.gamma = self.beta = self.running_mean = self.running_var = None
 
     def init_params(self, rng, dtype):
-        self._alloc(dtype)
+        c = self.channels
+        self.gamma, self.beta = np.ones(c, dtype=dtype), np.zeros(c, dtype=dtype)
+        self.running_mean, self.running_var = np.zeros(c, dtype=dtype), np.ones(c, dtype=dtype)
 
-    def forward_slices(self, parts, draws, smap):
+    def forward_slices(self, parts, draws):
         """Train forward over the whole batch's statistics (batchnorm_train)."""
         self._check(parts[0])
-        return batchnorm_train(parts, self.p, smap)
+        return batchnorm_train(parts, self)
 
-    def backward_slices(self, caches, grads, smap):
+    def backward_slices(self, caches, grads):
         """Train gradient through the whole batch's statistics (batchnorm_train_backward)."""
-        gxs, gg, gb = batchnorm_train_backward(grads, caches, smap)
+        gxs, gg, gb = batchnorm_train_backward(grads, caches)
         return gxs, (gg, gb)
 
     def _check(self, x):
@@ -607,16 +678,16 @@ class BatchNorm(Layer):
     def eval(self, x):
         """One affine map per channel by the running stats (bn_eval_affine); y is NHWC in memory."""
         self._check(x)
-        scale, shift = bn_eval_affine(self.p, x.dtype)
+        scale, shift = bn_eval_affine(self, x.dtype)
         y = _rows(x).reshape(len(x), -1) * _per_pixel(scale, x.shape)
         y += _per_pixel(shift, x.shape)
         return _nchw(y, x.shape)
 
     def param_entries(self):
-        return ((f"{self.name}.gamma", self.p.gamma), (f"{self.name}.beta", self.p.beta))
+        return ((f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta))
 
     def state_entries(self):
-        running = ((f"{self.name}.running_mean", self.p.running_mean), (f"{self.name}.running_var", self.p.running_var))
+        running = ((f"{self.name}.running_mean", self.running_mean), (f"{self.name}.running_var", self.running_var))
         return super().state_entries() + running
 
     def param_count(self) -> int:

@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import itertools
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .data import read_array, read_exact
+from .data import read_array, read_exact, write_atomically
 from .errors import CompatibilityError, FormatError, NoForwardCacheError, ShapeError
-from .layers import BatchNorm, Conv2d, Dropout, Layer, ReLU, SafPool
-from .layers import bn_eval_affine, conv2d_forward, keep_mask, relu_dropout_forward
+from .layers import BatchNorm, Conv2d, Dropout, Layer, ReLU
+from .layers import _map_slices, _one_blas_thread, bn_eval_affine, conv2d_forward, keep_mask, relu_dropout_forward
 from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"SNPK"
@@ -29,85 +24,9 @@ EVAL_SLICE = 32  # images per eval slice, from a sweep of 32, 64 and 128 (CHANGE
 TRAIN_SLICE = 64  # images per train slice, from a sweep with layers.LOWERING_BYTES (CHANGES.md)
 
 
-def _openblas_thread_calls(libdir=os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")):
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, through ctypes, or None."""
-    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-                    return get, put
-    return None
-
-
-_BLAS_THREADS = _openblas_thread_calls()
-WORKERS = _BLAS_THREADS[0]() if _BLAS_THREADS else 1  # threads a forward or backward runs slices on
-_pool = None  # WORKERS - 1 threads, started by the first forward with more than one slice
-
-
-@contextmanager
-def _one_blas_thread():
-    """The BLAS at one thread, process-wide, until the block ends; restored on return or raise."""
-    if _BLAS_THREADS is None:
-        yield
-        return
-    get, put = _BLAS_THREADS
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
-
-
 def _slices(x, size):
-    """Views of x along n, size images each (the last may be shorter); one slice of the whole
-    batch where the BLAS thread calls are not found."""
-    if _BLAS_THREADS is None or len(x) <= size:
-        return [x]
-    return [x[lo : lo + size] for lo in range(0, len(x), size)]
-
-
-def _map_slices(fn, *parts):
-    """[fn(*slice) for each slice of the equally long lists parts], run on up to WORKERS threads.
-
-    Thread t runs slice t first; after that each thread takes the next
-    slice that no thread has taken, so a thread whose core the host slows
-    down runs fewer slices instead of holding up the batch. Thread 0 is the
-    caller, so it allocates the intermediates of its slices in its own
-    malloc arena: when pool threads ran every slice and the caller only
-    waited, their fresh glibc arenas raised peak RSS by 17% on simpnet-tiny.
-    Every slice's result lands at its own index, so the result does not
-    depend on which thread ran it. Waits for every slice, then raises the
-    caller's first error, or else the first of a pool thread's.
-    """
-    global _pool
-    args = list(zip(*parts, strict=True))
-    out, k = [None] * len(args), min(WORKERS, len(args))
-    take = itertools.count(k).__next__  # atomic under the GIL
-
-    def run_slices(j):
-        while j < len(args):
-            out[j] = fn(*args[j])
-            j = take()
-
-    if k > 1 and _pool is None:
-        _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="simpnet")
-    futures = [_pool.submit(run_slices, t) for t in range(1, k)]
-    try:
-        run_slices(0)
-    finally:
-        if futures:  # wait() costs about 10 us even for no futures, and one-slice calls are many
-            wait(futures)
-    for f in futures:
-        f.result()
-    return out
+    """Views of x along n, size images each (the last may be shorter); an empty batch is one empty slice."""
+    return [x[lo : lo + size] for lo in range(0, max(len(x), 1), size)]
 
 
 @dataclass(frozen=True)
@@ -139,7 +58,7 @@ class ParamLedger:
 
 
 def _folded_conv(conv, bn, relu, x):
-    scale, shift = bn_eval_affine(bn.p, np.result_type(x, conv.weight))
+    scale, shift = bn_eval_affine(bn, np.result_type(x, conv.weight))
     w = conv.weight * scale.reshape(-1, 1, 1, 1)
     y = conv2d_forward(x, w, conv.bias * scale + shift, conv.stride, conv.pad)
     return np.maximum(y, 0, out=y) if relu else y
@@ -150,13 +69,13 @@ def _train_unit(layer, j, paired, parts, rng):
     paired. A Dropout or SafPool with p > 0 has one keep mask for its output over the whole batch, from
     rng.split(j) split on the caller, and each slice draws its own rows of it on its thread; others None."""
     draws = [lambda: None] * len(parts)
-    if isinstance(layer, (Dropout, SafPool)) and layer.p > 0:  # by type: BatchNorm.p holds its parameters
+    if getattr(layer, "p", 0) > 0:
         shape, stream = layer.out_shape((sum(map(len, parts)), *parts[0].shape[1:])), rng and rng.split(j)
         ends = itertools.accumulate(map(len, parts))
         draws = [partial(keep_mask, shape, layer.p, stream, (hi - len(x), hi)) for x, hi in zip(parts, ends)]
     if paired:
         return tuple(zip(*_map_slices(lambda x, draw: relu_dropout_forward(x, layer.p, draw()), parts, draws)))
-    return layer.forward_slices(parts, draws, _map_slices)
+    return layer.forward_slices(parts, draws)
 
 
 # A unit is (index of its first layer, its layers, run), each layer in one unit. Units read layer
@@ -168,7 +87,7 @@ def train_units(layers: list[Layer]) -> list[tuple]:
     """The units Model.forward runs, in order.
 
     A train unit's run(parts, rng) -> ([y], [cache]) runs the whole batch,
-    given as slices along n, on the slice threads (_map_slices). A relu
+    given as slices along n, on the slice threads (layers._map_slices). A relu
     directly followed by a dropout with p > 0 runs as relu_dropout_forward,
     caching only the bool keep = y > 0, on which the dropout's backward is
     the pair's gradient bit for bit. Every other layer is a unit of its
@@ -236,14 +155,14 @@ class Model:
     backward set the process-wide BLAS thread count until they return, so
     no two of them may run at the same time, on one model or on two.
 
-    They run slices of TRAIN_SLICE or EVAL_SLICE images on WORKERS threads
-    (_map_slices) at one BLAS thread; where the OpenBLAS thread calls are
-    not found, the batch is one slice on the caller. So the outputs do not
-    depend on the thread count. They can differ in their last bits from
-    the same images run as one slice, since sums over slices are added in
-    slice order and OpenBLAS rounds some GEMMs by their row count (float32
-    ones with M*N*K <= 10**6, one-row products, more in float64); in
-    float32, four full eval slices give the whole batch's bytes.
+    They cut every batch into slices of TRAIN_SLICE or EVAL_SLICE images
+    and run them on layers.WORKERS threads at one BLAS thread, or in order
+    on the caller where the OpenBLAS thread calls are not found. So the
+    outputs do not depend on the worker count. They can differ in their
+    last bits from the same images run as one slice, since sums over
+    slices are added in slice order and OpenBLAS rounds some GEMMs by their
+    row count (float32 ones with M*N*K <= 10**6, one-row products, more in
+    float64); in float32, four full eval slices give the whole batch's bytes.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, int, int]):
@@ -300,7 +219,7 @@ class Model:
             for (start, layers, _), caches in zip(reversed(self.train_units), reversed(self.caches)):
                 layer = layers[-1]
                 flags = {"input_grad": False} if start == 0 and not input_grad and isinstance(layer, Conv2d) else {}
-                parts, layer_grads = layer.backward_slices(caches, parts, _map_slices, **flags)
+                parts, layer_grads = layer.backward_slices(caches, parts, **flags)
                 grads[:0] = [(n, v, g) for (n, v), g in zip(layer.param_entries(), layer_grads, strict=True)]
         return (np.concatenate(parts) if input_grad else None), grads
 
@@ -331,7 +250,7 @@ def count_macs(model: Model) -> ParamLedger:
 
 
 def save_checkpoint(model: Model, path):
-    """Binary dump of every state tensor; see format note below.
+    """Binary dump of every state tensor, written atomically (write_atomically); see format note below.
 
     magic "SNPK", version byte 0x01, then per tensor: u16 name length,
     UTF-8 name, u8 dtype code (0=f32, 1=f64), u8 ndim, u32 per dim,
@@ -341,7 +260,8 @@ def save_checkpoint(model: Model, path):
     for name, value in entries:
         if not np.all(np.isfinite(value)):
             raise ValueError(f"refusing to checkpoint non-finite tensor {name!r}")
-    with open(path, "wb") as f:
+
+    def write(f):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<B", CHECKPOINT_VERSION))
         for name, value in entries:
@@ -351,6 +271,8 @@ def save_checkpoint(model: Model, path):
             f.write(struct.pack("<BB", _DTYPE_CODES[value.dtype], value.ndim))
             f.write(struct.pack(f"<{value.ndim}I", *value.shape))
             f.write(np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<")).tobytes())
+
+    write_atomically(path, write)
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analyzer import audit
 from .archdsl import Preset, ablation_presets, build
-from .data import AugmentPolicy, Dataset, augment, batches
+from .data import AugmentPolicy, Dataset, augment, batches, write_atomically
 from .errors import ArchValidationError, IsolationError, NumericsError
 from .layers import ReLU, softmax_xent
 from .network import Model, count_macs, save_checkpoint
@@ -148,8 +148,9 @@ def train_loop(
     """Epoch loop emitting one train and one test metrics row per epoch.
 
     When a checkpoint path is given the model state is written before
-    training and at each epoch boundary, so after a non-finite-loss
-    abort (NumericsError) the file still holds the last good state.
+    training and at each epoch boundary, so after a non-finite train or
+    test loss aborts the run (NumericsError) the file still holds the
+    last good state. Both files are written atomically (write_atomically).
     """
     root = SplitRng(cfg.seed)
     velocities: dict[str, np.ndarray] = {}
@@ -162,8 +163,7 @@ def train_loop(
 
     def flush():
         if metrics_path is not None:
-            with open(metrics_path, "w", encoding="utf-8", newline="") as f:
-                f.write(format_metrics_csv(rows))
+            write_atomically(metrics_path, lambda f: f.write(format_metrics_csv(rows).encode("utf-8")))
 
     def emit(epoch, split, loss, top1, lr):
         rows.append(MetricsRow(epoch, step, split, loss, top1, lr, clock()))
@@ -201,6 +201,9 @@ def train_loop(
         emit(epoch, "train", loss_sum / seen, correct / seen, lr)
         if test_ds is not None:
             test_loss, test_top1 = evaluate(model, test_ds)
+            if not math.isfinite(test_loss):
+                flush()
+                raise NumericsError(f"test loss became non-finite at epoch {epoch}")
             emit(epoch, "test", test_loss, test_top1, lr)
         if ckpt_path is not None:
             save_checkpoint(model, ckpt_path)
@@ -300,10 +303,13 @@ def ablate(
     test_ds: Dataset,
     cfg: TrainConfig,
     subset: int | None = None,
+    records_path=None,
     log=None,
 ) -> AblateResult:
     """Train every arm of a preset under identical config and seeds
-    {s, s+1, s+2}; report mean and range of test top-1 per arm."""
+    {s, s+1, s+2}; report mean and range of test top-1 per arm. A records_path is
+    created empty before the first arm, so one that cannot be written fails before
+    any training, and gets the records at the end."""
     presets = ablation_presets(input_shape=train_ds.sample_shape)
     if preset_name not in presets:
         raise KeyError(f"unknown preset {preset_name!r}; valid: {', '.join(sorted(presets))}")
@@ -314,6 +320,8 @@ def ablate(
     if subset is not None:
         train_ds = train_ds.subset(subset)
     seeds = (cfg.seed, cfg.seed + 1, cfg.seed + 2)
+    if records_path is not None:
+        write_atomically(records_path, lambda f: None)
 
     probe, _ = next(batches(test_ds, 64))
     arms: list[ArmResult] = []
@@ -334,4 +342,7 @@ def ablate(
                 log(f"[{preset_name}] arm {arm_name} seed {seed}: top1 {top1:.4f}")
         result.dead_fraction = float(np.mean(dead))
         arms.append(result)
-    return AblateResult(preset, arms)
+    ablation = AblateResult(preset, arms)
+    if records_path is not None:
+        write_atomically(records_path, lambda f: f.write(ablation.records().encode("utf-8")))
+    return ablation

@@ -7,7 +7,10 @@ import pytest
 
 import simpnet
 from conftest import write_idx_pair
+from simpnet import archdsl
+from simpnet import train as T
 from simpnet.cli import main
+from simpnet.network import save_checkpoint
 
 TOY_ARCH = (
     "input 1 28 28\n"
@@ -152,6 +155,28 @@ class TestTrainCommand:
             train_args(toy_arch_file, mnist_dir, tmp_path, "--subset", "128", "--max-steps", "1")
         )
         assert code == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_a_non_finite_test_loss_exits_4_keeping_the_last_good_checkpoint(self, tmp_path, capsys):
+        # lr 1e30 leaves finite weights whose logits overflow, so the train loss of the one step is
+        # finite and the epoch's test loss is not
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        write_idx_pair(data_dir, "train", 64, seed=1)
+        write_idx_pair(data_dir, "t10k", 32, seed=2)
+        first = tmp_path / "first.snpk"
+        save_checkpoint(T.init_model(archdsl.build(archdsl.builder_presets()["simpnet-tiny"]), 0), first)
+        argv = ["train", "--preset", "simpnet-tiny", "--dataset", "mnist", "--data-dir", str(data_dir)]
+        argv += ["--epochs", "1", "--max-steps", "1", "--batch-size", "32", "--lr", "1e30", "--deterministic"]
+        argv += ["--out-metrics", str(tmp_path / "metrics.csv"), "--out-ckpt", str(tmp_path / "model.snpk")]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: numerical abort: test loss became non-finite at epoch 1"]
+        assert "final test top1" not in captured.out
+        assert (tmp_path / "model.snpk").read_bytes() == first.read_bytes()
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("1,1,train,")  # the rows before the abort
 
 
 class TestEvalCommand:
@@ -372,6 +397,17 @@ class TestAblateCommand:
         assert "maxpool" in out and "sconv" in out
         records = (tmp_path / "records.tsv").read_text().strip().splitlines()
         assert len(records) == 6
+
+    def test_an_unwritable_records_path_fails_before_any_training(self, mnist_dir, tmp_path, capsys):
+        records = tmp_path / "records"
+        records.mkdir()
+        argv = ["ablate", "--preset", "maxpool-vs-sconv", "--dataset", "mnist", "--data-dir", str(mnist_dir)]
+        assert main([*argv, "--subset", "32", "--epochs", "1", "--out-records", str(records)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error: ")]
+        assert len(errors) == 1 and str(records) in errors[0]
+        assert not any("training" in line for line in err if not line.startswith("resolved config"))
+        assert "records.tmp" not in os.listdir(tmp_path)
 
 
 def _data_dir(root, n_train=64, train_images=None):

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from simpnet import layers as L
-from simpnet import network as N
 from simpnet import train as T
 from simpnet.errors import ShapeError
 from simpnet.network import Model
@@ -35,75 +34,76 @@ class TestReLU:
         assert rel_err(L.relu_backward(x, r), fd_grad(loss, x)) < 1e-6
 
 
-def bn_layer(p):
-    bn = L.BatchNorm("bn1", len(p.gamma))
-    bn.p = p
+def bn_layer(gamma, beta, running_mean=None, running_var=None):
+    """A batch norm holding these arrays themselves; running stats 0 and 1 by default."""
+    bn = L.BatchNorm("bn1", len(gamma))
+    bn.gamma, bn.beta = gamma, beta
+    bn.running_mean = np.zeros_like(gamma) if running_mean is None else running_mean
+    bn.running_var = np.ones_like(gamma) if running_var is None else running_var
     return bn
 
 
-def bn_train(x, p):
+def bn_train(x, bn):
     """(y, cache) of batch norm's train forward of the one slice x, by the layer's slice method."""
-    (y,), (cache,) = bn_layer(p).forward_slices([x], [lambda: None], N._map_slices)
+    (y,), (cache,) = bn.forward_slices([x], [lambda: None])
     return y, cache
 
 
 def bn_backward(g, cache):
     """(grad_x, grad_gamma, grad_beta) of the one slice g, by the layer's slice method."""
-    (gx,), (gg, gb) = L.BatchNorm("bn1", g.shape[1]).backward_slices([cache], [g], N._map_slices)
+    (gx,), (gg, gb) = L.BatchNorm("bn1", g.shape[1]).backward_slices([cache], [g])
     return gx, gg, gb
 
 
 class TestBatchNorm:
-    def _params(self, c, gamma=None, beta=None):
-        return L.BatchNormParams(
-            gamma=np.ones(c) if gamma is None else np.asarray(gamma, dtype=np.float64),
-            beta=np.zeros(c) if beta is None else np.asarray(beta, dtype=np.float64),
-            running_mean=np.zeros(c),
-            running_var=np.ones(c),
+    def _layer(self, c, gamma=None, beta=None):
+        return bn_layer(
+            np.ones(c) if gamma is None else np.asarray(gamma, dtype=np.float64),
+            np.zeros(c) if beta is None else np.asarray(beta, dtype=np.float64),
         )
 
     def test_two_point_normalization(self):
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
-        y, _ = bn_train(x, self._params(1))
+        y, _ = bn_train(x, self._layer(1))
         expect = 1.0 / math.sqrt(1.0 + 1e-5)
         assert np.allclose(y.ravel(), [-expect, expect], atol=1e-12)
 
     def test_constant_channel_shifted_by_beta(self):
         x = np.full((2, 1, 2, 2), 5.0)
-        y, _ = bn_train(x, self._params(1, beta=[7.0]))
+        y, _ = bn_train(x, self._layer(1, beta=[7.0]))
         assert np.allclose(y, 7.0, atol=1e-6)
 
     def test_train_requires_two_samples(self):
         x = np.zeros((1, 2, 1, 1))
         with pytest.raises(ValueError):
-            bn_train(x, self._params(2))
+            bn_train(x, self._layer(2))
 
     def test_running_stats_updated_in_train_only(self):
         rng = SplitRng(41)
         x = rng.uniform((4, 2, 3, 3), 1.0, 3.0)
-        p = self._params(2)
-        bn_train(x, p)
-        assert not np.allclose(p.running_mean, 0.0)
-        mean_after = p.running_mean.copy()
-        var_after = p.running_var.copy()
-        bn_layer(p).eval(x)
-        assert np.array_equal(p.running_mean, mean_after)
-        assert np.array_equal(p.running_var, var_after)
+        bn = self._layer(2)
+        bn_train(x, bn)
+        assert not np.allclose(bn.running_mean, 0.0)
+        mean_after = bn.running_mean.copy()
+        var_after = bn.running_var.copy()
+        bn.eval(x)
+        assert np.array_equal(bn.running_mean, mean_after)
+        assert np.array_equal(bn.running_var, var_after)
 
     def test_running_average_formula(self):
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
-        p = self._params(1)
-        bn_train(x, p)
+        bn = self._layer(1)
+        bn_train(x, bn)
         # biased var = 1, unbiased = 2; momentum 0.1 from (0, 1) start
-        assert np.allclose(p.running_mean, [0.2])
-        assert np.allclose(p.running_var, [0.9 * 1.0 + 0.1 * 2.0])
+        assert np.allclose(bn.running_mean, [0.2])
+        assert np.allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 2.0])
 
     def test_eval_uses_running_stats(self):
-        p = self._params(1)
-        p.running_mean[:] = 2.0
-        p.running_var[:] = 4.0
+        bn = self._layer(1)
+        bn.running_mean[:] = 2.0
+        bn.running_var[:] = 4.0
         x = np.full((1, 1, 1, 2), 4.0)
-        y = bn_layer(p).eval(x)
+        y = bn.eval(x)
         assert np.allclose(y, (4.0 - 2.0) / math.sqrt(4.0 + 1e-5))
 
     def test_gradcheck_x_gamma_beta(self):
@@ -114,12 +114,10 @@ class TestBatchNorm:
         r = rng.uniform(x.shape, -1, 1)
 
         def loss():
-            p = L.BatchNormParams(gamma, beta, np.zeros(3), np.ones(3))
-            y, _ = bn_train(x, p)
+            y, _ = bn_train(x, bn_layer(gamma, beta))
             return float((y * r).sum())
 
-        p = L.BatchNormParams(gamma, beta, np.zeros(3), np.ones(3))
-        _, cache = bn_train(x, p)
+        _, cache = bn_train(x, bn_layer(gamma, beta))
         gx, gg, gb = bn_backward(r, cache)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
         assert rel_err(gg, fd_grad(loss, gamma)) < 1e-5
@@ -147,7 +145,7 @@ class TestBatchNorm:
         x = rng.uniform(shape, -2, 2)
         gamma = rng.uniform(c, 0.5, 1.5)
         g = rng.uniform(shape, -1, 1)
-        _, cache = bn_train(x, L.BatchNormParams(gamma, np.zeros(c), np.zeros(c), np.ones(c)))
+        _, cache = bn_train(x, bn_layer(gamma, np.zeros(c)))
         gx, _, _ = bn_backward(g, cache)
         assert rel_err(gx, self._expanded_grad_x(x, gamma, g)) <= 1e-12
 
@@ -162,13 +160,13 @@ class TestBatchNorm:
             return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
         def run(x, g):
-            p = L.BatchNormParams(gamma.copy(), beta.copy(), np.zeros(5, dtype), np.ones(5, dtype))
-            y, cache = bn_train(x, p)
-            y_eval = bn_layer(p).eval(x)
+            bn = bn_layer(gamma.copy(), beta.copy())
+            y, cache = bn_train(x, bn)
+            y_eval = bn.eval(x)
             grads = bn_backward(g, cache)
             for a in (y, y_eval, grads[0]):
                 assert a.transpose(0, 2, 3, 1).flags.c_contiguous
-            return (y, p.running_mean, p.running_var, y_eval, *grads)
+            return (y, bn.running_mean, bn.running_var, y_eval, *grads)
 
         for a, b in zip(run(x, g), run(nhwc_memory(x), nhwc_memory(g))):
             assert a.dtype == b.dtype == dtype
@@ -181,12 +179,12 @@ class TestBatchNorm:
         offsets = rng.uniform((1, 8, 1, 1), -300, 300)
         x = (offsets + 0.5 * rng.normal((64, 8, 16, 16))).astype(np.float32)
         c = 8
-        p = L.BatchNormParams(np.ones(c, np.float32), np.zeros(c, np.float32), np.zeros(c, np.float32), np.zeros(c, np.float32))
-        bn_train(x, p)
+        bn = bn_layer(np.ones(c, np.float32), np.zeros(c, np.float32), running_var=np.zeros(c, np.float32))
+        bn_train(x, bn)
         x64 = x.astype(np.float64)
         m = x.size // c
         expect = L.BN_MOMENTUM * x64.var(axis=(0, 2, 3)) * (m / (m - 1))
-        assert np.max(np.abs(p.running_var - expect) / expect) <= 1e-4
+        assert np.max(np.abs(bn.running_var - expect) / expect) <= 1e-4
 
 
 class TestDropout:
@@ -263,7 +261,7 @@ class TestChannelsLast:
             layer.init_params(rng.split(i), np.float32)
             dropping = isinstance(layer, (L.Dropout, L.SafPool))
             keep = L.keep_mask(layer.out_shape(y.shape), layer.p, rng.split(100 + i)) if dropping else None
-            (y,), _ = layer.forward_slices([y], [lambda: keep], N._map_slices)
+            (y,), _ = layer.forward_slices([y], [lambda: keep])
             assert y.transpose(0, 2, 3, 1).flags.c_contiguous, layer.name
 
     def test_conv_block_input_gradients_stay_channels_last(self, monkeypatch):
@@ -291,8 +289,8 @@ class TestChannelsLast:
 
             layer.backward = spy
 
-        def bn_spy(grad_outs, caches, smap, backward=L.batchnorm_train_backward):
-            out = backward(grad_outs, caches, smap)
+        def bn_spy(grad_outs, caches, backward=L.batchnorm_train_backward):
+            out = backward(grad_outs, caches)
             (grads["bn1"],) = out[0]  # batch norm runs its slices' backward together, one slice here
             return out
 

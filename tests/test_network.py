@@ -1,3 +1,4 @@
+import errno
 import os
 import struct
 import subprocess
@@ -223,10 +224,10 @@ def fusion_model(name, dtype, seed=0):
     for layer in m.layers:
         if isinstance(layer, L.BatchNorm):
             c = layer.channels
-            layer.p.gamma[...] = r.uniform(0.5, 1.5, c)
-            layer.p.beta[...] = r.normal(0.0, 0.3, c)
-            layer.p.running_mean[...] = r.normal(0.0, 0.3, c)
-            layer.p.running_var[...] = r.uniform(0.5, 2.0, c)
+            layer.gamma[...] = r.uniform(0.5, 1.5, c)
+            layer.beta[...] = r.normal(0.0, 0.3, c)
+            layer.running_mean[...] = r.normal(0.0, 0.3, c)
+            layer.running_var[...] = r.uniform(0.5, 2.0, c)
         elif isinstance(layer, L.Conv2d):
             layer.bias[...] = r.normal(0.0, 0.1, layer.c_out)
     return m
@@ -275,8 +276,8 @@ class TestFusedEval:
         m = Model(make(), (3, 5, 5)).init_params(SplitRng(1), np.float64)
         for layer in m.layers:
             if isinstance(layer, L.BatchNorm):
-                layer.p.running_mean[...] = [0.5, -0.2, 0.1, 0.0]
-                layer.p.running_var[...] = [2.0, 0.5, 1.0, 3.0]
+                layer.running_mean[...] = [0.5, -0.2, 0.1, 0.0]
+                layer.running_var[...] = [2.0, 0.5, 1.0, 3.0]
         x = model_input(m, 2, np.float64)
         assert rel_max(m.eval(x), layer_by_layer_eval(m, x)) <= 1e-12
 
@@ -308,15 +309,14 @@ class TestFusedEval:
                 folded |= {a.name, b.name, *([c.name] if isinstance(c, L.ReLU) else [])}
         assert folded
         m.eval(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32))
-        slices = 3 if N._BLAS_THREADS else 1
-        assert evals == [layer.name for layer in m.layers if layer.name not in folded] * slices
+        assert evals == [layer.name for layer in m.layers if layer.name not in folded] * 3
         assert forwards_outside_eval == []
 
     def test_dead_fraction_reads_the_eval_units(self):
         m = fusion_model("fusion", np.float32)
         for layer in m.layers:
             if isinstance(layer, L.BatchNorm):
-                layer.p.beta[::2] = -20.0  # every other channel of a bn -> relu is 0 on these inputs
+                layer.beta[::2] = -20.0  # every other channel of a bn -> relu is 0 on these inputs
         x = model_input(m, 8, np.float32)
         fractions, y = [], x
         for layer in m.layers:
@@ -364,24 +364,24 @@ class TestFusedEval:
         assert rel_max(fused, layer_by_layer_eval(m, x)) <= 1e-12
 
 
-needs_blas_calls = pytest.mark.skipif(N._BLAS_THREADS is None, reason="no OpenBLAS thread calls found in numpy")
+needs_blas_calls = pytest.mark.skipif(L._BLAS_THREADS is None, reason="no OpenBLAS thread calls found in numpy")
 
 
 @pytest.fixture
 def workers(monkeypatch):
     """set_workers(k): forwards and backwards run their slices on k threads, whatever the BLAS
     thread count is, with pools of their own that are shut down after the test."""
-    original, pools = N._pool, []
+    original, pools = L._pool, []
 
     def set_workers(k):
-        if N._pool not in (None, original):
-            pools.append(N._pool)
-        monkeypatch.setattr(N, "WORKERS", k)
-        monkeypatch.setattr(N, "_pool", None)
+        if L._pool not in (None, original):
+            pools.append(L._pool)
+        monkeypatch.setattr(L, "WORKERS", k)
+        monkeypatch.setattr(L, "_pool", None)
 
     yield set_workers
-    if N._pool not in (None, original):
-        pools.append(N._pool)
+    if L._pool not in (None, original):
+        pools.append(L._pool)
     for pool in pools:
         pool.shutdown()
 
@@ -394,7 +394,7 @@ def two_workers(workers):
 def one_worker(m, x, monkeypatch):
     """Eval logits with every slice run on the calling thread."""
     with monkeypatch.context() as mp:
-        mp.setattr(N, "WORKERS", 1)
+        mp.setattr(L, "WORKERS", 1)
         return m.eval(x)
 
 
@@ -402,12 +402,12 @@ ENGINE_SRC = os.path.dirname(os.path.dirname(N.__file__))
 EVAL_LOGITS_PROBE = """\
 import hashlib
 import numpy as np
-from simpnet import archdsl, network, train
+from simpnet import archdsl, layers, train
 from simpnet.rng import SplitRng
 for name in ("simpnet-tiny", "simpnet-300k"):
     m = train.init_model(archdsl.build(archdsl.builder_presets()[name]), 7)
     x = SplitRng(8).normal((256, *m.input_shape)).astype(np.float32)
-    print(name, network.WORKERS, hashlib.sha256(m.eval(x).tobytes()).hexdigest())
+    print(name, layers.WORKERS, hashlib.sha256(m.eval(x).tobytes()).hexdigest())
 """
 
 
@@ -430,7 +430,7 @@ class TestSlicedEval:
         # (M*N*K <= 10**6), below which sgemm rounds by row count; float64 does so more often
         m = fusion_model(name, np.float32)
         x = model_input(m, 256, np.float32)
-        get, put = N._BLAS_THREADS
+        get, put = L._BLAS_THREADS
         threads = get()
         put(1)
         try:
@@ -440,7 +440,7 @@ class TestSlicedEval:
         assert m.eval(x).tobytes() == whole.tobytes()
 
     def test_many_workers_and_small_slices_under_fast_thread_switching(self, monkeypatch):
-        monkeypatch.setattr(N, "WORKERS", 4)  # more threads than cores on a host of 2 or 3
+        monkeypatch.setattr(L, "WORKERS", 4)  # more threads than cores on a host of 2 or 3
         monkeypatch.setattr(N, "EVAL_SLICE", 2)
         m = fusion_model("simpnet-tiny", np.float32)
         x = model_input(m, 41, np.float32)
@@ -489,7 +489,7 @@ class TestSlicedEval:
         monkeypatch.setattr(N, "conv2d_forward", spy)
         m = fusion_model("simpnet-tiny", np.float32)
         x = model_input(m, 2 * N.EVAL_SLICE, np.float32)
-        get, put = N._BLAS_THREADS
+        get, put = L._BLAS_THREADS
         initial = get()
         try:
             for threads in sorted({1, initial}):
@@ -507,19 +507,47 @@ class TestSlicedEval:
 
 
 def test_without_blas_calls_eval_starts_no_thread(tmp_path, monkeypatch):
-    assert N._openblas_thread_calls(str(tmp_path)) is None
+    assert L._openblas_thread_calls(str(tmp_path)) is None
     (tmp_path / "libopenblas_broken.so").write_bytes(b"not a shared library")
-    assert N._openblas_thread_calls(str(tmp_path)) is None
-    monkeypatch.setattr(N, "_BLAS_THREADS", None)
-    monkeypatch.setattr(N, "WORKERS", 1)
-    monkeypatch.setattr(N, "_pool", None)
+    assert L._openblas_thread_calls(str(tmp_path)) is None
+    monkeypatch.setattr(L, "_BLAS_THREADS", None)
+    monkeypatch.setattr(L, "WORKERS", 1)
+    monkeypatch.setattr(L, "_pool", None)
     m = fusion_model("simpnet-tiny", np.float32)
     before = threading.active_count()
     m.eval(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32))
     logits = m.forward(model_input(m, 2 * N.TRAIN_SLICE + 1, np.float32), SplitRng(3))
     m.backward(np.ones_like(logits))
-    assert threading.active_count() == before and N._pool is None
-    assert [len(caches) for caches in m.caches] == [1] * len(m.caches)  # the train batch ran as one slice
+    assert threading.active_count() == before and L._pool is None
+    assert [len(caches) for caches in m.caches] == [3] * len(m.caches)  # the train batch ran as three slices
+
+
+@needs_blas_calls
+def test_without_blas_calls_the_slices_give_the_two_worker_bytes(workers, monkeypatch):
+    # where the thread calls are not found, the same slices run in order on the caller at the BLAS's
+    # own thread count; with that pinned to one thread through the real calls, the bytes are the
+    # two-worker path's
+    def step():
+        m = fusion_model("simpnet-tiny", np.float32)
+        x = model_input(m, 2 * N.TRAIN_SLICE + 1, np.float32)
+        logits = m.forward(x, SplitRng(3))
+        gx, grads = m.backward(L.softmax_xent(logits, SplitRng(4).integers(len(x), 10))[1])
+        logits_eval = m.eval(model_input(m, 2 * N.EVAL_SLICE + 1, np.float32, seed=6))
+        grads = [(n, g.tobytes()) for n, _, g in grads]
+        return logits.tobytes(), gx.tobytes(), grads, [(n, v.tobytes()) for n, v in m.state_tensors()], logits_eval.tobytes()
+
+    workers(2)
+    sliced = step()
+    get, put = L._BLAS_THREADS
+    threads = get()
+    monkeypatch.setattr(L, "_BLAS_THREADS", None)
+    workers(1)
+    put(1)
+    try:
+        no_calls = step()
+    finally:
+        put(threads)
+    assert no_calls == sliced
 
 
 def test_import_build_and_analyze_start_no_thread():
@@ -548,7 +576,7 @@ def test_eval_logits_do_not_depend_on_the_blas_thread_count():
         outputs.append([line.split() for line in proc.stdout.splitlines()])
     (tiny1, big1), (tiny2, big2) = outputs
     assert tiny1[1] == big1[1] == "1"
-    assert N.WORKERS == 1 or tiny2[1] == big2[1] == "2"  # the sliced path ran where it can
+    assert L.WORKERS == 1 or tiny2[1] == big2[1] == "2"  # the sliced path ran where it can
     assert (tiny1[::2], big1[::2]) == (tiny2[::2], big2[::2])
 
 
@@ -598,16 +626,16 @@ def layer_by_layer_train_step(m, x, rng, labels):
     """Logits, input gradient and [(name, value, grad)] from each layer's own forward_slices and
     backward_slices, with the whole batch as one slice, at one BLAS thread, as Model runs its slices."""
     caches = []
-    with N._one_blas_thread():
+    with L._one_blas_thread():
         for i, layer in enumerate(m.layers):
             dropping = isinstance(layer, (L.Dropout, L.SafPool)) and layer.p > 0
             keep = L.keep_mask(layer.out_shape(x.shape), layer.p, rng.split(i)) if dropping else None
-            (x,), (cache,) = layer.forward_slices([x], [lambda: keep], N._map_slices)
+            (x,), (cache,) = layer.forward_slices([x], [lambda: keep])
             caches.append(cache)
         g = L.softmax_xent(x, labels)[1]
         grads = []
         for layer, cache in zip(reversed(m.layers), reversed(caches)):
-            (g,), layer_grads = layer.backward_slices([cache], [g], N._map_slices)
+            (g,), layer_grads = layer.backward_slices([cache], [g])
             grads[:0] = [(n, v, gr) for (n, v), gr in zip(layer.param_entries(), layer_grads)]
     return x, g, grads
 
@@ -692,9 +720,9 @@ class TestFusedTrain:
         ).init_params(SplitRng(0), np.float64)
         unit_calls, forward_calls = [], []
         for cls in (L.Layer, L.BatchNorm):
-            def spy_slices(self, parts, keeps, smap, fn=cls.forward_slices):
+            def spy_slices(self, parts, keeps, fn=cls.forward_slices):
                 unit_calls.append(self.name)
-                return fn(self, parts, keeps, smap)
+                return fn(self, parts, keeps)
             monkeypatch.setattr(cls, "forward_slices", spy_slices)
         for cls in {type(layer) for layer in m.layers}:
             def spy_forward(self, x, keep=None, fn=cls.forward):
@@ -706,7 +734,7 @@ class TestFusedTrain:
         units = [layers for _, layers, _ in m.train_units]
         assert [[layer.name for layer in layers] for layers in units if len(layers) > 1] == [["relu1", "drop1"]]
         assert unit_calls == [layers[0].name for layers in units if len(layers) == 1]
-        bounds = [(lo, min(n, lo + 2)) for lo in range(0, n, 2)] if N._BLAS_THREADS else [(0, n)]
+        bounds = [(lo, min(n, lo + 2)) for lo in range(0, n, 2)]
         expected = []
         for i, (layer, shape) in enumerate(zip(m.layers, m.symbolic_shapes(n))):
             if isinstance(layer, L.BatchNorm) or layer.name in ("relu1", "drop1"):
@@ -935,7 +963,7 @@ class TestSlicedTrain:
 
         m = train_units_model("simpnet-tiny", np.float32)
         x = model_input(m, 2 * N.TRAIN_SLICE, np.float32)
-        get, put = N._BLAS_THREADS
+        get, put = L._BLAS_THREADS
         initial = get()
         try:
             for threads in sorted({1, initial}):
@@ -1146,6 +1174,39 @@ class TestCheckpoint:
         after = m2.eval(x)
         assert before.tobytes() == after.tobytes()
 
+    def test_a_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        # the disk fills up after the first tensor of a new checkpoint
+        path = tmp_path / "m.snpk"
+        save_checkpoint(toy_model(np.float32, seed=0), path)
+        old = path.read_bytes()
+        name, value = toy_model(np.float32).state_tensors()[0]
+        room = 5 + 2 + len(name) + 2 + 4 * value.ndim + value.nbytes  # magic and version, then one tensor
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f, self.room = f, room
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                if len(data) > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+                return self.f.write(data)
+
+        with monkeypatch.context() as mp:
+            mp.setattr("builtins.open", lambda file, mode="r", *a, **k: FullDisk(real_open(file, mode, *a, **k)))
+            with pytest.raises(OSError, match="No space left") as e:
+                save_checkpoint(toy_model(np.float32, seed=1), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.snpk"]
+        assert e.value.filename == str(path)
+
     def test_running_stats_round_trip(self, tmp_path):
         m = toy_model(np.float32, seed=3)
         x = SplitRng(2).uniform((4, 3, 6, 6), -1, 1).astype(np.float32)
@@ -1154,7 +1215,7 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         tensors = read_checkpoint(path)
         bn = [l for l in m.layers if l.kind == "bn"][0]
-        assert np.array_equal(tensors["bn1.running_mean"], bn.p.running_mean)
+        assert np.array_equal(tensors["bn1.running_mean"], bn.running_mean)
 
     def test_corrupted_magic(self, tmp_path):
         m = toy_model(np.float32)
