@@ -1,8 +1,11 @@
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --seed0 S
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR [--workload W ...] --pairs N --seed0 S
 
-Pair i runs `bench/run.py --workload W --seed S+i --trace 0` once in each
+`--workload` may be repeated; without it, every workload of the change's
+BENCHMARK.json runs, in its order. Each workload runs all its pairs and
+prints its report before the next starts. Pair i runs
+`bench/run.py --workload W --seed S+i --trace 0` once in each
 checkout, the parent first on even pairs and the change first on odd ones,
 so drift of the host between runs falls on both sides alike. For every
 end-to-end metric of the change's BENCHMARK.json it prints the median
@@ -59,38 +62,44 @@ def compare(parent, change, better, bound):
     )
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent_dir")
-    p.add_argument("change_dir")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed0", type=int, default=0)
-    args = p.parse_args(argv)
-    with open(os.path.join(args.change_dir, "BENCHMARK.json"), encoding="utf-8") as f:
-        end_to_end = json.load(f)["end_to_end"]
-
-    sides = {"parent": args.parent_dir, "change": args.change_dir}
+def report(sides, workload, pairs, seed0, end_to_end):
+    """Run the pairs of one workload and print its report."""
     results = {side: [] for side in sides}
-    for i in range(args.pairs):
+    for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(sides[side], args.workload, args.seed0 + i))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+            results[side].append(run_once(sides[side], workload, seed0 + i))
+        print(f"{workload}: pair {i + 1}/{pairs} done", file=sys.stderr, flush=True)
 
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}, parent first on even pairs")
+    print(f"{workload}: {pairs} pairs, seeds {seed0}-{seed0 + pairs - 1}, parent first on even pairs")
     for entry in end_to_end:
         name = entry["name"]
         values = {side: np.array([r["metrics"][name]["value"] for r in results[side]]) for side in sides}
         wins, text = compare(values["parent"], values["change"], entry["better"], entry["bound"])
         print(f"  {name} ({entry['unit']}): parent {quartiles(values['parent'])} -> "
-              f"change {quartiles(values['change'])}, change won {wins}/{args.pairs}")
+              f"change {quartiles(values['change'])}, change won {wins}/{pairs}")
         print(f"    verdict: {text}")
     for side in sides:
         runs = results[side]
         correct = sum(bool(r["correct"]) for r in runs)
         failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
-        print(f"  {side}: correct {correct}/{len(runs)}, failed/attempted {failed}/{attempted}")
+        print(f"  {side}: correct {correct}/{len(runs)}, failed/attempted {failed}/{attempted}", flush=True)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent_dir")
+    p.add_argument("change_dir")
+    p.add_argument("--workload", action="append", help="repeatable; default: every workload of BENCHMARK.json")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed0", type=int, default=0)
+    args = p.parse_args(argv)
+    with open(os.path.join(args.change_dir, "BENCHMARK.json"), encoding="utf-8") as f:
+        bench = json.load(f)
+
+    sides = {"parent": args.parent_dir, "change": args.change_dir}
+    for workload in args.workload or [w["name"] for w in bench["workloads"]]:
+        report(sides, workload, args.pairs, args.seed0, bench["end_to_end"])
     return 0
 
 

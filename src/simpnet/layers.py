@@ -13,7 +13,10 @@ forward; network.train_units and network.eval_units decide which
 layers run together as one unit. A train step gives a layer its batch
 as slices along n, which forward_slices, backward_slices and batch norm
 run through the slice runner below, _map_slices, on WORKERS threads (1
-where numpy's OpenBLAS thread calls are not found).
+where numpy's OpenBLAS thread calls are not found). Importing this module
+also sets glibc's malloc thresholds and arena count for the whole
+process (_set_malloc), so train steps reuse heap memory instead of
+faulting in fresh pages; it changes no value.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
 chunk at a time: the k*k windows of a few images of a zero-padded
@@ -49,6 +52,7 @@ module constants BN_MOMENTUM and BN_EPS.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import glob
 import itertools
@@ -94,6 +98,28 @@ WORKERS = _BLAS_THREADS[0]() if _BLAS_THREADS else 1  # threads _map_slices runs
 _pool = None  # WORKERS - 1 threads, started by the first forward with more than one slice
 
 
+def _set_malloc():
+    """Set glibc's malloc for the whole process, through ctypes; a no-op where mallopt is not found.
+
+    Train steps allocate their activations afresh, and with glibc's
+    defaults each step faults their pages in anew. So blocks below 32 MiB
+    come from the heap (M_MMAP_THRESHOLD), which keeps up to 256 MiB free
+    at its top (M_TRIM_THRESHOLD), and all threads share that one arena
+    (M_ARENA_MAX): a slice thread's own arena would live in mmapped heaps
+    that glibc unmaps once wholly free. The allocator touches no value.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in ((-3, 32 << 20), (-1, 256 << 20), (-8, 1)):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
+        mallopt(param, value)
+
+
+_set_malloc()
+
+
 @contextmanager
 def _one_blas_thread():
     """The BLAS at one thread, process-wide, until the block ends; restored on return or raise."""
@@ -115,12 +141,15 @@ def _map_slices(fn, *parts):
     Thread t runs slice t first; after that each thread takes the next
     slice that no thread has taken, so a thread whose core the host slows
     down runs fewer slices instead of holding up the batch. Thread 0 is the
-    caller, so it allocates the intermediates of its slices in its own
-    malloc arena: when pool threads ran every slice and the caller only
-    waited, their fresh glibc arenas raised peak RSS by 17% on simpnet-tiny.
-    Every slice's result lands at its own index, so the result does not
-    depend on which thread ran it. Waits for every slice, then raises the
-    caller's first error, or else the first of a pool thread's.
+    caller, which runs slices rather than only waiting, so k threads need
+    only k - 1 in the pool. (When pool threads ran every slice, peak RSS on
+    simpnet-tiny rose 17%: each pool thread then allocated in a glibc arena
+    of its own, which _set_malloc now rules out.) Each pool thread runs in
+    a copy of the caller's contextvars context, so the caller's np.errstate
+    holds in every slice. Every slice's result lands at its own index, so
+    the result does not depend on which thread ran it. Waits for every
+    slice, then raises the caller's first error, or else the first of a
+    pool thread's.
     """
     global _pool
     args = list(zip(*parts, strict=True))
@@ -134,7 +163,7 @@ def _map_slices(fn, *parts):
 
     if k > 1 and _pool is None:
         _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="simpnet")
-    futures = [_pool.submit(run_slices, t) for t in range(1, k)]
+    futures = [_pool.submit(contextvars.copy_context().run, run_slices, t) for t in range(1, k)]
     try:
         run_slices(0)
     finally:

@@ -118,6 +118,7 @@ def check_fits(model: Model, dataset: Dataset):
         raise ValueError(f"{dataset.name}: the classifier has {width} outputs but the dataset has {dataset.num_classes} classes")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows in the returned loss, not as numpy's warnings
 def evaluate(model: Model, dataset: Dataset, batch_size: int = EVAL_BATCH) -> tuple[float, float]:
     """Mean loss and top-1 accuracy of Model.eval; deterministic."""
     loss_sum = 0.0
@@ -136,6 +137,7 @@ def init_model(model: Model, seed: int) -> Model:
     return model.init_params(SplitRng(seed).split(INIT))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in NumericsError, not in numpy's warnings
 def train_loop(
     model: Model,
     train_ds: Dataset,

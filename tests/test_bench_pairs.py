@@ -11,14 +11,14 @@ import pytest
 from conftest import ROOT, load_script
 
 SCRIPT = os.path.join(ROOT, "scripts", "bench_pairs.py")
-SPEC = {"end_to_end": [
+SPEC = {"workloads": [{"name": "w1"}, {"name": "w2"}], "end_to_end": [
     {"name": "train_img_per_s", "unit": "img/s", "better": "higher", "bound": 0.25},
     {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
 ]}
 
 
 def checkout(root, name, img_per_s, setup_s, log):
-    """A directory with BENCHMARK.json and a bench/run.py that logs its side and prints one result."""
+    """A directory with BENCHMARK.json and a bench/run.py that logs its side, workload and seed and prints one result."""
     path = root / name
     (path / "bench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text(json.dumps(SPEC))
@@ -26,7 +26,8 @@ def checkout(root, name, img_per_s, setup_s, log):
         "train_img_per_s": {"value": img_per_s, "unit": "img/s"}, "setup_s": {"value": setup_s, "unit": "s"}}}
     (path / "bench" / "run.py").write_text(
         "import sys\n"
-        f"open({str(log)!r}, 'a').write({name!r} + ' ' + sys.argv[sys.argv.index('--seed') + 1] + '\\n')\n"
+        "arg = lambda flag: sys.argv[sys.argv.index(flag) + 1]\n"
+        f"open({str(log)!r}, 'a').write({name!r} + ' ' + arg('--workload') + ' ' + arg('--seed') + '\\n')\n"
         f"print('report line')\nprint({json.dumps(json.dumps(result))})\n"
     )
     return str(path)
@@ -39,13 +40,31 @@ def test_alternates_sides_and_counts_wins(tmp_path):
     cmd = [sys.executable, SCRIPT, parent, change, "--workload", "w", "--pairs", "3", "--seed0", "7"]
     proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
     assert log.read_text().split("\n")[:-1] == [
-        "parent 7", "change 7", "change 8", "parent 8", "parent 9", "change 9"]
+        "parent w 7", "change w 7", "change w 8", "parent w 8", "parent w 9", "change w 9"]
     out = proc.stdout
     assert "train_img_per_s (img/s): parent 100 [100, 100] -> change 120 [120, 120], change won 3/3" in out
     assert "setup_s (s): parent 2 [2, 2] -> change 3 [3, 3], change won 0/3" in out
     assert "parent: correct 3/3, failed/attempted 0/9" in out
     assert "    verdict: gain holds (won 3/3, median gap +20 vs parent IQR 0); within bound (median better by 20.0%, bound 25%)" in out
     assert "    verdict: gain not shown (won 0/3, median gap -1 vs parent IQR 0); OUTSIDE bound (median worse by 50.0%, bound 25%)" in out
+
+
+@pytest.mark.parametrize(
+    "workloads,expect",
+    [([], ["w1", "w2"]), (["--workload", "w2", "--workload", "w1"], ["w2", "w1"])],
+    ids=["every-workload", "repeated-flag"],
+)
+def test_runs_each_workload_in_turn_with_a_report_each(tmp_path, workloads, expect):
+    log = tmp_path / "order.log"
+    parent = checkout(tmp_path, "parent", 100.0, 2.0, log)
+    change = checkout(tmp_path, "change", 120.0, 3.0, log)
+    cmd = [sys.executable, SCRIPT, parent, change, *workloads, "--pairs", "2", "--seed0", "7"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    assert log.read_text().split("\n")[:-1] == [
+        line for w in expect for line in (f"parent {w} 7", f"change {w} 7", f"change {w} 8", f"parent {w} 8")]
+    heads = [line for line in proc.stdout.splitlines() if not line.startswith(" ")]
+    assert heads == [f"{w}: 2 pairs, seeds 7-8, parent first on even pairs" for w in expect]
+    assert proc.stdout.count("parent: correct 2/2, failed/attempted 0/6") == len(expect)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -156,7 +157,6 @@ class TestTrainCommand:
         )
         assert code == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
     def test_a_non_finite_test_loss_exits_4_keeping_the_last_good_checkpoint(self, tmp_path, capsys):
         # lr 1e30 leaves finite weights whose logits overflow, so the train loss of the one step is
         # finite and the epoch's test loss is not
@@ -169,7 +169,10 @@ class TestTrainCommand:
         argv = ["train", "--preset", "simpnet-tiny", "--dataset", "mnist", "--data-dir", str(data_dir)]
         argv += ["--epochs", "1", "--max-steps", "1", "--batch-size", "32", "--lr", "1e30", "--deterministic"]
         argv += ["--out-metrics", str(tmp_path / "metrics.csv"), "--out-ckpt", str(tmp_path / "model.snpk")]
-        assert main(argv) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 4
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
         assert errors == ["error: numerical abort: test loss became non-finite at epoch 1"]

@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import os
 import struct
@@ -550,6 +551,61 @@ def test_without_blas_calls_the_slices_give_the_two_worker_bytes(workers, monkey
     assert no_calls == sliced
 
 
+@pytest.mark.usefixtures("two_workers")
+def test_the_callers_errstate_holds_in_pool_slices():
+    on_caller = {}
+
+    def scale(j, x):
+        on_caller[j] = threading.current_thread() is threading.main_thread()
+        return x * np.float32(10)
+
+    # thread t runs slice t first, so slice 1, the only one that overflows, runs on the pool thread
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        L._map_slices(scale, [0, 1], [np.ones(4, np.float32), np.full(4, 3e38, np.float32)])
+    assert on_caller == {0: True, 1: False}
+
+
+def mallopt_found():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not mallopt_found(), reason="glibc's mallopt not found, so the allocator keeps its defaults")
+def test_a_steady_train_step_faults_in_few_pages():
+    # with glibc's default settings this step took 19.6k minor faults (numpy 2.4.6, two threads): each
+    # step's fresh arrays were mmapped, or trimmed from the heap, and faulted in again
+    import resource
+
+    m = train_units_model("simpnet-tiny", np.float32)
+    x = model_input(m, 128, np.float32)
+    labels = SplitRng(4).integers(128, 10)
+    velocities = {}
+
+    def step():
+        logits = m.forward(x, SplitRng(3))
+        _, grads = m.backward(L.softmax_xent(logits, labels)[1], input_grad=False)
+        sgd_step(grads, velocities, 0.01, 0.9, 5e-4)
+
+    step()
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"{faults} minor faults in one step"
+
+
+def no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [no_library, lambda name: object()], ids=["no-library", "no-mallopt"])
+def test_set_malloc_returns_quietly_without_mallopt(cdll, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert L._set_malloc() is None
+
+
 def test_import_build_and_analyze_start_no_thread():
     probe = (
         "import threading\n"
@@ -814,8 +870,9 @@ class TestFusedTrain:
     # tracemalloc peak of one float32 eval batch of 256, the input excluded, run as slices of 32 on
     # two threads. Measured with numpy 2.4: 9.3 MiB on simpnet-tiny and 21.4 MiB on simpnet-300k, two
     # slices' worth, against 37.0 and 85.0 MiB for the whole batch in one pass. The bounds leave about
-    # 15% headroom. The caller runs slices itself rather than only waiting: pool threads allocate from
-    # fresh glibc arenas, and when they ran every slice, peak RSS on simpnet-tiny rose 17%.
+    # 15% headroom. The caller runs slices itself rather than only waiting. When pool threads ran every
+    # slice, each in a glibc arena of its own, peak RSS on simpnet-tiny rose 17%; all threads now share
+    # one arena (layers._set_malloc).
     @needs_blas_calls
     @pytest.mark.usefixtures("two_workers")
     @pytest.mark.parametrize("name,bound_mib", [("simpnet-tiny", 11), ("simpnet-300k", 25)])
