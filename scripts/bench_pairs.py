@@ -14,8 +14,10 @@ line: whether a gain may be claimed (the change won at least 9/10 of the
 pairs and the medians differ in its favour by more than the parent's
 interquartile range), and whether the change's median stays within the
 metric's `bound`, the fraction of the parent's median by which it may be
-worse. Last come how many runs reported `correct` and the failed/attempted
-totals.
+worse. A gain is withheld, with the reason on the verdict line, when the
+change has fewer runs that reported `correct` than the parent, or a larger
+share of failed operations (failed/attempted). Last come how many runs
+reported `correct` and the failed/attempted totals.
 """
 
 from __future__ import annotations
@@ -43,11 +45,28 @@ def quartiles(values):
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def compare(parent, change, better, bound):
+def tally(runs):
+    """(runs that reported correct, failed operations, attempted operations) of one side."""
+    return sum(bool(r["correct"]) for r in runs), sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+
+
+def withheld(parent, change):
+    """Why no gain may be claimed from the change's runs whatever its metrics, from each side's tally; None if none."""
+    (pc, pf, pa), (cc, cf, ca) = parent, change
+    reasons = []
+    if cc < pc:
+        reasons.append(f"change correct in fewer runs, {cc} against {pc}")
+    if cf * pa > pf * ca:  # cf/ca > pf/pa, without dividing by 0
+        reasons.append(f"change failed a larger share, {cf}/{ca} against {pf}/{pa}")
+    return "; ".join(reasons) or None
+
+
+def compare(parent, change, better, bound, reason=None):
     """(pairs the change won, verdict) for one metric, from each side's values in pair order.
 
-    The verdict says whether the gain rule holds and whether the change's
-    median is worse than the parent's by no more than bound (a fraction).
+    The verdict says whether the gain rule holds, or that a gain is withheld
+    for reason (withheld), and whether the change's median is worse than the
+    parent's by no more than bound (a fraction).
     """
     sign = 1 if better == "higher" else -1
     wins = int(np.sum(sign * (change - parent) > 0))
@@ -55,8 +74,9 @@ def compare(parent, change, better, bound):
     gap = sign * (np.median(change) - med)  # > 0 in the change's favour
     gain = wins * 10 >= 9 * len(parent) and gap > q3 - q1
     worse = -gap / abs(med) if med else 0.0
+    verdict = f"withheld: {reason}" if reason else "holds" if gain else "not shown"
     return wins, (
-        f"gain {'holds' if gain else 'not shown'} (won {wins}/{len(parent)}, median gap {gap:+.4g} vs parent IQR "
+        f"gain {verdict} (won {wins}/{len(parent)}, median gap {gap:+.4g} vs parent IQR "
         f"{q3 - q1:.4g}); {'within' if worse <= bound else 'OUTSIDE'} bound (median {'worse' if worse > 0 else 'better'} "
         f"by {abs(worse):.1%}, bound {bound:.0%})"
     )
@@ -72,18 +92,18 @@ def report(sides, workload, pairs, seed0, end_to_end):
         print(f"{workload}: pair {i + 1}/{pairs} done", file=sys.stderr, flush=True)
 
     print(f"{workload}: {pairs} pairs, seeds {seed0}-{seed0 + pairs - 1}, parent first on even pairs")
+    tallies = {side: tally(results[side]) for side in sides}
+    reason = withheld(tallies["parent"], tallies["change"])
     for entry in end_to_end:
         name = entry["name"]
         values = {side: np.array([r["metrics"][name]["value"] for r in results[side]]) for side in sides}
-        wins, text = compare(values["parent"], values["change"], entry["better"], entry["bound"])
+        wins, text = compare(values["parent"], values["change"], entry["better"], entry["bound"], reason)
         print(f"  {name} ({entry['unit']}): parent {quartiles(values['parent'])} -> "
               f"change {quartiles(values['change'])}, change won {wins}/{pairs}")
         print(f"    verdict: {text}")
     for side in sides:
-        runs = results[side]
-        correct = sum(bool(r["correct"]) for r in runs)
-        failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
-        print(f"  {side}: correct {correct}/{len(runs)}, failed/attempted {failed}/{attempted}", flush=True)
+        correct, failed, attempted = tallies[side]
+        print(f"  {side}: correct {correct}/{pairs}, failed/attempted {failed}/{attempted}", flush=True)
 
 
 def main(argv=None) -> int:

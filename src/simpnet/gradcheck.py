@@ -130,9 +130,9 @@ def _check_safpool(rng: SplitRng) -> float:
     # values, all distinct, serve as the cotangent
     pool0 = L.SafPool("safpool", 2, 0.0)
     y0, cache0 = pool0.forward(x)
-    pooled, argmax_mp = L.maxpool_forward(x)
+    pooled, which = L.maxpool_forward(x)
     g0 = pool0.backward(cache0, pooled)[0]
-    gmp = L.maxpool_backward(argmax_mp, pooled, x.shape)
+    gmp = L.maxpool_backward(which, pooled, x.shape)
     if not (np.array_equal(y0, pooled) and np.array_equal(g0, gmp)):
         return float("inf")
     return err

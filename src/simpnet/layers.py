@@ -19,16 +19,16 @@ process (_set_malloc), so train steps reuse heap memory instead of
 faulting in fresh pages; it changes no value.
 
 Convolution is cross-correlation (no kernel flip), lowered a batch
-chunk at a time: the k*k windows of a few images of a zero-padded
-channels-last (NHWC) copy of the input go into one reused
-(rows, k*k*c_in) buffer of at most LOWERING_BYTES (1 MiB, but at least
-one image), and one GEMM per chunk writes the output; dW sums
-g_chunk.T @ chunk, and db is ones @ g by BLAS. A batch runs as slices
-of a few dozen images, one slice per thread at one BLAS thread, so each
-thread lowers into a buffer of its own. grad_x lowers
+chunk at a time: a few images are zero-padded channels-last (NHWC) into
+one reused buffer, and their k*k windows go into another, (rows,
+k*k*c_in), of at most LOWERING_BYTES (1 MiB, but at least one image);
+one GEMM per chunk writes the output. dW pads and lowers the chunks
+again and sums g_chunk.T @ chunk, and db is ones @ g by BLAS. A batch
+runs as slices of a few dozen images, one slice per thread at one BLAS
+thread, so each thread lowers into buffers of its own. grad_x lowers
 the gradient, dilated by the stride and padded by k-1, at stride 1
 against the flipped kernel (Dumoulin & Visin, 2016). A conv layer's
-cache is only the padded input.
+cache is only its input, the array it was given.
 
 Arrays are indexed NCHW at every layer boundary, but conv outputs are
 NHWC in memory, and batch norm, ReLU, dropout and the pools keep that
@@ -36,11 +36,13 @@ layout in both passes: batch norm sums its (n*h*w, c) matrix view, and
 per-channel ops run on the (n, h*w*c) image rows (_per_pixel); dropout
 draws 4-D masks in (n, h, w, c) order; max-pool copies its taps
 channels-last, and its winners' offsets index channels-last memory. The
-next conv's padded copy and its backward's (n*h*w, c) view of the
+next conv's padded chunks and its backward's (n*h*w, c) view of the
 gradient then need no transposing copy.
 
 Max-pooling breaks ties in favor of the first element in row-major scan
-order so backward routing is deterministic. The SafPool layer is
+order so backward routing is deterministic. maxpool_forward returns each
+winner's position in its window (uint8), and maxpool_backward turns
+those into offsets. The SafPool layer is
 SAF-pooling: maxpool_forward then dropout_apply on the pooled units in
 training, maxpool_values at inference, so it has no module functions of
 its own. Dropout and SafPool take their keep mask already drawn
@@ -69,7 +71,7 @@ from .rng import SplitRng
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
-LOWERING_BYTES = 1 << 20  # a conv's reused lowering buffer, from a sweep with network.TRAIN_SLICE (CHANGES.md)
+LOWERING_BYTES = 1 << 20  # a conv's lowering buffer, beside one padded chunk; from a sweep with network.TRAIN_SLICE
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +186,6 @@ def conv_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
 
-def _pad_nhwc(x, pad):
-    """Zero-padded channels-last copy (n, h+2p, w+2p, c) of an NCHW input."""
-    n, c, h, w = x.shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
-    return xp
-
-
 def _rows(a):
     """(n*h*w, c) matrix of an NCHW-indexed array: a view when it is NHWC in memory, else a copy."""
     return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
@@ -229,45 +223,51 @@ def _lower(windows, buf):
     return cols.reshape(-1, math.prod(cols.shape[3:]))
 
 
+def _lowered_chunks(x, k, stride, pad, oh, ow):
+    """(lo, hi, lowered rows) of each chunk of an NCHW-indexed input: its images zero-padded
+    channels-last into one reused buffer, then their k*k windows lowered into another (_lowering_buffer)."""
+    n, c, h, w = x.shape
+    buf, chunks = _lowering_buffer(n, (oh, ow, k, k, c), x.dtype)
+    xp = np.zeros((len(buf), h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)  # its border stays 0
+    windows = _windows(xp, k, stride, oh, ow)
+    for lo, hi in chunks:
+        xp[: hi - lo, pad : pad + h, pad : pad + w] = x[lo:hi].transpose(0, 2, 3, 1)
+        yield lo, hi, _lower(windows[: hi - lo], buf)
+
+
 def _conv2d_forward(x, weight, bias, stride, pad):
-    """Forward pass; returns (y, padded NHWC input) so a layer can cache the latter."""
+    """Forward pass; returns (y, x), x being all a layer caches for backward."""
     n, c, h, w = x.shape
     c_out, c_in, k, _ = weight.shape
     if c != c_in:
         raise ShapeError(f"conv expects {c_in} input channels, got {c}")
     oh, ow = conv_out_hw(h, w, k, stride, pad)
-    xp = _pad_nhwc(x, pad)
-    windows = _windows(xp, k, stride, oh, ow)
     w_mat = weight.transpose(2, 3, 1, 0).reshape(k * k * c, c_out)  # rows in (dy, dx, c) order, as lowered
     y = np.empty((n, oh * ow * c_out), dtype=np.result_type(x, weight))
-    buf, chunks = _lowering_buffer(n, windows.shape[1:], xp.dtype)
-    for lo, hi in chunks:
-        np.matmul(_lower(windows[lo:hi], buf), w_mat, out=y[lo:hi].reshape(-1, c_out))
+    for lo, hi, cols in _lowered_chunks(x, k, stride, pad, oh, ow):
+        np.matmul(cols, w_mat, out=y[lo:hi].reshape(-1, c_out))
     y += _per_pixel(bias, (n, c_out, oh, ow))
-    return _nchw(y, (n, c_out, oh, ow)), xp
+    return _nchw(y, (n, c_out, oh, ow)), x
 
 
-def _conv2d_backward(xp, weight, stride, pad, grad_out, input_grad=True):
-    """Gradients of sum(grad_out * forward) wrt (x, weight, bias), from the padded NHWC input xp."""
-    n, hp, wp, c = xp.shape
+def _conv2d_backward(x, weight, stride, pad, grad_out, input_grad=True):
+    """Gradients of sum(grad_out * forward) wrt (x, weight, bias), from the unpadded input x."""
+    n, c, h, w = x.shape
     c_out, _, k, _ = weight.shape
-    oh, ow = conv_out_hw(hp, wp, k, stride, 0)
+    oh, ow = conv_out_hw(h, w, k, stride, pad)
     if grad_out.shape != (n, c_out, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output {(n, c_out, oh, ow)}")
     g = grad_out.transpose(0, 2, 3, 1)  # its chunks are (rows, c_out) views when grad_out is NHWC in memory
-    windows = _windows(xp, k, stride, oh, ow)
-    buf, chunks = _lowering_buffer(n, windows.shape[1:], xp.dtype)
-    grad_w = np.zeros((c_out, k * k * c), dtype=np.result_type(g, xp))
-    for lo, hi in chunks:
-        grad_w += g[lo:hi].reshape(-1, c_out).T @ _lower(windows[lo:hi], buf)
+    grad_w = np.zeros((c_out, k * k * c), dtype=np.result_type(g, x))
+    for lo, hi, cols in _lowered_chunks(x, k, stride, pad, oh, ow):
+        grad_w += g[lo:hi].reshape(-1, c_out).T @ cols
     grad_b = np.ones(n * oh * ow, grad_out.dtype) @ _rows(grad_out)  # by BLAS, as batch norm's grad_beta
     grad_w = grad_w.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)
     if not input_grad:
         return None, grad_w, grad_b
-    del buf  # freed before the input-gradient buffers are allocated
     # grad_x correlates the flipped kernel at stride 1 with the gradient dilated by
     # stride and zero-padded by k-1; chunks rewrite only the dilated spots
-    h, w = hp - 2 * pad, wp - 2 * pad
+    hp, wp = h + 2 * pad, w + 2 * pad
     buf, chunks = _lowering_buffer(n, (h, w, k, k, c_out), grad_w.dtype)
     dilated = np.zeros((len(buf), hp + k - 1, wp + k - 1, c_out), dtype=grad_w.dtype)
     spots = dilated[:, k - 1 : k - 1 + stride * oh : stride, k - 1 : k - 1 + stride * ow : stride]
@@ -290,15 +290,15 @@ def conv2d_forward(x, weight, bias, stride=1, pad=0):
 
 
 def maxpool_forward(x, window=2, stride=2):
-    """Max over each window; returns (pooled, winners' offsets into the input's channels-last memory).
+    """Max over each window; returns (pooled, which), which the position of each window's winner in it.
 
     Ties go to the first element in row-major scan order, and a NaN beats a
     number, as with argmax: the taps are copied channels-last into one slab,
     and the winner so far takes tap t where ~(tap <= winner) & (winner ==
     winner), by an xor mask on integer views (argmax over the slab and masked
     copies run several times slower). Both results are NHWC-strided views,
-    like conv outputs. A winner's offset into the flat (n, h, w, c) input is
-    its window's origin plus its position in the window, from a table.
+    like conv outputs; which is uint8 up to 16*16 windows, and
+    maxpool_backward turns it into offsets.
     """
     n, c, h, w = x.shape
     oh, ow = conv_out_hw(h, w, window, stride, 0)
@@ -311,12 +311,7 @@ def maxpool_forward(x, window=2, stride=2):
         better = ~(slabs[t] <= pooled) & (pooled == pooled)  # argmax's rule, NaN included
         np.maximum(which, better * which.dtype.type(t), out=which)  # t exceeds every earlier tap
         bits ^= (bits ^ taps[t]) & (better * ~bits.dtype.type(0))  # the winning tap's bytes
-    table = (np.arange(window).reshape(-1, 1) * w + np.arange(window)).ravel() * c  # (dy*w + dx)*c of each tap
-    origin = (np.arange(oh).reshape(oh, 1, 1) * (stride * w) + np.arange(ow).reshape(ow, 1) * stride) * c + np.arange(c)
-    argmax = table.take(which)
-    argmax += origin
-    argmax += np.arange(n).reshape(n, 1, 1, 1) * (c * h * w)
-    return pooled.transpose(0, 3, 1, 2), argmax.transpose(0, 3, 1, 2)
+    return pooled.transpose(0, 3, 1, 2), which.transpose(0, 3, 1, 2)
 
 
 def maxpool_values(x, window=2, stride=2):
@@ -329,14 +324,25 @@ def maxpool_values(x, window=2, stride=2):
     return y.transpose(0, 3, 1, 2)
 
 
-def maxpool_backward(argmax, grad_out, input_shape):
-    """Route each output gradient to its winning input cell, scattering into NHWC memory."""
-    size = math.prod(input_shape)
-    idx = argmax.transpose(0, 2, 3, 1).ravel()  # views when both arrive channels-last
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise AssertionError("argmax offsets out of bounds for input shape")
-    grad_x = np.zeros(size, dtype=grad_out.dtype)
-    np.add.at(grad_x, idx, grad_out.transpose(0, 2, 3, 1).ravel())
+def _winner_offsets(which, input_shape, window, stride):
+    """(n, oh, ow, c) int64 offsets into the flat channels-last input of maxpool_forward's winners:
+    each window's origin plus its winner's position in it, (dy*w + dx)*c, from a table."""
+    n, c, h, w = input_shape
+    oh, ow = conv_out_hw(h, w, window, stride, 0)
+    table = (np.arange(window).reshape(-1, 1) * w + np.arange(window)).ravel() * c
+    offsets = table[which.transpose(0, 2, 3, 1)]  # casts which in buffers, unlike take; raises outside the window
+    # then each window's origin, in two adds that need no buffers: its channel, then its (image, row, column)
+    offsets += np.arange(c)
+    pixel = (np.arange(n).reshape(n, 1, 1) * h + np.arange(oh).reshape(oh, 1) * stride) * w + np.arange(ow) * stride
+    offsets += pixel.reshape(n, oh, ow, 1) * c
+    return offsets
+
+
+def maxpool_backward(which, grad_out, input_shape, window=2, stride=2):
+    """Route each output gradient to its window's winner (maxpool_forward's which), scattering into NHWC memory."""
+    grad_x = np.zeros(math.prod(input_shape), dtype=grad_out.dtype)
+    idx = _winner_offsets(which, input_shape, window, stride).ravel()
+    np.add.at(grad_x, idx, grad_out.transpose(0, 2, 3, 1).ravel())  # a view when it arrives channels-last
     return _nchw(grad_x, input_shape)
 
 
@@ -478,18 +484,18 @@ def dropout_backward(grad_out, mask, p: float):
 
 
 def relu_dropout_forward(x, p: float, mask):
-    """relu_forward then dropout_apply by a drawn mask (p > 0), in one buffer: (y, keep).
+    """relu_forward then dropout_apply by a drawn mask (p > 0), in one buffer.
 
-    y has the bytes of the two in turn. keep = y > 0 is the pair's whole
-    backward cache: as 1 - p <= 1, y > 0 exactly where x > 0 and the mask
-    kept the element, so dropout_backward(g, keep, p) equals dropout_backward
-    then relu_backward bit for bit, signed zeros included, and the ReLU's
-    input is not held.
+    The result y has the bytes of the two in turn, and y > 0 is the pair's
+    keep: as 1 - p <= 1, y > 0 exactly where x > 0 and the mask kept the
+    element, so dropout_backward(g, y > 0, p) equals dropout_backward then
+    relu_backward bit for bit, signed zeros included, and the ReLU's input
+    need not be held.
     """
     y = relu_forward(x)
     y *= mask
     y /= x.dtype.type(1.0 - p)
-    return y, y > 0
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +619,9 @@ class Conv2d(Layer):
     def forward(self, x, keep=None):
         return _conv2d_forward(x, self.weight, self.bias, self.stride, self.pad)
 
-    def backward(self, xp, grad_out, input_grad=True):
+    def backward(self, x, grad_out, input_grad=True):
         """With input_grad=False the input gradient is not computed and comes back as None."""
-        gx, gw, gb = _conv2d_backward(xp, self.weight, self.stride, self.pad, grad_out, input_grad)
+        gx, gw, gb = _conv2d_backward(x, self.weight, self.stride, self.pad, grad_out, input_grad)
         return gx, (gw, gb)
 
     def param_entries(self):
@@ -651,16 +657,16 @@ class SafPool(Layer):
 
     def forward(self, x, keep=None):
         keep = _train_keep(self.p, keep)
-        pooled, argmax = maxpool_forward(x, self.window, self.stride)
-        return (pooled if keep is None else dropout_apply(pooled, keep, self.p)), (x.shape, keep, argmax)
+        pooled, which = maxpool_forward(x, self.window, self.stride)
+        return (pooled if keep is None else dropout_apply(pooled, keep, self.p)), (x.shape, keep, which)
 
     def eval(self, x):
         """Plain max-pooling: eval dropout is the identity."""
         return maxpool_values(x, self.window, self.stride)
 
     def backward(self, cache, grad_out):
-        x_shape, mask, argmax = cache
-        return maxpool_backward(argmax, dropout_backward(grad_out, mask, self.p), x_shape), ()
+        x_shape, mask, which = cache
+        return maxpool_backward(which, dropout_backward(grad_out, mask, self.p), x_shape, self.window, self.stride), ()
 
     def out_shape(self, in_shape):
         n, c, h, w = in_shape
@@ -741,6 +747,9 @@ class Dropout(Layer):
         return x
 
     def backward(self, mask, grad_out):
+        """mask is the keep mask, or the output y of a relu -> dropout pair, whose keep is y > 0."""
+        if mask is not None and mask.dtype != bool:
+            mask = mask > 0
         return dropout_backward(grad_out, mask, self.p), ()
 
 

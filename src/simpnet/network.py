@@ -64,17 +64,22 @@ def _folded_conv(conv, bn, relu, x):
     return np.maximum(y, 0, out=y) if relu else y
 
 
-def _train_unit(layer, j, paired, parts, rng):
-    """Run of a train unit ending in layer j: its forward_slices, or relu_dropout_forward per slice if
-    paired. A Dropout or SafPool with p > 0 has one keep mask for its output over the whole batch, from
-    rng.split(j) split on the caller, and each slice draws its own rows of it on its thread; others None."""
+def _train_unit(layer, j, pair, parts, rng):
+    """Run of a train unit ending in layer j: its forward_slices, or relu_dropout_forward per slice for a
+    pair, which caches its output y if pair is "shared", else y > 0. A Dropout or SafPool with p > 0 has
+    one keep mask for its output over the whole batch, from rng.split(j) split on the caller, and each
+    slice draws its own rows of it on its thread; others None."""
     draws = [lambda: None] * len(parts)
     if getattr(layer, "p", 0) > 0:
         shape, stream = layer.out_shape((sum(map(len, parts)), *parts[0].shape[1:])), rng and rng.split(j)
         ends = itertools.accumulate(map(len, parts))
         draws = [partial(keep_mask, shape, layer.p, stream, (hi - len(x), hi)) for x, hi in zip(parts, ends)]
-    if paired:
-        return tuple(zip(*_map_slices(lambda x, draw: relu_dropout_forward(x, layer.p, draw()), parts, draws)))
+    if pair:
+        def run(x, draw):
+            y = relu_dropout_forward(x, layer.p, draw())
+            return y, (y if pair == "shared" else y > 0)
+
+        return tuple(zip(*_map_slices(run, parts, draws)))
     return layer.forward_slices(parts, draws)
 
 
@@ -89,23 +94,26 @@ def train_units(layers: list[Layer]) -> list[tuple]:
     A train unit's run(parts, rng) -> ([y], [cache]) runs the whole batch,
     given as slices along n, on the slice threads (layers._map_slices). A relu
     directly followed by a dropout with p > 0 runs as relu_dropout_forward,
-    caching only the bool keep = y > 0, on which the dropout's backward is
-    the pair's gradient bit for bit. Every other layer is a unit of its
+    and the dropout's backward, on the keep y > 0, is the pair's gradient
+    bit for bit. A pair directly followed by a conv caches its output y,
+    the very array that conv caches, and its backward takes y > 0; any
+    other pair caches the bool y > 0. Every other layer is a unit of its
     own that runs its forward_slices. The pair, a dropout and a SafPool
     with p > 0 have one keep mask for the batch from rng.split(i), i the
     index of the dropping layer, and each slice draws its rows on its own
-    thread; no other unit splits the rng. Train caches, per slice: a
-    conv's padded NHWC input, batch norm's xhat and per-channel scale, a
-    pair's keep mask, a SafPool's keep mask and winners' offsets, a dense
-    layer's input, an unpaired relu's input.
+    thread; no other unit splits the rng. Train caches, per slice: a conv's
+    input, batch norm's xhat and per-channel scale, a pair's output or keep
+    mask, a SafPool's keep mask and uint8 winners (maxpool_forward), a
+    dense layer's input, an unpaired relu's input.
     """
     units, i = [], 0
     while i < len(layers):
-        layer, nxt = (*layers[i : i + 2], None)[:2]
+        layer, nxt, after = (*layers[i : i + 3], None, None)[:3]
         if isinstance(layer, ReLU) and isinstance(nxt, Dropout) and nxt.p > 0:
-            group, run = (layer, nxt), partial(_train_unit, nxt, i + 1, True)
+            pair = "shared" if isinstance(after, Conv2d) else "keep"
+            group, run = (layer, nxt), partial(_train_unit, nxt, i + 1, pair)
         else:
-            group, run = (layer,), partial(_train_unit, layer, i, False)
+            group, run = (layer,), partial(_train_unit, layer, i, None)
         units.append((i, group, run))
         i += len(group)
     return units
@@ -151,7 +159,10 @@ class Model:
     (None after an eval). Layers keep no state, so eval is a pure function
     of (input, parameters), and backward returns the gradients and keeps
     none, so calling it again after the same forward gives the same
-    values. A model is single-owner while training. Forward, eval and
+    values. The caches hold views of the forward's input, which a first
+    conv keeps as it was given (a first dense layer, too), until the next
+    forward or eval, so a caller must not write into x before backward.
+    A model is single-owner while training. Forward, eval and
     backward set the process-wide BLAS thread count until they return, so
     no two of them may run at the same time, on one model or on two.
 

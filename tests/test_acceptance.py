@@ -81,12 +81,12 @@ def test_c3_saf_pool_identity_and_statistics():
     for i in range(10):
         r = rng.split(i)
         x = r.uniform((2, 3, 8, 8), -1, 1)
-        pooled, argmax = L.maxpool_forward(x)
+        pooled, which = L.maxpool_forward(x)
         g = r.uniform(pooled.shape, -1, 1)
         pool = L.SafPool("safpool1", 2, 0.0)
         y, cache = pool.forward(x)
-        assert np.array_equal(y, pooled) and np.array_equal(cache[2], argmax)
-        assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(argmax, g, x.shape))
+        assert np.array_equal(y, pooled) and np.array_equal(cache[2], which)
+        assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(which, g, x.shape))
         assert np.array_equal(pool.eval(x), pooled)
         assert np.array_equal(L.SafPool("safpool1", 2, 0.5).eval(x), pooled)
     x = SplitRng(331).uniform((4, 25, 20, 20), 0.5, 1.5)  # 10,000 pooled units

@@ -17,12 +17,12 @@ SPEC = {"workloads": [{"name": "w1"}, {"name": "w2"}], "end_to_end": [
 ]}
 
 
-def checkout(root, name, img_per_s, setup_s, log):
+def checkout(root, name, img_per_s, setup_s, log, correct=True, failed=0):
     """A directory with BENCHMARK.json and a bench/run.py that logs its side, workload and seed and prints one result."""
     path = root / name
     (path / "bench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text(json.dumps(SPEC))
-    result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {
+    result = {"correct": correct, "attempted": 3, "failed": failed, "metrics": {
         "train_img_per_s": {"value": img_per_s, "unit": "img/s"}, "setup_s": {"value": setup_s, "unit": "s"}}}
     (path / "bench" / "run.py").write_text(
         "import sys\n"
@@ -47,6 +47,33 @@ def test_alternates_sides_and_counts_wins(tmp_path):
     assert "parent: correct 3/3, failed/attempted 0/9" in out
     assert "    verdict: gain holds (won 3/3, median gap +20 vs parent IQR 0); within bound (median better by 20.0%, bound 25%)" in out
     assert "    verdict: gain not shown (won 0/3, median gap -1 vs parent IQR 0); OUTSIDE bound (median worse by 50.0%, bound 25%)" in out
+
+
+@pytest.mark.parametrize(
+    "side,correct,failed,reason",
+    [
+        ("change", True, 1, "change failed a larger share, 3/9 against 0/9"),
+        ("change", False, 0, "change correct in fewer runs, 0 against 3"),
+        ("change", False, 1,
+         "change correct in fewer runs, 0 against 3; change failed a larger share, 3/9 against 0/9"),
+        ("parent", False, 1, None),  # failures at the parent take nothing from the change
+    ],
+    ids=["change-fails-operations", "change-incorrect", "change-both", "parent-fails"],
+)
+def test_a_gain_is_withheld_when_the_change_fails_more(tmp_path, side, correct, failed, reason):
+    log = tmp_path / "order.log"
+    flawed = {"correct": correct, "failed": failed}
+    parent = checkout(tmp_path, "parent", 100.0, 2.0, log, **(flawed if side == "parent" else {}))
+    change = checkout(tmp_path, "change", 120.0, 1.0, log, **(flawed if side == "change" else {}))
+    cmd = [sys.executable, SCRIPT, parent, change, "--workload", "w", "--pairs", "3", "--seed0", "7"]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    verdicts = [line for line in out.splitlines() if line.startswith("    verdict: ")]
+    # the change wins every pair of both metrics, by far more than the parent's spread
+    assert len(verdicts) == 2
+    for line in verdicts:
+        verdict = f"withheld: {reason}" if reason else "holds"
+        assert line.startswith(f"    verdict: gain {verdict} (won 3/3"), line
+    assert f"{side}: correct {3 * correct}/3, failed/attempted {3 * failed}/9" in out
 
 
 @pytest.mark.parametrize(

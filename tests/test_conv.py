@@ -17,8 +17,8 @@ from simpnet.rng import SplitRng
 
 
 def conv2d_backward(x, w, stride, pad, g):
-    """Gradients wrt (x, w, b) from the kernel Conv2d.backward calls, on an unpadded input."""
-    return L._conv2d_backward(L._pad_nhwc(x, pad), w, stride, pad, g)
+    """Gradients wrt (x, w, b) from the kernel Conv2d.backward calls."""
+    return L._conv2d_backward(x, w, stride, pad, g)
 
 
 def naive_conv2d(x, w, b, stride=1, pad=0):
@@ -208,15 +208,16 @@ class TestBackwardOracle:
 
     @pytest.mark.parametrize("k,stride,pad", CASES)
     def test_layer_matches_naive(self, k, stride, pad):
-        # the layer's backward reads the padded input cached by its forward
+        # the layer's backward reads the input cached by its forward
         x, w, b, g = self.instance(k, stride, pad)
         conv = L.Conv2d("conv", 3, 4, k, stride, pad)
         conv.init_params(SplitRng(0), np.float64)
         conv.weight[...] = w
         conv.bias[...] = b
-        y, xp = conv.forward(x)
+        y, cache = conv.forward(x)
+        assert cache is x
         assert np.abs(y - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
-        gx, (gw, gb) = conv.backward(xp, g)
+        gx, (gw, gb) = conv.backward(cache, g)
         want_gx, want_gw, want_gb = naive_conv2d_backward(x, w, stride, pad, g)
         assert np.abs(gx - want_gx).max() <= 1e-12
         assert np.abs(gw - want_gw).max() <= 1e-12
@@ -267,9 +268,10 @@ class TestChunkedOracle:
         conv.init_params(SplitRng(0), np.float64)
         conv.weight[...] = w
         conv.bias[...] = b
-        y, xp = conv.forward(x)
+        y, cache = conv.forward(x)
+        assert cache is x
         assert np.abs(y - naive_conv2d(x, w, b, stride, pad)).max() <= 1e-12
-        gx, (gw, gb) = conv.backward(xp, g)
+        gx, (gw, gb) = conv.backward(cache, g)
         want_gx, want_gw, want_gb = naive_conv2d_backward(x, w, stride, pad, g)
         assert np.abs(gx - want_gx).max() <= 1e-12
         assert np.abs(gw - want_gw).max() <= 1e-12
@@ -300,7 +302,8 @@ class TestChunkedOracle:
 class TestScratchMemory:
     """Beyond what it returns, a conv pass allocates at most the larger of
     its padded input and its output: lowering goes through one buffer of
-    a few images, never a patch matrix of the whole batch."""
+    a few images, never a patch matrix of the whole batch. The forward
+    keeps no padded copy of the whole batch either, only one chunk of it."""
 
     @staticmethod
     def traced_peak(fn):
@@ -318,8 +321,9 @@ class TestScratchMemory:
         x = r.uniform((n, c_in, size, size), -1, 1).astype(np.float32)
         # NHWC in memory, as a conv receives its gradient
         g = r.uniform((n, size, size, c_out), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
-        (y, xp), peak = self.traced_peak(lambda: conv.forward(x))
-        limit = max(xp.nbytes, y.nbytes)
-        assert peak - y.nbytes - xp.nbytes <= limit
-        (gx, _), peak = self.traced_peak(lambda: conv.backward(xp, g))
+        (y, cache), peak = self.traced_peak(lambda: conv.forward(x))
+        assert cache is x
+        limit = max(n * (size + 2) ** 2 * c_in * x.itemsize, y.nbytes)  # the padded input, or the output
+        assert peak - y.nbytes <= 2 * L.LOWERING_BYTES  # the lowering buffer and one padded chunk
+        (gx, _), peak = self.traced_peak(lambda: conv.backward(cache, g))
         assert peak - gx.nbytes <= limit

@@ -234,12 +234,17 @@ class TestDropout:
         g.flat[::5], g.flat[1::9] = -0.0, 0.0
         if x.ndim == 4:  # NHWC in memory, as conv outputs are
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        y, keep = L.relu_dropout_forward(x, 0.3, L.keep_mask(x.shape, 0.3, SplitRng(4)))
+        y = L.relu_dropout_forward(x, 0.3, L.keep_mask(x.shape, 0.3, SplitRng(4)))
+        keep = y > 0
         ref, mask = L.Dropout("dropout1", 0.3).forward(L.relu_forward(x), L.keep_mask(x.shape, 0.3, SplitRng(4)))
         assert y.dtype == dtype and y.tobytes() == ref.tobytes()
         assert keep.dtype == bool and np.array_equal(keep, (x > 0) & mask)
         # signed zeros included: every dropped or clipped element gets g's sign
-        assert L.dropout_backward(g, keep, 0.3).tobytes() == L.relu_backward(x, L.dropout_backward(g, mask, 0.3)).tobytes()
+        want = L.relu_backward(x, L.dropout_backward(g, mask, 0.3)).tobytes()
+        assert L.dropout_backward(g, keep, 0.3).tobytes() == want
+        # the dropout's backward takes either cache of the pair: the keep mask, or y itself
+        for cache in (keep, y):
+            assert L.Dropout("dropout1", 0.3).backward(cache, g)[0].tobytes() == want
         if x.ndim == 4:
             assert y.transpose(0, 2, 3, 1).flags.c_contiguous and keep.transpose(0, 2, 3, 1).flags.c_contiguous
 

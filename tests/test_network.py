@@ -114,8 +114,10 @@ class TestForward:
         assert [len(c) for c in m.caches] == [1] * len(m.caches)  # one slice of 2 images
         # keyed by each unit's last layer, so the relu -> dropout pair's cache is under "dropout"
         caches = {layers[-1].kind: c for (_, layers, _), (c,) in zip(m.train_units, m.caches)}
-        # backward reads boolean keep masks, and BN keeps only xhat and a per-channel scale
+        # backward reads boolean keep masks and uint8 pool winners, the conv holds the input it was
+        # given, and BN keeps only xhat and a per-channel scale
         assert caches["dropout"].dtype == bool and caches["safpool"][1].dtype == bool
+        assert caches["safpool"][2].dtype == np.uint8 and np.shares_memory(caches["conv"], x)
         assert sorted(np.shape(a) for a in caches["bn"]) == [(2, 4, 6, 6), (4,)]
         assert_layers_hold_only_state()
         m.backward(g)
@@ -737,7 +739,7 @@ class TestFusedTrain:
                 sgd_step(model_grads, vel, lr=0.1, momentum=0.9, weight_decay=1e-4)
         assert [(n, v.tobytes()) for n, v in fused.state_tensors()] == [(n, v.tobytes()) for n, v in ref.state_tensors()]
 
-    def test_pairs_cache_only_their_keep_mask(self, monkeypatch):
+    def test_pairs_hold_no_relu_input_beyond_the_next_convs(self, monkeypatch):
         # the pair runs neither layer's forward nor the ReLU's backward, so the traced
         # relu and dropout forward times read about 0 in train mode
         calls = []
@@ -747,16 +749,73 @@ class TestFusedTrain:
                     calls.append(f"{self.kind}.{method}")
                     return fn(self, *args)
                 monkeypatch.setattr(cls, method, spy)
+        monkeypatch.setattr(N, "TRAIN_SLICE", 2)  # slices of 2 and 1 images
         m = train_units_model("simpnet-tiny", np.float32)
-        y = m.forward(model_input(m, 2, np.float32), SplitRng(3))
+        y = m.forward(model_input(m, 3, np.float32), SplitRng(3))
         assert calls == []
-        for (_, layers, _), (cache,) in zip(m.train_units, m.caches):
-            if any(isinstance(layer, L.ReLU) for layer in layers):
-                # every relu is in a pair, whose one cache is the keep mask: no relu float input is held
-                assert [type(layer) for layer in layers] == [L.ReLU, L.Dropout]
-                assert cache.dtype == bool and cache.transpose(0, 2, 3, 1).flags.c_contiguous
+        shared = masks = 0
+        for (_, layers, _), caches, (_, (nxt, *_), _), nxt_caches in zip(
+            m.train_units, m.caches, m.train_units[1:], m.caches[1:]
+        ):
+            if not any(isinstance(layer, L.ReLU) for layer in layers):
+                continue
+            # every relu is in a pair, which holds no float array beyond what the next conv holds
+            assert [type(layer) for layer in layers] == [L.ReLU, L.Dropout]
+            if isinstance(nxt, L.Conv2d):  # its output y, the very array the conv caches as its input
+                assert all(cache is conv_cache for cache, conv_cache in zip(caches, nxt_caches, strict=True))
+                shared += 1
+            else:  # before a SAF-pool or the gap, the one-byte keep y > 0
+                assert isinstance(nxt, (L.SafPool, L.GlobalAvgPool))
+                assert all(c.dtype == bool and c.transpose(0, 2, 3, 1).flags.c_contiguous for c in caches)
+                masks += 1
+        assert (shared, masks) == (10, 3)
+        winners = [c[2] for (_, (layer, *_), _), caches in zip(m.train_units, m.caches) for c in caches
+                   if isinstance(layer, L.SafPool)]
+        assert len(winners) == 4 and all(w.dtype == np.uint8 for w in winners)
         m.backward(np.ones_like(y))
         assert set(calls) == {"dropout.backward"}
+
+    @staticmethod
+    def expected_cache_bytes(m, n):
+        """The bytes a float32 forward of n images caches, from the symbolic shapes, with each buffer
+        counted once: every array is float32 but the bool keep masks and the uint8 SAF-pool winners."""
+        bounds = [(lo, min(n, lo + N.TRAIN_SLICE)) for lo in range(0, n, N.TRAIN_SLICE)]
+        shapes = [(n, *m.input_shape), *m.symbolic_shapes(n)]
+        total = 0
+        for i, layer in enumerate(m.layers):
+            before, after = (None, *m.layers)[i], (*m.layers[i + 1 :], None)[0]
+            size, row = int(np.prod(shapes[i + 1])), int(np.prod(shapes[i + 1][1:]))
+            if isinstance(layer, L.Conv2d) and not isinstance(before, L.Dropout):
+                total += 4 * int(np.prod(shapes[i]))  # its input; after a pair, the pair's output counts it
+            elif isinstance(layer, L.BatchNorm):
+                total += 4 * size + 4 * layer.channels  # xhat, and one scale shared by the slices
+            elif isinstance(layer, L.Dropout):  # a relu -> dropout pair: its output if a conv follows, else y > 0
+                total += 4 * size if isinstance(after, L.Conv2d) else size
+            elif isinstance(layer, L.SafPool):
+                # uint8 winners, and each slice's rows of the keep mask, drawn in whole draws of 4 elements
+                total += size + sum(-(-(lo * row % 4 + (hi - lo) * row) // 4) * 4 for lo, hi in bounds)
+            elif isinstance(layer, L.Dense):
+                total += 4 * int(np.prod(shapes[i]))
+        return total
+
+    @pytest.mark.parametrize("n", [3, 2 * N.TRAIN_SLICE + 1])
+    def test_cached_bytes_follow_from_the_layer_shapes(self, n):
+        # the caches of a simpnet-tiny forward, each buffer counted once however many views of it are held
+        def held(obj):
+            if isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for v in obj:
+                    yield from held(v)
+
+        m = train_units_model("simpnet-tiny", np.float32)
+        m.forward(model_input(m, n, np.float32), SplitRng(3))
+        assert sum(a.nbytes for a in {id(a): a for a in held(m.caches)}.values()) == self.expected_cache_bytes(m, n)
+        # at batch 128: 79.8 MiB, and 182.9 MiB on simpnet-300k. Padded conv inputs, a keep mask for every
+        # pair and int64 SAF-pool offsets made it 99.9 and 226.2 MiB.
+        assert self.expected_cache_bytes(m, 128) == 83665688
 
     def test_units_run_forward_slices_and_each_slice_gets_its_rows_of_the_mask(self, workers, monkeypatch):
         workers(1)  # slices run in order on the caller
@@ -807,15 +866,20 @@ class TestFusedTrain:
         with pytest.raises(ValueError, match="requires an rng"):
             m.forward(np.ones((1, 1, 2, 2)))
 
-    def test_finite_difference_through_a_pair(self):
+    @pytest.mark.parametrize("feeds", ["dense", "conv"])
+    def test_finite_difference_through_a_pair(self, feeds):
+        # a pair before a flatten caches its keep mask; one before a conv, the array the conv caches
+        tail = {
+            "dense": [L.Flatten("flatten1"), L.Dense("dense1", 3 * 4 * 4, 4)],
+            "conv": [L.Conv2d("conv2", 3, 2, 3, 2, 1), L.Flatten("flatten1"), L.Dense("dense1", 2 * 2 * 2, 4)],
+        }[feeds]
         m = Model(
             [
                 L.Conv2d("conv1", 2, 3, 3, 1, 1),
                 L.BatchNorm("bn1", 3),
                 L.ReLU("relu1"),
                 L.Dropout("drop1", 0.3),
-                L.Flatten("flatten1"),
-                L.Dense("dense1", 3 * 4 * 4, 4),
+                *tail,
             ],
             (2, 4, 4),
         ).init_params(SplitRng(0), np.float64)
@@ -826,9 +890,12 @@ class TestFusedTrain:
             return L.softmax_xent(m.forward(x, SplitRng(7)), labels)[0]  # the same masks every call
 
         logits = m.forward(x, SplitRng(7))
-        # the pair ran as one unit, caching only its keep mask
-        assert [len(layers) for _, layers, _ in m.train_units] == [1, 1, 2, 1, 1]
-        assert m.caches[2][0].dtype == bool
+        # the pair ran as one unit
+        assert [len(layers) for _, layers, _ in m.train_units][:3] == [1, 1, 2]
+        if feeds == "conv":
+            assert m.caches[2][0] is m.caches[3][0]
+        else:
+            assert m.caches[2][0].dtype == bool
         gx, grads = m.backward(L.softmax_xent(logits, labels)[1])
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
         for name, value, grad in grads:

@@ -12,7 +12,8 @@ from simpnet.rng import SplitRng
 def argmax_maxpool_forward(x, window, stride):
     """Oracle for maxpool_forward: the windows gathered channels-last, argmax over the window axis
     (its first maximum; a NaN beats a number, the first NaN stays) and the winners' values gathered
-    by take_along_axis, with offsets into the input's channels-last memory."""
+    by take_along_axis. Returns (pooled, which, offsets): pooled and which NCHW-indexed, and the
+    winners' (n, oh, ow, c) offsets into the input's channels-last memory."""
     n, c, h, w = x.shape
     oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
     nhwc = x.transpose(0, 2, 3, 1)
@@ -24,7 +25,7 @@ def argmax_maxpool_forward(x, window, stride):
     hh = np.arange(oh).reshape(oh, 1, 1) * stride + dy
     ww = np.arange(ow).reshape(ow, 1) * stride + dx
     offsets = ((np.arange(n).reshape(n, 1, 1, 1) * h + hh) * w + ww) * c + np.arange(c)
-    return pooled.transpose(0, 3, 1, 2), offsets.transpose(0, 3, 1, 2)
+    return pooled.transpose(0, 3, 1, 2), which.transpose(0, 3, 1, 2), offsets
 
 
 POOL_EDGE_KINDS = ["ties", "nan", "inf", "zeros", "all-nan", "mixed"]
@@ -62,25 +63,31 @@ class TestMaxPoolForward:
     @pytest.mark.parametrize("window", [1, 2, 3])
     def test_bit_identical_to_the_argmax_oracle(self, window, stride, layout, dtype, kind):
         x = pool_edge_input(kind, dtype, layout)
-        y, offsets = L.maxpool_forward(x, window, stride)
-        ref, ref_offsets = argmax_maxpool_forward(x, window, stride)
+        y, which = L.maxpool_forward(x, window, stride)
+        ref, ref_which, ref_offsets = argmax_maxpool_forward(x, window, stride)
         assert y.dtype == ref.dtype and y.shape == ref.shape
         assert y.tobytes() == ref.tobytes()  # NaN payloads and signed zeros included
-        assert offsets.tobytes() == ref_offsets.tobytes()
-        assert y.transpose(0, 2, 3, 1).flags.c_contiguous and offsets.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert which.dtype == np.uint8 and which.shape == ref_which.shape
+        assert which.astype(ref_which.dtype).tobytes() == ref_which.tobytes()
+        # the offsets maxpool_backward rebuilds from which
+        offsets = L._winner_offsets(which, x.shape, window, stride)
+        assert offsets.dtype == ref_offsets.dtype and offsets.tobytes() == ref_offsets.tobytes()
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous and which.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        y, argmax = L.maxpool_forward(x)
+        y, which = L.maxpool_forward(x)
         assert y.ravel().tolist() == [4.0]
-        assert unflatten_offset((1, 1, 2, 2), int(argmax.ravel()[0])) == (0, 0, 1, 1)
+        assert which.ravel().tolist() == [3]
+        assert unflatten_offset((1, 1, 2, 2), int(L._winner_offsets(which, x.shape, 2, 2).ravel()[0])) == (0, 0, 1, 1)
 
     def test_tie_goes_to_first_in_scan_order(self):
         x = np.full((1, 1, 4, 4), 3.0)
-        y, argmax = L.maxpool_forward(x)
+        y, which = L.maxpool_forward(x)
         assert np.all(y == 3.0)
         # winner of each window is its top-left cell
-        coords = [unflatten_offset(x.shape, int(o)) for o in argmax.ravel()]
+        assert not which.any()
+        coords = [unflatten_offset(x.shape, int(o)) for o in L._winner_offsets(which, x.shape, 2, 2).ravel()]
         assert coords == [(0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0), (0, 0, 2, 2)]
 
     def test_ramp(self):
@@ -134,15 +141,15 @@ class TestMaxPoolValues:
 class TestMaxPoolBackward:
     def test_routing_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        _, argmax = L.maxpool_forward(x)
-        gx = L.maxpool_backward(argmax, np.ones((1, 1, 1, 1)), x.shape)
+        _, which = L.maxpool_forward(x)
+        gx = L.maxpool_backward(which, np.ones((1, 1, 1, 1)), x.shape)
         assert np.array_equal(gx[0, 0], [[0, 0], [0, 1]])
 
     def test_non_overlapping_one_winner_per_window(self):
         rng = SplitRng(5)
         x = rng.uniform((1, 2, 6, 6), -1, 1)
-        _, argmax = L.maxpool_forward(x)
-        gx = L.maxpool_backward(argmax, np.ones((1, 2, 3, 3)), x.shape)
+        _, which = L.maxpool_forward(x)
+        gx = L.maxpool_backward(which, np.ones((1, 2, 3, 3)), x.shape)
         for j in range(2):
             for wy in range(3):
                 for wx in range(3):
@@ -153,13 +160,13 @@ class TestMaxPoolBackward:
         rng = SplitRng(11)
         size = 2 * 2 * 6 * 6
         x = (rng.permutation(size).astype(np.float64) / size).reshape(2, 2, 6, 6)
-        _, argmax = L.maxpool_forward(x)
+        _, which = L.maxpool_forward(x)
         r = rng.uniform((2, 2, 3, 3), -1, 1)
 
         def loss():
             return float((L.maxpool_forward(x)[0] * r).sum())
 
-        gx = L.maxpool_backward(argmax, r, x.shape)
+        gx = L.maxpool_backward(which, r, x.shape)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-6
 
     def test_scatters_into_channels_last_memory_without_a_copy(self):
@@ -167,10 +174,10 @@ class TestMaxPoolBackward:
         # NHWC in memory, as conv, BN, ReLU and dropout hand them over
         x = r.uniform((8, 32, 32, 23), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
         g = r.uniform((8, 16, 16, 23), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
-        _, argmax = L.maxpool_forward(x)
+        _, which = L.maxpool_forward(x)
         tracemalloc.start()
         try:
-            gx = L.maxpool_backward(argmax, g, x.shape)
+            gx = L.maxpool_backward(which, g, x.shape)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -178,28 +185,30 @@ class TestMaxPoolBackward:
         assert peak - gx.nbytes <= x.nbytes
 
     def test_reads_channels_last_offsets_and_gradient_as_views(self):
-        # ravelled in (n, h, w, c) order, NHWC offsets and gradient need no copy
+        # ravelled in (n, h, w, c) order, NHWC winners and gradient need no copy
         r = SplitRng(2469)
         x = r.uniform((8, 32, 32, 23), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
         g = r.uniform((8, 16, 16, 23), -1, 1).astype(np.float32).transpose(0, 3, 1, 2)
-        _, argmax = L.maxpool_forward(x)
+        _, which = L.maxpool_forward(x)
         tracemalloc.start()
         try:
-            gx = L.maxpool_backward(argmax, g, x.shape)
+            gx = L.maxpool_backward(which, g, x.shape)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - gx.nbytes <= 0.1 * x.nbytes
+        # beyond the int64 offsets it rebuilds from which, 8 bytes per element of g, and the
+        # fixed-size buffer in which numpy's fancy indexing casts which to intp
+        assert peak - gx.nbytes - 8 * g.size <= 0.1 * x.nbytes + 8 * np.getbufsize()
 
     @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2)])
     def test_gradient_independent_of_gradient_layout(self, window, stride):
         r = SplitRng(2470)
         x = r.uniform((2, 3, 9, 9), -1, 1)
-        _, argmax = L.maxpool_forward(x, window, stride)
+        _, which = L.maxpool_forward(x, window, stride)
         g = r.uniform((2, 3, 4, 4), -1, 1)
         g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        gx = L.maxpool_backward(argmax, g, x.shape)
-        assert np.array_equal(gx, L.maxpool_backward(argmax, g_nhwc, x.shape))
+        gx = L.maxpool_backward(which, g, x.shape, window, stride)
+        assert np.array_equal(gx, L.maxpool_backward(which, g_nhwc, x.shape, window, stride))
         assert np.array_equal(gx, self._reference_backward(x, window, stride, g))
 
     @staticmethod
@@ -221,12 +230,12 @@ class TestSafPool:
     def test_drop_zero_identical_to_maxpool_any_mode(self):
         rng = SplitRng(21)
         x = rng.uniform((2, 3, 6, 6), -1, 1)
-        pooled, argmax = L.maxpool_forward(x)
+        pooled, which = L.maxpool_forward(x)
         pool = L.SafPool("pool1", 2, 0.0)
-        y, (_, mask, am) = pool.forward(x)
+        y, (_, mask, cached) = pool.forward(x)
         assert np.array_equal(y, pooled)
         assert mask is None
-        assert np.array_equal(am, argmax)
+        assert cached.dtype == np.uint8 and np.array_equal(cached, which)
         assert np.array_equal(pool.eval(x), pooled)
 
     def test_eval_mode_identity_even_with_drop(self):
@@ -267,12 +276,16 @@ class TestSafPool:
         _, cache = pool.forward(x)
         g = rng.uniform((1, 2, 2, 2), -1, 1)
         assert np.array_equal(pool.backward(cache, g)[0], L.maxpool_backward(cache[2], g, x.shape))
+        stride_one = L.SafPool("pool1", 2, 0.0, 1)  # the layer hands its window and stride to the offsets
+        _, cache = stride_one.forward(x)
+        g = rng.uniform((1, 2, 3, 3), -1, 1)
+        assert np.array_equal(stride_one.backward(cache, g)[0], L.maxpool_backward(cache[2], g, x.shape, 2, 1))
 
     def test_backward_fully_masked_window_zero_grad(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        _, argmax = L.maxpool_forward(x)
+        _, which = L.maxpool_forward(x)
         mask = np.zeros((1, 1, 2, 2))
-        gx, _ = L.SafPool("safpool1", 2, 0.5).backward((x.shape, mask, argmax), np.ones((1, 1, 2, 2)))
+        gx, _ = L.SafPool("safpool1", 2, 0.5).backward((x.shape, mask, which), np.ones((1, 1, 2, 2)))
         assert not gx.any()
 
     def test_backward_finite_differences_fixed_mask(self):
